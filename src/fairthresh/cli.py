@@ -74,12 +74,9 @@ _METHOD_RUNNERS = {"fuds": run_fuds, "fcsc": run_fcsc, "fpir": run_fpir}
 _KIND_NAMES = {"dd": DisparityKind.DD, "do": DisparityKind.DO, "pd": DisparityKind.PD}
 _BLIND_NAMES = {"dd": BlindKind.DD_X, "do": BlindKind.DO_X, "pd": BlindKind.PD_X}
 
-# Pipeline settings shared by all commands: a lean full-batch learner with
-# shortened warm-started refits inside bisection. Chosen so the desk-scale
-# protocols finish in seconds while staying well inside the accuracy margin
-# of the closed-form references (see tests/test_fair_algorithms.py).
-_CLI_LEARNER = LogisticConfig(epochs=300, learning_rate=0.3)
-_CLI_REFIT_EPOCHS = 120
+# Learner shared by all commands. The Newton learner converges on every fit
+# with no budget to tune, so the library default serves every command.
+_CLI_LEARNER = LogisticConfig()
 
 # Desk-scale study shape used when the data source is a model file.
 _MODEL_TRAIN_N = 10_000
@@ -118,7 +115,6 @@ class ExperimentSpec:
     seed: int = 0
     split: float = 0.7
     tol: float = DEFAULT_TOL
-    jobs: int = 1
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -140,8 +136,6 @@ class ExperimentSpec:
             raise IngestError(f"tol must be positive, got {self.tol!r}")
         if self.seed < 0:
             raise IngestError(f"seed must be nonnegative, got {self.seed}")
-        if self.jobs < 1:
-            raise IngestError(f"jobs must be at least 1, got {self.jobs}")
         if self.delta_grid is not None:
             grid = tuple(float(d) for d in self.delta_grid)
             if not grid:
@@ -319,7 +313,6 @@ def _pipeline_config(spec: ExperimentSpec, delta: float, seed: int) -> FairFitCo
         mode="blind" if spec.blind else "aware",
         seed=seed,
         learner=_CLI_LEARNER,
-        refit_epochs=_CLI_REFIT_EPOCHS,
     )
 
 
@@ -390,8 +383,8 @@ def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
 def _empirical_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     train, test, _ = _load_source(spec)
     out_rows = []
-    # Points run sequentially regardless of --jobs, each with its own
-    # index-derived seed, so outputs never depend on scheduling.
+    # Each point has its own index-derived seed, so a point's output does
+    # not depend on the other points in the grid.
     for index, delta in enumerate(spec.delta_grid):
         config = _pipeline_config(spec, delta, _frontier_child_seed(spec.seed, index))
         classifier, t_hat, _ = _METHOD_RUNNERS[spec.method](train, config)
@@ -455,7 +448,6 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
                     tol=spec.tol,
                     seed=spec.seed,
                     learner=_CLI_LEARNER,
-                    refit_epochs=_CLI_REFIT_EPOCHS,
                 )
                 classifier, t_hat, _ = _METHOD_RUNNERS[method](train, config)
                 metrics = evaluate(classifier, test)
@@ -769,12 +761,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated ascending budgets, e.g. 0,0.1,0.2",
     )
-    frontier.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility; points always run in a fixed order",
-    )
     add_common(frontier)
 
     synthetic = sub.add_parser(
@@ -816,7 +802,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.command == "fit":
         fields.update(delta=args.delta)
     if args.command == "frontier":
-        fields.update(delta_grid=args.delta_grid, jobs=args.jobs)
+        fields.update(delta_grid=args.delta_grid)
     if args.command == "synthetic":
         fields.update(data=args.data, delta_grid=args.delta_grid)
     return ExperimentSpec(**fields)

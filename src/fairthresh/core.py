@@ -33,7 +33,6 @@ __all__ = [
     "BilinearSpec",
     "PredictionRecord",
     "bilinear_coeffs",
-    "weight",
     "threshold",
     "natural_domain",
     "cost_weights",
@@ -181,11 +180,6 @@ def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> BilinearSpec:
     else:
         raise DisparityError(f"unknown disparity kind: {kind!r}")
     return BilinearSpec(s=s, b=b)
-
-
-def weight(kind: DisparityKind, stats: GroupStats, eta: float, a: int) -> float:
-    """Weighting-function value w(eta, a) of the measure."""
-    return bilinear_coeffs(kind, stats).weight(eta, a)
 
 
 def natural_domain(kind: DisparityKind, stats: GroupStats) -> tuple[float, float]:

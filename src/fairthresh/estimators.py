@@ -2,15 +2,16 @@
 
 The fairness pipelines plug fitted regression functions into thresholding
 rules, and their cost-sensitive variant reweighs individual rows, so the
-learner here is a deterministic weighted logistic regression trained by
-full-batch gradient descent. Features are standardized internally and an
-intercept is always included; fits can be warm-started from a previous
-parameter vector, which keeps repeated refits inside a bisection loop
-cheap.
+learner here is a deterministic weighted logistic regression fitted by
+damped Newton steps (iteratively reweighted least squares). Features are
+standardized internally and an intercept is always included. Every fit
+starts from zero and runs to the maximum-likelihood point of its own data,
+so a refit inside a bisection loop depends on nothing but that data.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -37,7 +38,7 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """Raised when a fit cannot proceed or diverges."""
+    """Raised when a fit cannot proceed."""
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,15 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class LogisticConfig:
-    """Full-batch gradient-descent settings.
+    """Learner settings: the ridge penalty l2 on the standardized coefficients.
 
-    The seed is accepted for interface stability; the deterministic zero
-    initialization never consumes it. With track_loss the fitted model
-    records the objective value after each epoch.
+    The objective is the weight-mean negative log-likelihood plus
+    0.5 * l2 * |coef|^2; the intercept is not penalized.  The fit has no
+    iteration budget: it takes Newton steps until the gradient vanishes or
+    the objective stops decreasing.
     """
 
-    learning_rate: float = 0.25
-    epochs: int = 600
     l2: float = 1e-6
-    seed: int = 0
-    track_loss: bool = False
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,9 @@ class LogisticParams:
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         xs = (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
-        return self.intercept + xs @ self.coef
+        # A row-wise sum, not a BLAS product: a row's score must not depend on
+        # how many rows share the call.
+        return self.intercept + (xs * self.coef).sum(axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -161,8 +161,9 @@ class ProbModel:
 
     ``aware`` holds one parameter set per group and predicts P(Y=1 | x, a);
     ``blind_y`` predicts P(Y=1 | x) and ``blind_a`` predicts P(A=1 | x),
-    both ignoring the group at prediction time. history carries per-epoch
-    objective values when the fit tracked them (single-fit modes only).
+    both ignoring the group at prediction time. history carries the
+    objective at the start and after each Newton step (single-fit modes
+    only).
     """
 
     mode: str
@@ -210,16 +211,16 @@ def save_prob_model(model: ProbModel, path: str | Path) -> None:
 
 
 def load_prob_model(path: str | Path) -> ProbModel:
-    return ProbModel.from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FitError(f"malformed model document: {exc}") from exc
+    return ProbModel.from_dict(data)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The tanh form never overflows and needs no masking by sign.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,18 +230,16 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _grad_terms(
-    xs: np.ndarray,
-    target: np.ndarray,
-    wn: np.ndarray,
-    b: float,
-    coef: np.ndarray,
-    l2: float,
-) -> tuple[float, np.ndarray]:
-    """Gradient of the weight-normalized NLL plus l2, in the xs frame."""
-    p = _sigmoid(b + xs @ coef)
-    resid = wn * (p - target)
-    return float(resid.sum()), xs.T @ resid + l2 * coef
+def _design(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Standardized features with a leading intercept column."""
+    return np.hstack([np.ones((len(x), 1)), (x - mean) / scale])
+
+
+def _ridge(l2: float, dim: int) -> np.ndarray:
+    """Per-parameter penalty of (intercept, coef): the intercept is free."""
+    ridge = np.full(dim + 1, float(l2))
+    ridge[0] = 0.0
+    return ridge
 
 
 def nll(
@@ -263,67 +262,76 @@ def nll_gradient(
     """Gradient of nll with respect to (intercept, coef) in params' frame."""
     t = dataset.y if target is None else np.asarray(target, dtype=float)
     wn = dataset.weight / float(dataset.weight.sum())
-    xs = (dataset.x - params.mean) / params.scale
-    return _grad_terms(xs, t.astype(float), wn, params.intercept, params.coef, l2)
+    design = _design(dataset.x, params.mean, params.scale)
+    theta = np.concatenate([[params.intercept], params.coef])
+    resid = wn * (_sigmoid(design @ theta) - t)
+    grad = design.T @ resid + _ridge(l2, dataset.dim) * theta
+    return float(grad[0]), grad[1:]
+
+
+# Newton stops once the gradient norm is below _GRAD_TOL, or once even a
+# backtracked step fails to lower the objective strictly: it then sits on
+# its float floor, and steps that only tie let near-separable fits wander
+# along that floor up to the cap.
+_GRAD_TOL = 1e-10
+_MAX_STEPS = 100
+_MAX_HALVINGS = 40
 
 
 def _fit_params(
-    x: np.ndarray,
-    target: np.ndarray,
-    weight: np.ndarray,
-    config: LogisticConfig,
-    init: LogisticParams | None = None,
-) -> tuple[LogisticParams, tuple[float, ...] | None]:
+    x: np.ndarray, target: np.ndarray, weight: np.ndarray, config: LogisticConfig
+) -> tuple[LogisticParams, tuple[float, ...]]:
+    """Damped Newton (IRLS) fit in the standardized frame.
+
+    Each step solves the (d+1)x(d+1) Hessian system and is halved until
+    the objective strictly decreases.
+    """
     wsum = float(weight.sum())
     if wsum <= 0:
         raise FitError("total sample weight must be positive")
     mean, scale = _standardize(x)
-    xs = (x - mean) / scale
+    design = _design(x, mean, scale)
     wn = weight / wsum
-
-    if init is None:
-        b = 0.0
-        coef = np.zeros(x.shape[1])
-    else:
-        # Carry the previous fit over in raw-feature space so warm starts
-        # survive a change of standardization frame.
-        b_raw, w_raw = init.raw()
-        coef = w_raw * scale
-        b = b_raw + float(w_raw @ mean)
-
     t = target.astype(float)
-    history: list[float] | None = [] if config.track_loss else None
-    for _ in range(config.epochs):
-        grad_b, grad_w = _grad_terms(xs, t, wn, b, coef, config.l2)
-        b -= config.learning_rate * grad_b
-        coef -= config.learning_rate * grad_w
-        if not (np.isfinite(b) and np.isfinite(coef).all()):
-            raise FitError(
-                "fit diverged to non-finite coefficients; use a smaller learning_rate"
-            )
-        if history is not None:
-            z = b + xs @ coef
-            loss = float(wn @ (np.logaddexp(0.0, z) - t * z))
-            history.append(loss + 0.5 * config.l2 * float(coef @ coef))
-    params = LogisticParams(intercept=b, coef=coef, mean=mean, scale=scale)
-    return params, None if history is None else tuple(history)
+    ridge = _ridge(config.l2, x.shape[1])
+
+    theta = np.zeros(design.shape[1])
+    z = np.zeros(len(x))
+    softplus = np.logaddexp(0.0, z)
+    loss = float(wn @ softplus)
+    history = [loss]
+    for _ in range(_MAX_STEPS):
+        p = _sigmoid(z)
+        grad = design.T @ (wn * (p - t)) + ridge * theta
+        if math.sqrt(float(grad @ grad)) <= _GRAD_TOL:
+            break
+        hess = (design.T * (wn * p * (1.0 - p))) @ design + np.diag(ridge)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            cand = theta - step
+            z_cand = design @ cand
+            softplus_cand = np.logaddexp(0.0, z_cand)
+            # The change is summed from per-row differences: near the optimum
+            # it lies far below the rounding error of the objective's sum.
+            change = float(wn @ (softplus_cand - softplus - t * (z_cand - z)))
+            change += 0.5 * float(ridge @ (cand * cand - theta * theta))
+            if change < 0.0:
+                break
+            step *= 0.5
+        else:
+            break
+        theta, z, softplus = cand, z_cand, softplus_cand
+        loss += change
+        history.append(loss)
+    params = LogisticParams(intercept=float(theta[0]), coef=theta[1:], mean=mean, scale=scale)
+    return params, tuple(history)
 
 
-def _single_init(init: ProbModel | None) -> LogisticParams | None:
-    if init is not None and isinstance(init.params, LogisticParams):
-        return init.params
-    return None
-
-
-def fit_logistic(
-    dataset: LabeledDataset,
-    config: LogisticConfig = LogisticConfig(),
-    init: ProbModel | None = None,
-) -> ProbModel:
+def fit_logistic(dataset: LabeledDataset, config: LogisticConfig = LogisticConfig()) -> ProbModel:
     """Weighted logistic regression of the label on the features."""
     if len(dataset) == 0:
         raise FitError("cannot fit on an empty dataset")
-    params, history = _fit_params(dataset.x, dataset.y, dataset.weight, config, _single_init(init))
+    params, history = _fit_params(dataset.x, dataset.y, dataset.weight, config)
     return ProbModel(mode=MODE_BLIND_Y, params=params, history=history)
 
 
@@ -331,7 +339,6 @@ def fit_group_models(
     dataset: LabeledDataset,
     mode: str = MODE_AWARE,
     config: LogisticConfig = LogisticConfig(),
-    init: ProbModel | None = None,
 ) -> ProbModel:
     """Fit the regression function a pipeline needs.
 
@@ -349,25 +356,20 @@ def fit_group_models(
         per_group: dict[int, LogisticParams] = {}
         for a in (0, 1):
             pick = dataset.a == a
-            prev = None
-            if init is not None and init.mode == MODE_AWARE:
-                prev = init.group_params(a)
             per_group[a], _ = _fit_params(
-                dataset.x[pick], dataset.y[pick], dataset.weight[pick], config, prev
+                dataset.x[pick], dataset.y[pick], dataset.weight[pick], config
             )
         return ProbModel(mode=MODE_AWARE, params=per_group)
     if mode == MODE_BLIND_Y:
         for y in (0, 1):
             if not (dataset.y == y).any():
                 raise FitError(f"label regression needs rows with y={y}")
-        return fit_logistic(dataset, config, init)
+        return fit_logistic(dataset, config)
     if mode == MODE_BLIND_A:
         for a in (0, 1):
             if not (dataset.a == a).any():
                 raise FitError(f"group regression needs rows with a={a}")
-        params, history = _fit_params(
-            dataset.x, dataset.a.astype(int), dataset.weight, config, _single_init(init)
-        )
+        params, history = _fit_params(dataset.x, dataset.a.astype(int), dataset.weight, config)
         return ProbModel(mode=MODE_BLIND_A, params=params, history=history)
     raise FitError(f"unknown estimator mode {mode!r}")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -88,9 +88,9 @@ class FairFitConfig:
     kind selects the disparity measure and must match mode: blind kinds
     pair with mode "blind" (the fitted rule reads features only), aware
     kinds with mode "aware".  delta is the disparity budget and tol the
-    bisection resolution.  refit_epochs, when set, caps the epoch budget of
-    every fit after the first one; with warm_start each refit resumes from
-    the previous coefficients, so a small cap is usually enough.
+    bisection resolution.  learner sets the ridge penalty of every fit;
+    each refit starts afresh and runs to convergence, so a refit at t
+    depends only on the data the pipeline builds for t.
     """
 
     kind: DisparityKind | BlindKind
@@ -99,8 +99,6 @@ class FairFitConfig:
     mode: str = MODE_FIT_AWARE
     seed: int = 0
     learner: LogisticConfig = LogisticConfig()
-    warm_start: bool = True
-    refit_epochs: int | None = None
     pareto_deltas: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -117,8 +115,6 @@ class FairFitConfig:
                 f"mode {self.mode!r} does not match kind {self.kind}: blind kinds need "
                 "blind mode, aware kinds need aware mode"
             )
-        if self.refit_epochs is not None and self.refit_epochs < 0:
-            raise DisparityError(f"refit_epochs must be nonnegative, got {self.refit_epochs!r}")
         if self.pareto_deltas is not None:
             grid = tuple(float(d) for d in self.pareto_deltas)
             if not grid:
@@ -369,7 +365,7 @@ def _blind_weight_values(
 
 
 class _CurveState:
-    """Mutable companion of an empirical curve: warm model, resample, trace."""
+    """Mutable companion of an empirical curve: resample state and trace."""
 
     def __init__(self, dataset: LabeledDataset, config: FairFitConfig) -> None:
         self.dataset = dataset
@@ -378,7 +374,6 @@ class _CurveState:
         self.master = np.random.SeedSequence(config.seed)
         self.calls = 0
         self.clamped = False
-        self.model: ProbModel | None = None
         self.resample: ResampleState | None = None
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
@@ -388,16 +383,9 @@ class _CurveState:
 
 
 def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
-    cfg = state.config.learner
-    if state.calls > 0 and state.config.refit_epochs is not None:
-        cfg = replace(cfg, epochs=state.config.refit_epochs)
-    init = state.model if (state.config.warm_start and state.calls > 0) else None
     if state.config.mode == MODE_FIT_BLIND:
-        model = fit_logistic(data, cfg, init=init)
-    else:
-        model = fit_group_models(data, MODE_AWARE, cfg, init=init)
-    state.model = model
-    return model
+        return fit_logistic(data, state.config.learner)
+    return fit_group_models(data, MODE_AWARE, state.config.learner)
 
 
 def _model_decisions(state: _CurveState, model: ProbModel) -> np.ndarray:
@@ -578,9 +566,9 @@ def empirical_curve(
 ) -> DisparityCurve:
     """The disparity-versus-t curve a pipeline bisects, for audits and plots.
 
-    Evaluations mutate hidden warm-start and resampling state, so exact
-    values depend on call order; audit on a monotone grid for stable
-    results.
+    fuds evaluations advance a hidden resampling state, so their exact
+    values depend on call order; audit them on a monotone grid for stable
+    results.  fcsc and fpir values depend on t alone.
     """
     return _build_curve(dataset, config, method, model=model)[0]
 
@@ -625,7 +613,7 @@ def _report(
         "converged": result.converged,
         "exact": result.exact,
         "at_bracket_edge": edge,
-        "train_metrics": evaluate(classifier, state.dataset, state.stats),
+        "train_metrics": evaluate(classifier, state.dataset),
         "trace": list(state.trace),
     }
     if not isinstance(cfg.kind, BlindKind):
@@ -727,20 +715,13 @@ def _decision_values(classifier, test: LabeledDataset) -> np.ndarray:
     return f
 
 
-def evaluate(
-    classifier,
-    test: LabeledDataset,
-    stats: GroupStats | None = None,
-) -> dict[str, float | None]:
+def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
     """Accuracy and the three disparity gaps of a classifier on a test set.
 
-    Rates are plug-in conditional frequencies of the test rows themselves;
-    stats is accepted for interface symmetry and only type-checked.  A
-    metric whose conditioning cell is empty comes back as None, not 0.
+    Rates are plug-in conditional frequencies of the test rows themselves.
+    A metric whose conditioning cell is empty comes back as None, not 0.
     Fractional decisions are treated as acceptance probabilities.
     """
-    if stats is not None and not isinstance(stats, GroupStats):
-        raise DisparityError(f"stats must be GroupStats or None, got {type(stats).__name__}")
     if len(test) == 0:
         raise EstimationError("empty test set: metrics undefined")
     f = _decision_values(classifier, test)

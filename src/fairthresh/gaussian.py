@@ -30,7 +30,7 @@ from .core import (
     natural_domain,
     threshold,
 )
-from .estimators import MODE_AWARE, LabeledDataset, LogisticParams, ProbModel
+from .estimators import MODE_AWARE, LabeledDataset, LogisticParams, ProbModel, _sigmoid
 from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
 
 __all__ = [
@@ -145,7 +145,11 @@ def save_model(model: GaussianModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GaussianModel:
-    return GaussianModel.from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"malformed model document: {exc}") from exc
+    return GaussianModel.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -159,15 +163,6 @@ class PsiEvaluator:
 
     def survival(self, a: int, y: int, tau: float) -> float:
         return self.model.survival(a, y, tau)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def eta(model: GaussianModel, a: int, x: np.ndarray) -> float | np.ndarray:

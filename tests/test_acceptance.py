@@ -55,7 +55,7 @@ KINDS = (DisparityKind.DD, DisparityKind.DO, DisparityKind.PD)
 DELTAS = (0.0, 0.1, 0.2, 0.3)
 METHODS = ("fuds", "fcsc", "fpir")
 N_SEEDS = 20
-LEARNER = LogisticConfig(epochs=300, learning_rate=0.3)
+LEARNER = LogisticConfig()
 
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -92,7 +92,6 @@ def study(model):
                     tol=2**-10,
                     seed=seed,
                     learner=LEARNER,
-                    refit_epochs=120,
                 )
                 runs = {
                     "fuds": lambda: run_fuds(train, config),

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +198,7 @@ class TestExperimentSpec:
             (dict(command="fit", split=1.0), "split"),
             (dict(command="fit", tol=0.0), "tol"),
             (dict(command="fit", seed=-1), "seed"),
-            (dict(command="frontier", jobs=0), "jobs"),
+            (dict(command="fit", delta=float("nan")), "delta"),
             (dict(command="frontier", delta_grid=(0.2, 0.1)), "sorted"),
             (dict(command="frontier", delta_grid=()), "nonempty"),
             (dict(command="frontier", delta_grid=(-0.1,)), "nonnegative"),
@@ -660,6 +664,30 @@ class TestMainDispatch:
         )
         assert doc["source"] == "csv"
         assert doc["t_hat"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv", [["fit"], ["frontier", "--delta-grid", "0,0.1"], ["synthetic"]]
+    )
+    def test_truncated_model_file_is_one_error_line(self, data_dir, tmp_path, argv):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text((data_dir / "model.json").read_text()[:40])
+        src = str(Path(fairthresh.core.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        # Runs the console-script entry point in a fresh interpreter, so an
+        # uncaught exception would show up as a traceback on stderr.
+        entry = "import sys; from fairthresh.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, argv[0], "--data", str(truncated), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: malformed model document")
 
     def test_frontier_requires_grid(self, data_dir):
         with pytest.raises(IngestError, match="delta-grid"):

@@ -23,7 +23,6 @@ from fairthresh.core import (
     empirical_disparity_arrays,
     natural_domain,
     threshold,
-    weight,
 )
 
 from conftest import random_stats, stats_strategy, kind_strategy
@@ -107,7 +106,7 @@ class TestBilinearCoeffs:
 
     @given(stats=stats_strategy, kind=kind_strategy, eta=st.floats(0.0, 1.0), a=st.sampled_from([0, 1]))
     def test_weight_matches_definitional_form(self, stats, kind, eta, a):
-        got = weight(kind, stats, eta, a)
+        got = bilinear_coeffs(kind, stats).weight(eta, a)
         want = definitional_weight(kind, stats, eta, a)
         assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
 

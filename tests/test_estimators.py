@@ -152,7 +152,7 @@ class TestFitLogistic:
 
     def test_weight_doubling_is_exact_noop(self, rng):
         ds = random_dataset(rng, n=60)
-        config = LogisticConfig(l2=0.0, epochs=120)
+        config = LogisticConfig(l2=0.0)
         base = fit_logistic(ds, config).single_params()
         doubled = fit_logistic(ds.with_weights(2.0 * ds.weight), config).single_params()
         assert base.intercept == doubled.intercept
@@ -162,7 +162,7 @@ class TestFitLogistic:
         rng = np.random.default_rng(8125)
         beta, intercept = (1.2, -0.8), 0.3
         ds = logistic_rows(rng, n=100_000, beta=beta, intercept=intercept)
-        model = fit_logistic(ds, LogisticConfig(epochs=800))
+        model = fit_logistic(ds)
         b_raw, w_raw = model.single_params().raw()
         assert abs(b_raw - intercept) < 0.05
         assert np.all(np.abs(w_raw - np.asarray(beta)) < 0.05)
@@ -177,21 +177,12 @@ class TestFitLogistic:
         with pytest.raises(FitError, match="weight"):
             fit_logistic(ds)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_divergence_reported_with_advice(self, rng):
-        ds = random_dataset(rng, n=20)
-        with pytest.raises(FitError, match="smaller learning_rate"):
-            fit_logistic(ds, LogisticConfig(learning_rate=1e160, l2=1.0, epochs=5))
-
     def test_loss_history_non_increasing(self, rng):
         ds = random_dataset(rng, n=200)
-        model = fit_logistic(ds, LogisticConfig(track_loss=True))
-        assert model.history is not None and len(model.history) == 600
+        model = fit_logistic(ds)
+        assert model.history is not None and len(model.history) >= 2
         assert all(math.isfinite(v) for v in model.history)
         assert all(b <= a + 1e-12 for a, b in zip(model.history, model.history[1:]))
-
-    def test_history_absent_by_default(self, rng):
-        assert fit_logistic(random_dataset(rng, n=30)).history is None
 
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n=80)
@@ -199,16 +190,6 @@ class TestFitLogistic:
         second = fit_logistic(ds).single_params()
         assert first.intercept == second.intercept
         assert np.array_equal(first.coef, second.coef)
-
-    def test_warm_start_preserves_raw_parameters_across_frames(self, rng):
-        ds = random_dataset(rng, n=50)
-        fitted = fit_logistic(ds, LogisticConfig(epochs=200))
-        shifted = LabeledDataset(x=ds.x * 3.0 + 5.0, a=ds.a, y=ds.y, weight=ds.weight)
-        carried = fit_logistic(shifted, LogisticConfig(epochs=0), init=fitted)
-        b0, w0 = fitted.single_params().raw()
-        b1, w1 = carried.single_params().raw()
-        assert b1 == pytest.approx(b0, rel=1e-10, abs=1e-10)
-        assert np.allclose(w0, w1, rtol=1e-10, atol=1e-12)
 
 
 class TestFitGroupModels:
