@@ -3,8 +3,10 @@
 The library fits classifiers whose group disparity (demographic difference,
 opportunity difference, or predictive-rate difference) is held within a
 budget, trading the smallest possible amount of accuracy for it.  Thresholds
-come from a closed form indexed by a single scalar; a monotone bisection
-finds the scalar that meets the budget exactly.
+come from a closed form indexed by a single scalar t.  The refitting
+pipelines bisect t; the plug-in pipeline solves its step curve exactly
+from the sorted per-row flip points and randomizes the boundary rows, so
+the training disparity lands on the budget.
 
 Module map:
 
@@ -13,7 +15,8 @@ Module map:
 - ``solver``: monotone bisection over disparity curves, frontier tracing,
   and tradeoff bound checks.
 - ``discrete``: exact rational solver and brute-force oracle on
-  finite-support distributions.
+  finite-support distributions; its sorted-breakpoint solve also serves
+  the plug-in pipeline.
 - ``extensions``: equalized odds (two budgets at once) and multi-group
   parity thresholds.
 - ``estimators``: datasets, weighted logistic regression, and cell

@@ -725,7 +725,13 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"base seed (default: ${SEED_ENV} or 0)",
         )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bisection tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=DEFAULT_TOL,
+            help="bisection tolerance of fuds, fcsc and closed-form frontiers "
+            "(fpir solves exactly)",
+        )
         if with_out:
             p.add_argument("--out", default=None, help="output path (default: stdout)")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,12 +31,10 @@ __all__ = [
     "BlindKind",
     "GroupStats",
     "BilinearSpec",
-    "PredictionRecord",
     "bilinear_coeffs",
     "threshold",
     "natural_domain",
     "cost_weights",
-    "empirical_disparity",
     "empirical_disparity_arrays",
 ]
 
@@ -143,23 +141,6 @@ class BilinearSpec:
         return self.s[a] * eta + self.b[a]
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One scored decision: group, estimated regression value, accept probability."""
-
-    a: int
-    eta_hat: float
-    f: float
-
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1):
-            raise DisparityError(f"group must be 0 or 1, got {self.a}")
-        if not 0.0 <= self.eta_hat <= 1.0:
-            raise DisparityError(f"eta_hat must lie in [0, 1], got {self.eta_hat}")
-        if not 0.0 <= self.f <= 1.0:
-            raise DisparityError(f"decision probability must lie in [0, 1], got {self.f}")
-
-
 def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> BilinearSpec:
     """Affine weight coefficients (s_a, b_a) of the given measure.
 
@@ -219,25 +200,6 @@ def cost_weights(kind: DisparityKind, stats: GroupStats, a: int, y: int, t: floa
     return (1 - 2 * y) * h + y
 
 
-def empirical_disparity(
-    kind: DisparityKind, stats: GroupStats, records: Sequence[PredictionRecord]
-) -> float:
-    """Plug-in disparity estimate (1/n) * sum_i f_i * w(eta_hat_i, a_i).
-
-    With plug-in stats from the records' own group counts, the DD case
-    reduces algebraically to the difference of group acceptance means.
-    """
-    if not records:
-        raise EstimationError("no records: disparity undefined")
-    groups = {r.a for r in records}
-    if groups != {0, 1}:
-        missing = {0, 1} - groups
-        raise EstimationError(f"group {missing.pop()} absent: disparity undefined")
-    spec = bilinear_coeffs(kind, stats)
-    terms = [r.f * (spec.s[r.a] * r.eta_hat + spec.b[r.a]) for r in records]
-    return math.fsum(terms) / len(records)
-
-
 def empirical_disparity_arrays(
     kind: DisparityKind,
     stats: GroupStats,
@@ -245,7 +207,11 @@ def empirical_disparity_arrays(
     eta_hat: np.ndarray,
     f: np.ndarray,
 ) -> float:
-    """Vectorized twin of empirical_disparity for large samples."""
+    """Plug-in disparity estimate (1/n) * sum_i f_i * w(eta_hat_i, a_i).
+
+    With plug-in stats from the rows' own group counts, the DD case reduces
+    algebraically to the difference of group acceptance means.
+    """
     a = np.asarray(a)
     if a.size == 0:
         raise EstimationError("no records: disparity undefined")

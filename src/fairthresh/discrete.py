@@ -11,8 +11,11 @@ error, and reported risks and disparities are exact rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .core import DisparityKind, DomainError, GroupStats
 from .solver import SolverError
@@ -128,36 +131,6 @@ def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -
     return out
 
 
-def _envelope(atoms: list[_Atom], t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(D_min, D_zero, D_max) of the threshold family at parameter t.
-
-    Atoms with positive weight are accepted when their boundary ratio
-    exceeds t, atoms with negative weight when it falls below t; atoms
-    sitting exactly at t contribute only to D_max (positive side) or only
-    to D_min (negative side), and D_zero counts neither.
-    """
-    dmin = dzero = dmax = Fraction(0)
-    for at in atoms:
-        if at.w == 0:
-            continue
-        contrib = at.mass * at.w
-        if at.w > 0:
-            if at.ratio > t:
-                dmin += contrib
-                dzero += contrib
-                dmax += contrib
-            elif at.ratio == t:
-                dmax += contrib
-        else:
-            if at.ratio < t:
-                dmin += contrib
-                dzero += contrib
-                dmax += contrib
-            elif at.ratio == t:
-                dmin += contrib
-    return dmin, dzero, dmax
-
-
 def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fraction:
     """Misclassification rate sum of m*((1 - 2*eta)*f + eta), exactly."""
     if len(classifier.accept) != len(dist.atoms):
@@ -195,8 +168,12 @@ def dmin_dmax(
     Accepts an exact rational t to probe step edges without float rounding.
     """
     atoms = _prepare(dist, kind, stats)
-    dmin, _, dmax = _envelope(atoms, Fraction(t))
-    return dmin, dmax
+
+    def level(tau_plus: int, tau_minus: int) -> Fraction:
+        accept = _accepts(atoms, Fraction(t), Fraction(tau_plus), Fraction(tau_minus))
+        return sum((at.mass * at.w * f for at, f in zip(atoms, accept)), Fraction(0))
+
+    return level(0, 1), level(1, 0)
 
 
 def _accepts(atoms: list[_Atom], t: Fraction, tau_plus: Fraction, tau_minus: Fraction) -> tuple[Fraction, ...]:
@@ -224,50 +201,81 @@ def solve_randomized(
     """
     if delta < 0:
         raise SolverError(f"disparity budget {delta!r} must be nonnegative")
-    deltaf = Fraction(delta)
     atoms = _prepare(dist, kind, stats)
-    ratios = sorted({at.ratio for at in atoms if at.ratio is not None})
-
-    dmin0, dzero0, dmax0 = _envelope(atoms, Fraction(0))
-    if dmin0 > deltaf:
-        # Shift right until the floor of the envelope drops to the budget;
-        # the floor is right-continuous, so the first such step level wins.
-        t_star = None
-        for r in ratios:
-            if r <= 0:
-                continue
-            if _envelope(atoms, r)[0] <= deltaf:
-                t_star = r
-                break
-        assert t_star is not None  # floor tends to a nonpositive limit
-        target = deltaf
-    elif dmax0 < -deltaf:
-        t_star = None
-        for r in reversed(ratios):
-            if r >= 0:
-                continue
-            if _envelope(atoms, r)[2] >= -deltaf:
-                t_star = r
-                break
-        assert t_star is not None  # ceiling tends to a nonnegative limit
-        target = -deltaf
-    else:
-        t_star = Fraction(0)
-        target = min(deltaf, max(-deltaf, dzero0))
-
-    dmin, dzero, dmax = _envelope(atoms, t_star)
-    tau_plus = tau_minus = Fraction(0)
-    if target < dzero:
-        tau_minus = (dzero - target) / (dzero - dmin)
-    elif target > dzero:
-        tau_plus = (target - dzero) / (dmax - dzero)
-    assert 0 <= tau_plus <= 1 and 0 <= tau_minus <= 1
+    live = [at for at in atoms if at.w != 0]
+    contrib = [at.mass * at.w for at in live]
+    # Integer contributions in units of 1/scale keep the sums cheap and exact.
+    scale = math.lcm(*(c.denominator for c in contrib))
+    t_star, tau_plus, tau_minus, _ = solve_breakpoints(
+        np.array([at.ratio for at in live], dtype=object),
+        np.array([at.w > 0 for at in live], dtype=bool),
+        np.array([c.numerator * (scale // c.denominator) for c in contrib], dtype=object),
+        Fraction(delta) * scale,
+    )
     return RandomizedClassifier(
         accept=_accepts(atoms, t_star, tau_plus, tau_minus),
-        t_star=t_star,
+        t_star=Fraction(t_star),
         tau_plus=tau_plus,
         tau_minus=tau_minus,
     )
+
+
+def solve_breakpoints(
+    ratio: np.ndarray,
+    positive: np.ndarray,
+    contrib: np.ndarray,
+    budget: Fraction,
+    base: int = 0,
+) -> tuple[object, Fraction, Fraction, Fraction]:
+    """Smallest-|t| member of a randomized threshold family with |D| <= budget.
+
+    Item i is accepted when its boundary ratio lies above t (positive weight
+    side) or below t (negative side), and then adds contrib[i] to
+    D = base + the accepted contributions; items whose ratio equals t are
+    accepted with the fraction tau_plus or tau_minus of their side. One sort
+    and cumulative sums give the envelope of D at every distinct ratio; the
+    ratio of least magnitude whose envelope meets the budget wins, and the
+    boundary fractions land D on the budget. Returns (t, tau_plus,
+    tau_minus, D). Contributions and base are integers, so every sum is
+    exact; budget and D are exact rationals in the same units. Used by
+    solve_randomized and by the plug-in pipeline's exact solve, which
+    passes its arrays without keeping them, so they are freed once sorted.
+    """
+    # A null item makes t = 0 a candidate; sorted first, it names its tie
+    # group. One array at a time, so large inputs are not held twice over.
+    ratio = np.concatenate(([0], ratio))
+    order = np.argsort(ratio, kind="stable")
+    ratio = ratio[order]
+    positive = np.concatenate(([True], positive))[order]
+    contrib = np.concatenate(([0], contrib))[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+    ratios = ratio[starts]
+    del ratio
+    plus = np.add.reduceat(np.where(positive, contrib, 0), starts)
+    minus = np.add.reduceat(np.where(positive, 0, contrib), starts)
+    del positive, contrib, starts
+    # Strictly accepted at each ratio: positive items above it, negative below.
+    zero = base + (plus[::-1].cumsum()[::-1] - plus) + (minus.cumsum() - minus)
+    bound = math.floor(budget)  # an integer meets the budget iff it meets its floor
+    feasible = np.flatnonzero(
+        (zero + np.minimum(plus, 0) + np.minimum(minus, 0) <= bound)
+        & (zero + np.maximum(plus, 0) + np.maximum(minus, 0) >= -bound)
+    )
+    if feasible.size == 0:
+        raise SolverError(f"disparity budget {float(budget)!r} unreachable at any threshold")
+    k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
+    # Land as near the budget allows to D just on the side of k facing 0.
+    inner = zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0)
+    target = min(budget, max(-budget, Fraction(int(inner))))
+    need = target - int(zero[k])
+    taus = []
+    for side in (int(plus[k]), int(minus[k])):
+        tau = min(Fraction(1), need / side) if need * side > 0 else Fraction(0)
+        need -= tau * side
+        taus.append(tau)
+    assert need == 0  # the envelope at k contains the target
+    return ratios[k], taus[0], taus[1], target
 
 
 def brute_force_oracle(

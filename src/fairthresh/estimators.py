@@ -146,8 +146,10 @@ class LogisticParams:
                 mean=np.asarray(data["mean"], dtype=float),
                 scale=np.asarray(data["scale"], dtype=float),
             )
-        except (KeyError, TypeError) as exc:
-            raise FitError(f"malformed parameter document: {exc}") from exc
+        except KeyError as exc:
+            raise FitError(f"malformed parameter document: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FitError(f"malformed parameter document: bad value ({exc})") from exc
 
 
 MODE_AWARE = "aware"
@@ -201,8 +203,10 @@ class ProbModel:
                 return cls(mode=mode, params=groups)
             if mode in (MODE_BLIND_Y, MODE_BLIND_A):
                 return cls(mode=mode, params=LogisticParams.from_dict(data["params"]))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise FitError(f"malformed model document: {exc}") from exc
+        except KeyError as exc:
+            raise FitError(f"malformed model document: missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise FitError(f"malformed model document: bad value ({exc})") from exc
         raise FitError(f"unknown estimator mode {mode!r}")
 
 

@@ -1,18 +1,19 @@
 """Fairness pipelines: resampling, cost reweighting, and plug-in thresholding.
 
-All three pipelines share one outer loop: bisection on the threshold
-parameter t of an empirical disparity curve.  Each curve evaluation builds
-the classifier for the current t and scores its decisions on the original
-training rows, where the group ids and labels are observed, so the same
-plug-in estimate drives aware and blind runs alike.  The pipelines differ
-only in how the classifier at t is produced:
+All three pipelines look for the smallest |t| at which an empirical
+disparity curve meets the budget.  The curve at t scores the classifier for
+t on the original training rows, where the group ids and labels are
+observed, so the same plug-in estimate drives aware and blind runs alike.
+The pipelines differ in how the classifier at t is produced:
 
 - the resampling pipeline redraws the training set to tilted cell
-  proportions and refits an unconstrained learner;
+  proportions and refits an unconstrained learner, bisecting t;
 - the cost-reweighting pipeline refits on the original rows with per-cell
-  misclassification costs;
+  misclassification costs, bisecting t;
 - the plug-in pipeline fits regression estimates once and only moves
-  decision thresholds, so its curve evaluations are cheap.
+  decision thresholds.  Its curve is a step function with one step per
+  row, so it is solved exactly from the sorted steps, and the rows on the
+  boundary are randomized to land the budget exactly.
 
 Aware runs read the group id at decision time.  Blind runs fit rules on
 features alone; the group id is still used during training to measure the
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +36,7 @@ from .core import (
     DomainError,
     EstimationError,
     GroupStats,
+    bilinear_coeffs,
     cost_weights,
     empirical_disparity_arrays,
     natural_domain,
@@ -49,6 +52,7 @@ from .estimators import (
     fit_logistic,
     predict_proba,
 )
+from .discrete import solve_breakpoints
 from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
 
 __all__ = [
@@ -88,7 +92,8 @@ class FairFitConfig:
     kind selects the disparity measure and must match mode: blind kinds
     pair with mode "blind" (the fitted rule reads features only), aware
     kinds with mode "aware".  delta is the disparity budget and tol the
-    bisection resolution.  learner sets the ridge penalty of every fit;
+    fuds/fcsc bisection resolution (fpir, solved exactly, uses it only for
+    its bracket-edge margin).  learner sets the ridge penalty of every fit;
     each refit starts afresh and runs to convergence, so a refit at t
     depends only on the data the pipeline builds for t.
     """
@@ -159,37 +164,59 @@ class ResampleState:
 
 @dataclass(frozen=True)
 class FairClassifier:
-    """Thresholded plug-in rule.
+    """Thresholded plug-in rule, randomized on its boundary.
 
-    Aware rules compare the group-routed regression estimate to per-group
-    thresholds (indexed by group id) and need the group vector to decide.
-    Blind rules compare the label regression to a feature-dependent
-    threshold built from the estimated group posterior and ignore the
-    group vector.
+    A row with score eta and disparity weight w is accepted when
+    2*eta - 1 > t*w: when its flip point r = (2*eta - 1) / w lies above t
+    (w > 0) or below t (w < 0), with probability tau_plus or tau_minus when
+    r == t, and when eta > 1/2 if w == 0.  Aware rules route eta by group
+    and weigh by s_a*eta + b_a, so they need the group vector to decide.
+    Blind rules use the label regression and a feature-level weight built
+    from the estimated group posterior, and ignore the group vector.
     """
 
     kind: DisparityKind | BlindKind
     t: float
     stats: GroupStats
-    thresholds: tuple[float, float] | None = None
     eta_groups: ProbModel | None = None
     eta_y: ProbModel | None = None
     eta_a: ProbModel | None = None
+    tau_plus: float = 0.0
+    tau_minus: float = 0.0
 
-    def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    def inputs(self, x: np.ndarray, a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Score and disparity weight of each row."""
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         if isinstance(self.kind, BlindKind):
             score = np.asarray(predict_proba(self.eta_y, x2), dtype=float)
-            w = _blind_weight_values(self.kind, self.stats, x2, self.eta_a, self.eta_groups)
-            return (score > 0.5 + 0.5 * self.t * w).astype(float)
+            return score, _blind_weight_values(self.kind, self.stats, x2, self.eta_a, self.eta_groups)
         if a is None:
             raise DisparityError("aware rule needs the group id vector to decide")
         a_arr = np.asarray(a)
         score = np.asarray(predict_proba(self.eta_groups, x2, a_arr), dtype=float)
-        thr = np.where(a_arr == 1, self.thresholds[1], self.thresholds[0])
-        return (score > thr).astype(float)
+        spec = bilinear_coeffs(self.kind, self.stats)
+        s, b = (np.where(a_arr == 1, coeff[1], coeff[0]) for coeff in (spec.s, spec.b))
+        return score, s * score + b
+
+    def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        score, w = self.inputs(x, a)
+        return _plug_in_decisions(score, w, self.t, self.tau_plus, self.tau_minus)
 
     __call__ = decide
+
+
+def _flip_points(score: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """t at which each row's decision flips: (2*score - 1) / w (not finite where w == 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (2.0 * score - 1.0) / w
+
+
+def _plug_in_decisions(
+    score: np.ndarray, w: np.ndarray, t: float, tau_plus: float = 0.0, tau_minus: float = 0.0
+) -> np.ndarray:
+    r = _flip_points(score, w)
+    f = np.where(w > 0, np.where(r == t, tau_plus, r > t), np.where(r == t, tau_minus, r < t))
+    return np.where(w == 0, score > 0.5, f).astype(float)
 
 
 def _blind_tilt(kind: BlindKind, stats: GroupStats, a: int, y: int, t: float) -> float:
@@ -377,9 +404,9 @@ class _CurveState:
         self.resample: ResampleState | None = None
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
-        self.fpir_models: dict[str, ProbModel | None] = {}
+        self.rule: FairClassifier | None = None
         self.score: np.ndarray | None = None
-        self.wx: np.ndarray | None = None
+        self.w: np.ndarray | None = None
 
 
 def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
@@ -388,28 +415,11 @@ def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
     return fit_group_models(data, MODE_AWARE, state.config.learner)
 
 
-def _model_decisions(state: _CurveState, model: ProbModel) -> np.ndarray:
-    ds = state.dataset
-    if state.config.mode == MODE_FIT_BLIND:
-        p = predict_proba(model, ds.x)
-    else:
-        p = predict_proba(model, ds.x, ds.a)
-    return (np.asarray(p, dtype=float) > 0.5).astype(float)
-
-
 def _train_disparity(state: _CurveState, decisions: np.ndarray) -> float:
     ds = state.dataset
     return empirical_disparity_arrays(
         state.config.base_kind, state.stats, ds.a, ds.y.astype(float), decisions
     )
-
-
-def _cost_table(
-    kind: DisparityKind | BlindKind, stats: GroupStats, t: float
-) -> dict[tuple[int, int], float]:
-    if isinstance(kind, BlindKind):
-        return {(a, y): blind_cost_weights(kind, stats, a, y, t) for a, y in _CELLS}
-    return {(a, y): cost_weights(kind, stats, a, y, t) for a, y in _CELLS}
 
 
 def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, float | int]:
@@ -424,8 +434,7 @@ def _fuds_eval(state: _CurveState, t: float) -> float:
         state.dataset, targets, prev=state.resample, seed=child, t=t
     )
     model = _fit_learner(state, data)
-    decisions = _model_decisions(state, model)
-    d = _train_disparity(state, decisions)
+    d = _train_disparity(state, _decision_values(model, state.dataset))
     state.payload[t] = (model, targets)
     state.trace.append(
         {"call": state.calls, "t": t, "disparity": d, "cell_counts": _cells_json(targets)}
@@ -435,14 +444,15 @@ def _fuds_eval(state: _CurveState, t: float) -> float:
 
 
 def _fcsc_eval(state: _CurveState, t: float) -> float:
-    table = _cost_table(state.config.kind, state.stats, t)
+    kind = state.config.kind
+    cost = blind_cost_weights if isinstance(kind, BlindKind) else cost_weights
+    table = {(a, y): cost(kind, state.stats, a, y, t) for a, y in _CELLS}
     w = np.empty(len(state.dataset), dtype=float)
     for (a, y), c in table.items():
         w[state.dataset.cell_mask(a, y)] = c
     data = state.dataset.with_weights(state.dataset.weight * w)
     model = _fit_learner(state, data)
-    decisions = _model_decisions(state, model)
-    d = _train_disparity(state, decisions)
+    d = _train_disparity(state, _decision_values(model, state.dataset))
     state.payload[t] = (model, table)
     state.trace.append({"call": state.calls, "t": t, "disparity": d})
     state.calls += 1
@@ -455,41 +465,55 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     if cfg.mode == MODE_FIT_BLIND:
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
-        eta_y = fit_logistic(ds, cfg.learner)
-        eta_a = fit_group_models(ds, MODE_BLIND_A, cfg.learner)
-        eta_groups = (
-            None if cfg.kind is BlindKind.DD_X else fit_group_models(ds, MODE_AWARE, cfg.learner)
-        )
-        state.fpir_models = {"eta_y": eta_y, "eta_a": eta_a, "eta_groups": eta_groups}
-        state.score = np.asarray(predict_proba(eta_y, ds.x), dtype=float)
-        state.wx = _blind_weight_values(cfg.kind, state.stats, ds.x, eta_a, eta_groups)
-        return
-    if model is None:
-        model = fit_group_models(ds, MODE_AWARE, cfg.learner)
+        models = {
+            "eta_y": fit_logistic(ds, cfg.learner),
+            "eta_a": fit_group_models(ds, MODE_BLIND_A, cfg.learner),
+            "eta_groups": (
+                None if cfg.kind is BlindKind.DD_X else fit_group_models(ds, MODE_AWARE, cfg.learner)
+            ),
+        }
+    elif model is None:
+        models = {"eta_groups": fit_group_models(ds, MODE_AWARE, cfg.learner)}
     elif model.mode != MODE_AWARE:
-        raise DisparityError(
-            f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}"
-        )
-    state.fpir_models = {"eta_groups": model}
-    state.score = np.asarray(predict_proba(model, ds.x, ds.a), dtype=float)
+        raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
+    else:
+        models = {"eta_groups": model}
+    state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, **models)
+    state.score, state.w = state.rule.inputs(ds.x, ds.a)
 
 
 def _fpir_eval(state: _CurveState, t: float) -> float:
-    ds = state.dataset
-    if state.config.mode == MODE_FIT_BLIND:
-        decisions = (state.score > 0.5 + 0.5 * t * state.wx).astype(float)
-    else:
-        kind = state.config.kind
-        thr = np.where(
-            ds.a == 1,
-            threshold(kind, state.stats, 1, t),
-            threshold(kind, state.stats, 0, t),
-        )
-        decisions = (state.score > thr).astype(float)
-    d = _train_disparity(state, decisions)
+    d = _train_disparity(state, _plug_in_decisions(state.score, state.w, t))
     state.trace.append({"call": state.calls, "t": t, "disparity": d})
     state.calls += 1
     return d
+
+
+def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction]:
+    """Exact smallest-|t| plug-in rule meeting the budget on the training rows.
+
+    Train disparity is a difference of two cell acceptance rates,
+    k_A/n_A - k_B/n_B, so a row adds n_B (cell A) or -n_A (cell B) to
+    n_A*n_B*D and every sum is an integer.  Returns t, the two boundary
+    fractions and D, exactly.
+    """
+    ds, kind = state.dataset, state.config.base_kind
+    # DD compares whole groups, DO their label-1 rows, PD their label-0 rows.
+    rows = True if kind is DisparityKind.DD else ds.y == int(kind is DisparityKind.DO)
+    cell_a, cell_b = rows & (ds.a == 1), rows & (ds.a == 0)
+    n_a, n_b = int(cell_a.sum()), int(cell_b.sum())
+    # A row with w == 0 never flips (accepted when score > 1/2): it joins
+    # the base and enters the solve as an inert item at 0.
+    fixed = state.w == 0
+    kept = fixed & (state.score > 0.5)
+    t, tau_plus, tau_minus, d = solve_breakpoints(
+        np.where(fixed, 0.0, _flip_points(state.score, state.w)),
+        state.w > 0,
+        np.where(fixed, 0, np.where(cell_a, n_b, 0) - np.where(cell_b, n_a, 0)),
+        Fraction(state.config.delta) * n_a * n_b,
+        base=n_b * int((kept & cell_a).sum()) - n_a * int((kept & cell_b).sum()),
+    )
+    return float(t), tau_plus, tau_minus, d / (n_a * n_b)
 
 
 def _resample_feasible(state: _CurveState, t: float) -> bool:
@@ -533,29 +557,19 @@ def _build_curve(
     state = _CurveState(dataset, config)
     dom = natural_domain(config.base_kind, state.stats)
     name = f"{method}-{config.kind.value}"
+    evaluate_at = {"fuds": _fuds_eval, "fcsc": _fcsc_eval, "fpir": _fpir_eval}[method]
+
+    def fn(t: float) -> float:
+        return evaluate_at(state, t)
+
     if method == "fuds":
         lo = _clamp_edge(state, dom[0])
         hi = _clamp_edge(state, dom[1])
         state.clamped = lo > dom[0] or hi < dom[1]
-
-        def fn(t: float) -> float:
-            return _fuds_eval(state, t)
-
-        curve = DisparityCurve(fn=fn, t_lo=lo, t_hi=hi, name=name)
-    elif method == "fcsc":
-
-        def fn(t: float) -> float:
-            return _fcsc_eval(state, t)
-
-        curve = DisparityCurve.from_domain(fn, dom, name=name)
-    else:
+        return DisparityCurve(fn=fn, t_lo=lo, t_hi=hi, name=name), state
+    if method == "fpir":
         _fpir_prepare(state, model)
-
-        def fn(t: float) -> float:
-            return _fpir_eval(state, t)
-
-        curve = DisparityCurve.from_domain(fn, dom, name=name)
-    return curve, state
+    return DisparityCurve.from_domain(fn, dom, name=name), state
 
 
 def empirical_curve(
@@ -564,7 +578,7 @@ def empirical_curve(
     method: str,
     model: ProbModel | None = None,
 ) -> DisparityCurve:
-    """The disparity-versus-t curve a pipeline bisects, for audits and plots.
+    """The disparity-versus-t curve a pipeline solves, for audits and plots.
 
     fuds evaluations advance a hidden resampling state, so their exact
     values depend on call order; audit them on a monotone grid for stable
@@ -659,50 +673,27 @@ def run_fpir(
     config: FairFitConfig,
     model: ProbModel | None = None,
 ) -> tuple[FairClassifier, float, dict]:
-    """Plug-in pipeline: fit regressions once, bisect decision thresholds.
+    """Plug-in pipeline: fit regressions once, then solve the thresholds exactly.
 
-    Aware runs accept a prefit group-aware model (fitted here when absent)
-    and return a rule thresholding it at the solved per-group cutoffs.
-    Blind runs fit label and group regressions from the same data and
-    return a feature-thresholded rule.  No evaluation refits anything.
+    Aware runs accept a prefit group-aware model (fitted here when absent);
+    blind runs fit label and group regressions from the same data.  The
+    solve returns the smallest-|t| rule meeting the budget on the training
+    rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
+    train disparity lands on the budget; no tolerance applies.
     """
     curve, state = _build_curve(dataset, config, "fpir", model=model)
-    result = solve_threshold(curve, config.delta, config.tol)
-    t_hat = result.t_star
-    models = state.fpir_models
-    if config.mode == MODE_FIT_BLIND:
-        classifier = FairClassifier(
-            kind=config.kind,
-            t=t_hat,
-            stats=state.stats,
-            eta_y=models["eta_y"],
-            eta_a=models["eta_a"],
-            eta_groups=models["eta_groups"],
-        )
-    else:
-        classifier = FairClassifier(
-            kind=config.kind,
-            t=t_hat,
-            stats=state.stats,
-            thresholds=(
-                threshold(config.kind, state.stats, 0, t_hat),
-                threshold(config.kind, state.stats, 1, t_hat),
-            ),
-            eta_groups=models["eta_groups"],
-        )
+    t_hat, tau_plus, tau_minus, d = _fpir_solve(state)
+    classifier = replace(state.rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
+    result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
     report = _report("fpir", state, curve, result, classifier)
+    report["tau_plus"], report["tau_minus"] = classifier.tau_plus, classifier.tau_minus
     return classifier, t_hat, report
 
 
 def _decision_values(classifier, test: LabeledDataset) -> np.ndarray:
     if isinstance(classifier, ProbModel):
-        if classifier.mode == MODE_AWARE:
-            p = predict_proba(classifier, test.x, test.a)
-        else:
-            p = predict_proba(classifier, test.x)
-        f = (np.asarray(p, dtype=float) > 0.5).astype(float)
-    elif isinstance(classifier, FairClassifier):
-        f = classifier.decide(test.x, test.a)
+        # Blind models ignore the group vector.
+        f = (np.asarray(predict_proba(classifier, test.x, test.a), dtype=float) > 0.5).astype(float)
     elif callable(classifier):
         f = np.asarray(classifier(test.x, test.a), dtype=float)
     else:

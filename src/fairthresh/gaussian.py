@@ -117,26 +117,24 @@ class GaussianModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianModel":
+        cells = ("11", "10", "01", "00")
         try:
-            stats = GroupStats(
-                p11=float(data["p"]["11"]),
-                p10=float(data["p"]["10"]),
-                p01=float(data["p"]["01"]),
-                p00=float(data["p"]["00"]),
-            )
-            mus = {key: tuple(float(v) for v in data["mu"][key]) for key in ("11", "10", "01", "00")}
+            p = {key: float(data["p"][key]) for key in cells}
+            mus = {key: tuple(float(v) for v in data["mu"][key]) for key in cells}
             sigma = float(data["sigma"])
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed model document: missing {exc}") from exc
-        seed = data.get("seed")
+            seed = None if data.get("seed") is None else int(data["seed"])
+        except KeyError as exc:
+            raise DomainError(f"malformed model document: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed model document: bad value ({exc})") from exc
         return cls(
-            stats=stats,
+            stats=GroupStats(p11=p["11"], p10=p["10"], p01=p["01"], p00=p["00"]),
             mu_11=mus["11"],
             mu_10=mus["10"],
             mu_01=mus["01"],
             mu_00=mus["00"],
             sigma=sigma,
-            seed=None if seed is None else int(seed),
+            seed=seed,
         )
 
 

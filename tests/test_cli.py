@@ -665,29 +665,47 @@ class TestMainDispatch:
         assert doc["source"] == "csv"
         assert doc["t_hat"] == 0.0
 
+    @staticmethod
+    def run_fresh(argv):
+        """Run the console-script entry point in a fresh interpreter, so an
+        uncaught exception shows up as a traceback on stderr."""
+        src = str(Path(fairthresh.core.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        entry = "import sys; from fairthresh.cli import main; sys.exit(main(sys.argv[1:]))"
+        return subprocess.run(
+            [sys.executable, "-c", entry, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
     @pytest.mark.parametrize(
         "argv", [["fit"], ["frontier", "--delta-grid", "0,0.1"], ["synthetic"]]
     )
     def test_truncated_model_file_is_one_error_line(self, data_dir, tmp_path, argv):
         truncated = tmp_path / "truncated.json"
         truncated.write_text((data_dir / "model.json").read_text()[:40])
-        src = str(Path(fairthresh.core.__file__).parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        # Runs the console-script entry point in a fresh interpreter, so an
-        # uncaught exception would show up as a traceback on stderr.
-        entry = "import sys; from fairthresh.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", entry, argv[0], "--data", str(truncated), *argv[1:]],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        proc = self.run_fresh([argv[0], "--data", str(truncated), *argv[1:]])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: malformed model document")
+
+    @pytest.mark.parametrize("field", ["sigma", "seed"])
+    @pytest.mark.parametrize("command", ["fit", "synthetic"])
+    def test_non_numeric_model_value_is_one_error_line(self, data_dir, tmp_path, command, field):
+        doc = json.loads((data_dir / "model.json").read_text())
+        doc[field] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = self.run_fresh([command, "--data", str(bad)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: malformed model document: bad value")
 
     def test_frontier_requires_grid(self, data_dir):
         with pytest.raises(IngestError, match="delta-grid"):

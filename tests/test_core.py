@@ -9,17 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairthresh.core import (
-    BilinearSpec,
     BlindKind,
     DisparityError,
     DisparityKind,
     DomainError,
     EstimationError,
     GroupStats,
-    PredictionRecord,
     bilinear_coeffs,
     cost_weights,
-    empirical_disparity,
     empirical_disparity_arrays,
     natural_domain,
     threshold,
@@ -171,55 +168,47 @@ class TestCostWeights:
         assert c0 + c1 == 1.0
 
 
-def hand_summed_disparity(spec: BilinearSpec, records) -> float:
-    """Independent oracle: explicit per-record accumulation of f * w."""
-    acc = 0.0
-    for r in records:
-        acc += r.f * (spec.s[r.a] * r.eta_hat + spec.b[r.a])
-    return acc / len(records)
+def _reference_disparity(kind: DisparityKind, stats: GroupStats, records) -> float:
+    """Definitional plug-in sum (1/n) * sum_i f_i * w(eta_hat_i, a_i), term by
+    term over (a, eta_hat, f) records."""
+    spec = bilinear_coeffs(kind, stats)
+    return math.fsum(f * (spec.s[a] * eta + spec.b[a]) for a, eta, f in records) / len(records)
+
+
+def array_disparity(kind: DisparityKind, stats: GroupStats, records) -> float:
+    a, eta, f = np.array(records, dtype=float).reshape(-1, 3).T
+    return empirical_disparity_arrays(kind, stats, a.astype(int), eta, f)
 
 
 class TestEmpiricalDisparity:
     def test_dd_equal_acceptance_is_zero(self):
         stats = GroupStats(p11=0.25, p10=0.25, p01=0.25, p00=0.25)
-        records = [PredictionRecord(a, 0.5, 1.0) for a in (0, 1, 0, 1)]
-        assert empirical_disparity(DisparityKind.DD, stats, records) == pytest.approx(0.0)
+        records = [(a, 0.5, 1.0) for a in (0, 1, 0, 1)]
+        assert array_disparity(DisparityKind.DD, stats, records) == pytest.approx(0.0)
 
     def test_dd_maximal_disparity_is_one(self):
         stats = GroupStats(p11=0.25, p10=0.25, p01=0.25, p00=0.25)
-        records = [
-            PredictionRecord(1, 0.5, 1.0),
-            PredictionRecord(1, 0.5, 1.0),
-            PredictionRecord(0, 0.5, 0.0),
-            PredictionRecord(0, 0.5, 0.0),
-        ]
-        assert empirical_disparity(DisparityKind.DD, stats, records) == pytest.approx(1.0)
+        records = [(1, 0.5, 1.0), (1, 0.5, 1.0), (0, 0.5, 0.0), (0, 0.5, 0.0)]
+        assert array_disparity(DisparityKind.DD, stats, records) == pytest.approx(1.0)
 
     def test_do_four_record_value(self):
         # Plug-in label-1 cells from the per-group means of eta_hat:
         # both groups have mean 0.5 and marginal 0.5, so p_a1 = 0.25.
-        records = [
-            PredictionRecord(1, 0.8, 1.0),
-            PredictionRecord(1, 0.2, 0.0),
-            PredictionRecord(0, 0.6, 1.0),
-            PredictionRecord(0, 0.4, 0.0),
-        ]
+        records = [(1, 0.8, 1.0), (1, 0.2, 0.0), (0, 0.6, 1.0), (0, 0.4, 0.0)]
         stats = GroupStats(p11=0.25, p10=0.25, p01=0.25, p00=0.25)
-        spec = bilinear_coeffs(DisparityKind.DO, stats)
-        oracle = hand_summed_disparity(spec, records)
-        got = empirical_disparity(DisparityKind.DO, stats, records)
+        oracle = _reference_disparity(DisparityKind.DO, stats, records)
+        got = array_disparity(DisparityKind.DO, stats, records)
         assert got == pytest.approx(oracle, abs=1e-15)
         # Frozen value: (0.8/0.25 - 0.6/0.25) / 4.
         assert got == pytest.approx(0.2, abs=1e-12)
 
     def test_missing_group_rejected(self, table_stats):
-        records = [PredictionRecord(1, 0.5, 1.0)]
         with pytest.raises(EstimationError):
-            empirical_disparity(DisparityKind.DD, table_stats, records)
+            array_disparity(DisparityKind.DD, table_stats, [(1, 0.5, 1.0)])
 
     def test_empty_rejected(self, table_stats):
         with pytest.raises(EstimationError):
-            empirical_disparity(DisparityKind.DD, table_stats, [])
+            array_disparity(DisparityKind.DD, table_stats, [])
 
     def test_dd_reduces_to_acceptance_mean_difference(self, rng):
         for _ in range(50):
@@ -242,10 +231,10 @@ class TestEmpiricalDisparity:
         a[:2] = [0, 1]
         eta = rng.random(n)
         f = rng.random(n)
+        records = list(zip(a.tolist(), eta.tolist(), f.tolist()))
         for kind in DisparityKind:
-            records = [PredictionRecord(int(ai), float(e), float(fi)) for ai, e, fi in zip(a, eta, f)]
             assert empirical_disparity_arrays(kind, table_stats, a, eta, f) == pytest.approx(
-                empirical_disparity(kind, table_stats, records), abs=1e-12
+                _reference_disparity(kind, table_stats, records), abs=1e-12
             )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from fairthresh.core import (
     DomainError,
     EstimationError,
     GroupStats,
+    bilinear_coeffs,
     cost_weights,
     natural_domain,
     threshold,
@@ -578,7 +580,7 @@ class TestRunFpir:
         cfg = make_config(DisparityKind.DO, 0.95)
         classifier, t_hat, report = run_fpir(train, cfg)
         assert t_hat == 0.0
-        assert classifier.thresholds == (0.5, 0.5)
+        assert report["thresholds"] == {"group0": 0.5, "group1": 0.5}
         assert report["iterations"] == 0
 
     def test_perfect_regression_recovers_closed_form_t(self, model):
@@ -602,19 +604,22 @@ class TestRunFpir:
         assert report["thresholds"]["group1"] > 0.5 > report["thresholds"]["group0"]
 
     def test_constraint_holds_up_to_curve_steps(self, train):
+        # The boundary rows are randomized, so the train disparity lands on
+        # the budget itself, not one curve step inside it.
         cfg = make_config(DisparityKind.DO, 0.05)
-        _, t_hat, report = run_fpir(train, cfg)
-        pairs = sorted((e["t"], e["disparity"]) for e in report["trace"])
-        ts = [p[0] for p in pairs]
-        ix = ts.index(t_hat)
-        steps = [
-            abs(pairs[j][1] - pairs[j - 1][1])
-            for j in (ix, ix + 1)
-            if 0 < j < len(pairs)
-        ]
-        max_step = max(steps) if steps else 0.0
-        assert abs(report["disparity_at_t_hat"]) <= 0.05 + 2.0 * max_step + 1e-12
-        assert abs(report["disparity_at_t_hat"]) <= 0.05 + 1e-12  # bisection invariant
+        classifier, t_hat, report = run_fpir(train, cfg)
+        assert report["disparity_at_t_hat"] == 0.05
+        assert 0.0 < max(report["tau_plus"], report["tau_minus"]) < 1.0
+        assert report["train_metrics"]["do"] == pytest.approx(0.05, abs=1e-12)
+        curve = empirical_curve(train, cfg, "fpir")
+        assert curve(np.nextafter(t_hat, -np.inf)) > 0.05 >= curve(np.nextafter(t_hat, np.inf))
+
+    def test_zero_budget_is_met_exactly(self, model):
+        train_local = sample(model, 5_000, 3)
+        prefit = fit_group_models(train_local, MODE_AWARE)
+        cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.0, seed=3)
+        _, _, report = run_fpir(train_local, cfg, model=prefit)
+        assert abs(report["disparity_at_t_hat"]) <= 0.0
 
     def test_rejects_blind_prefit_mix(self, train):
         cfg = make_config(BlindKind.DD_X, 0.1)
@@ -650,6 +655,60 @@ class TestRunFpir:
             _, t_hat, report = run_fpir(dataset, cfg, model=prefit)
         assert report["at_bracket_edge"] is True
         assert report["bracket"]["hi"] - t_hat <= 4.0 * tol
+
+
+def rate_disparity(kind, dataset, decisions):
+    """Acceptance-rate gap of the measure's two cells, group 1 minus group 0."""
+    rows = np.ones(len(dataset), dtype=bool)
+    if kind is not DisparityKind.DD:
+        rows = dataset.y == (1 if kind is DisparityKind.DO else 0)
+    return decisions[rows & (dataset.a == 1)].mean() - decisions[rows & (dataset.a == 0)].mean()
+
+
+class TestFpirExactSolve:
+    """The sorted-breakpoint solve against the curve evaluated row by row."""
+
+    @pytest.fixture(scope="class")
+    def small(self, model):
+        return sample(model, 300, seed=4242)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("kind", ALL_KINDS + BLIND_KINDS, ids=lambda k: k.value)
+    def test_smallest_feasible_t_lands_on_budget(self, small, kind, delta):
+        cfg = make_config(kind, delta)
+        classifier, t_hat, report = run_fpir(small, cfg)
+        base = cfg.base_kind.value
+        assert abs(report["disparity_at_t_hat"]) <= delta
+        if t_hat != 0.0:  # the budget binds: the boundary rows land D on it
+            assert abs(report["disparity_at_t_hat"]) == delta
+        assert report["train_metrics"][base] == pytest.approx(
+            report["disparity_at_t_hat"], abs=1e-12
+        )
+        assert json.loads(json.dumps(report)) == report
+        # Every row's flip point, and the floats just past it either way.
+        score, w = classifier.inputs(small.x, small.a)
+        flips = (2.0 * score[w != 0] - 1.0) / w[w != 0]
+        points = np.concatenate(
+            [[0.0], flips, np.nextafter(flips, np.inf), np.nextafter(flips, -np.inf)]
+        )
+        assert t_hat == 0.0 or t_hat in flips
+        curve = empirical_curve(small, cfg, "fpir")
+        for t in points[np.abs(points) < abs(t_hat)]:
+            deterministic = replace(classifier, t=float(t), tau_plus=0.0, tau_minus=0.0)
+            decisions = deterministic.decide(small.x, small.a)
+            assert abs(rate_disparity(cfg.base_kind, small, decisions)) > delta
+            assert abs(curve(t)) > delta
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_aware_curves_are_exactly_nonincreasing(self, small, kind):
+        # A row leaves the accepted set as t passes its flip point when its
+        # score weight is positive, and joins it when negative; its label
+        # weight then moves D down (or not at all) in both cases.
+        classifier, _, _ = run_fpir(small, make_config(kind, 0.05))
+        _, w = classifier.inputs(small.x, small.a)
+        spec = bilinear_coeffs(kind, classifier.stats)
+        label_w = np.array([spec.weight(float(y), int(a)) for y, a in zip(small.y, small.a)])
+        assert np.all((label_w == 0.0) | (np.sign(label_w) == np.sign(w)))
 
 
 class TestPipelineFamilies:
@@ -732,13 +791,7 @@ class TestFairClassifierRule:
     def test_aware_rule_needs_groups(self, model):
         prefit = exact_prob_model(model)
         stats = model.stats
-        rule = FairClassifier(
-            kind=DisparityKind.DD,
-            t=0.1,
-            stats=stats,
-            thresholds=(0.4, 0.6),
-            eta_groups=prefit,
-        )
+        rule = FairClassifier(kind=DisparityKind.DD, t=0.1, stats=stats, eta_groups=prefit)
         x = sample(model, 50, seed=5).x
         with pytest.raises(DisparityError, match="group"):
             rule.decide(x)
