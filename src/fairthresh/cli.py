@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .discrete import (
     risk_exact,
     solve_randomized,
 )
-from .estimators import FitError, LabeledDataset, LogisticConfig
+from .estimators import MODE_AWARE, FitError, LabeledDataset, LogisticConfig, fit_group_models
 from .extensions import eqodds_disparities, eqodds_risk, solve_eqodds
 from .fair_algorithms import FairFitConfig, evaluate, run_fcsc, run_fpir, run_fuds
 from .gaussian import (
@@ -155,19 +156,13 @@ class ExperimentSpec:
 # Dataset ingestion
 
 
-def _parse_cell_value(raw: str, column: str, what: str, lineno: int, path: str) -> float:
-    value = raw.strip()
+def _parse_binary(raw: str, column: str, what: str, lineno: int, path: str) -> int:
     try:
-        parsed = float(value)
+        parsed = float(raw.strip())
     except ValueError:
         raise IngestError(
             f"{path} line {lineno}: {what} column {column!r} has non-numeric value {raw!r}"
         ) from None
-    return parsed
-
-
-def _parse_binary(raw: str, column: str, what: str, lineno: int, path: str) -> int:
-    parsed = _parse_cell_value(raw, column, what, lineno, path)
     if parsed not in (0.0, 1.0):
         raise IngestError(
             f"{path} line {lineno}: {what} column {column!r} value {raw!r} is not binary"
@@ -175,32 +170,12 @@ def _parse_binary(raw: str, column: str, what: str, lineno: int, path: str) -> i
     return int(parsed)
 
 
-def _parse_group(
-    raw: str, column: str, lineno: int, path: str, allow_multiclass: bool
-) -> int:
-    if not allow_multiclass:
-        return _parse_binary(raw, column, "protected", lineno, path)
-    parsed = _parse_cell_value(raw, column, "protected", lineno, path)
-    if not (parsed.is_integer() and parsed >= 0.0):
-        raise IngestError(
-            f"{path} line {lineno}: protected column {column!r} value {raw!r} "
-            "is not a group id"
-        )
-    return int(parsed)
-
-
-def ingest_csv(
-    path: str | Path,
-    label_col: str,
-    protected_col: str,
-    allow_multiclass_protected: bool = False,
-) -> LabeledDataset:
-    """Read a header CSV into a dataset.
+def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledDataset:
+    """Read a UTF-8 header CSV into a dataset.
 
     All columns other than the label and protected columns are features and
     must parse as finite reals; rows violating that are reported together
-    with their line numbers. Label values must be 0 or 1; protected values
-    must be 0 or 1 unless multi-class group ids are explicitly allowed.
+    with their line numbers. Label and protected values must be 0 or 1.
     """
     path_str = str(path)
     if not Path(path).exists():
@@ -210,49 +185,56 @@ def ingest_csv(
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise IngestError(f"{path_str}: empty file (no header row)") from None
-        for col in (label_col, protected_col):
-            if header.count(col) == 0:
-                raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
-            if header.count(col) > 1:
-                raise IngestError(f"{path_str}: duplicate column {col!r}")
-        label_ix = header.index(label_col)
-        group_ix = header.index(protected_col)
-        feature_ix = [i for i in range(len(header)) if i not in (label_ix, group_ix)]
-        if not feature_ix:
-            raise IngestError(f"{path_str}: no feature columns besides label and protected")
+            return _read_rows(reader, path_str, label_col, protected_col)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
 
-        features: list[list[float]] = []
-        groups: list[int] = []
-        labels: list[int] = []
-        bad_lines: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path_str} line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            label = _parse_binary(row[label_ix], label_col, "label", lineno, path_str)
-            group = _parse_group(
-                row[group_ix], protected_col, lineno, path_str, allow_multiclass_protected
+
+def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> LabeledDataset:
+    """Parse and validate the rows of an open CSV reader."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise IngestError(f"{path_str}: empty file (no header row)") from None
+    for col in (label_col, protected_col):
+        if header.count(col) == 0:
+            raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
+        if header.count(col) > 1:
+            raise IngestError(f"{path_str}: duplicate column {col!r}")
+    label_ix = header.index(label_col)
+    group_ix = header.index(protected_col)
+    feature_ix = [i for i in range(len(header)) if i not in (label_ix, group_ix)]
+    if not feature_ix:
+        raise IngestError(f"{path_str}: no feature columns besides label and protected")
+
+    features: list[list[float]] = []
+    groups: list[int] = []
+    labels: list[int] = []
+    bad_lines: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise IngestError(
+                f"{path_str} line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
-            row_feats = []
-            for i in feature_ix:
-                try:
-                    v = float(row[i].strip())
-                except ValueError:
-                    v = math.nan
-                row_feats.append(v)
-            if not all(math.isfinite(v) for v in row_feats):
-                bad_lines.append(lineno)
-                continue
-            features.append(row_feats)
-            groups.append(group)
-            labels.append(label)
-
+        label = _parse_binary(row[label_ix], label_col, "label", lineno, path_str)
+        group = _parse_binary(row[group_ix], protected_col, "protected", lineno, path_str)
+        row_feats = []
+        for i in feature_ix:
+            try:
+                v = float(row[i].strip())
+            except ValueError:
+                v = math.nan
+            row_feats.append(v)
+        if not all(math.isfinite(v) for v in row_feats):
+            bad_lines.append(lineno)
+            continue
+        features.append(row_feats)
+        groups.append(group)
+        labels.append(label)
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
@@ -382,12 +364,18 @@ def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
 
 def _empirical_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     train, test, _ = _load_source(spec)
+    run = _METHOD_RUNNERS[spec.method]
+    if spec.method == "fpir" and not spec.blind:
+        # The group model does not depend on the budget: fit it once, not
+        # once per grid point. Blind runs fit their own regressions.
+        prefit = fit_group_models(train, MODE_AWARE, _CLI_LEARNER)
+        run = functools.partial(run_fpir, model=prefit)
     out_rows = []
     # Each point has its own index-derived seed, so a point's output does
     # not depend on the other points in the grid.
     for index, delta in enumerate(spec.delta_grid):
         config = _pipeline_config(spec, delta, _frontier_child_seed(spec.seed, index))
-        classifier, t_hat, _ = _METHOD_RUNNERS[spec.method](train, config)
+        classifier, t_hat, _ = run(train, config)
         metrics = evaluate(classifier, test)
         out_rows.append(
             [delta, t_hat, metrics["accuracy"], metrics["dd"], metrics["do"], metrics["pd"]]

@@ -38,7 +38,6 @@ from .core import (
     GroupStats,
     bilinear_coeffs,
     cost_weights,
-    empirical_disparity_arrays,
     natural_domain,
     threshold,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "MODE_FIT_AWARE",
     "MODE_FIT_BLIND",
     "FairFitConfig",
-    "ResampleState",
     "FairClassifier",
     "fuds_proportions",
     "fuds_cell_counts",
@@ -93,8 +91,9 @@ class FairFitConfig:
     pair with mode "blind" (the fitted rule reads features only), aware
     kinds with mode "aware".  delta is the disparity budget and tol the
     fuds/fcsc bisection resolution (fpir, solved exactly, uses it only for
-    its bracket-edge margin).  learner sets the ridge penalty of every fit;
-    each refit starts afresh and runs to convergence, so a refit at t
+    its bracket-edge margin).  seed fixes the row ordering fuds draws each
+    cell from, the same at every t.  learner sets the ridge penalty of every
+    fit; each refit starts afresh and runs to convergence, so a refit at t
     depends only on the data the pipeline builds for t.
     """
 
@@ -104,7 +103,6 @@ class FairFitConfig:
     mode: str = MODE_FIT_AWARE
     seed: int = 0
     learner: LogisticConfig = LogisticConfig()
-    pareto_deltas: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, (DisparityKind, BlindKind)):
@@ -120,46 +118,11 @@ class FairFitConfig:
                 f"mode {self.mode!r} does not match kind {self.kind}: blind kinds need "
                 "blind mode, aware kinds need aware mode"
             )
-        if self.pareto_deltas is not None:
-            grid = tuple(float(d) for d in self.pareto_deltas)
-            if not grid:
-                raise DisparityError("pareto_deltas must be nonempty when given")
-            if any(not (math.isfinite(d) and d >= 0.0) for d in grid):
-                raise DisparityError(f"pareto deltas must be finite and nonnegative, got {grid}")
-            if any(b < a for a, b in zip(grid, grid[1:])):
-                raise DisparityError(f"pareto deltas must be sorted ascending, got {grid}")
-            object.__setattr__(self, "pareto_deltas", grid)
 
     @property
     def base_kind(self) -> DisparityKind:
         """The group-aware measure the run controls."""
         return self.kind.base if isinstance(self.kind, BlindKind) else self.kind
-
-
-@dataclass(frozen=True)
-class ResampleState:
-    """Row-index multiset of a resampled dataset, one array per cell.
-
-    Indices point into the dataset the resample was drawn from; t records
-    the tilt the cell sizes were computed for.  Treat the arrays as
-    immutable.
-    """
-
-    t: float
-    cells: Mapping[tuple[int, int], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if set(self.cells) != set(_CELLS):
-            raise DisparityError(f"cells must cover exactly {_CELLS}, got {tuple(self.cells)}")
-
-    def counts(self) -> dict[tuple[int, int], int]:
-        return {cell: int(np.asarray(self.cells[cell]).size) for cell in _CELLS}
-
-    def index(self) -> np.ndarray:
-        """All row indices, concatenated in fixed cell order."""
-        return np.concatenate(
-            [np.asarray(self.cells[cell], dtype=np.intp) for cell in _CELLS]
-        )
 
 
 @dataclass(frozen=True)
@@ -290,72 +253,35 @@ def fuds_cell_counts(
     return counts
 
 
-def _draw_cell(
-    rng: np.random.Generator, source: np.ndarray, current: np.ndarray, target: int
-) -> np.ndarray:
-    """Grow a cell's multiset to the target count.
-
-    New rows come uniformly from the source rows not yet included; once
-    those run out, the remainder is drawn from the full source cell with
-    replacement.
-    """
-    need = target - current.size
-    unused = np.setdiff1d(source, current)
-    if need == unused.size:
-        extra = unused
-    elif need < unused.size:
-        extra = rng.choice(unused, size=need, replace=False)
-    else:
-        spill = rng.choice(source, size=need - unused.size, replace=True)
-        extra = np.concatenate([unused, spill])
-    return np.concatenate([current, extra]).astype(np.intp, copy=False)
-
-
 def fuds_resample(
-    dataset: LabeledDataset,
-    targets: Mapping[tuple[int, int], int],
-    prev: ResampleState | None = None,
-    seed: int | np.random.SeedSequence = 0,
-    *,
-    t: float = 0.0,
-) -> tuple[LabeledDataset, ResampleState]:
-    """Draw a resampled dataset with exact per-cell row counts.
+    dataset: LabeledDataset, targets: Mapping[tuple[int, int], int], seed: int
+) -> LabeledDataset:
+    """Resampled dataset with exact per-cell row counts, cells in fixed order.
 
-    A cold start draws each cell uniformly from its source rows.  Against a
-    previous state, grown cells add uniformly drawn rows (falling back to
-    replacement once every source row is in) and shrunk cells keep a
-    uniform subset, so consecutive states share most of their rows.
-    Deterministic per seed: each cell consumes a dedicated child stream in
-    fixed cell order.
+    A pure function of its arguments.  Each cell takes the first k rows of
+    one seeded ordering of its source rows, from a dedicated child stream of
+    the seed: up to the cell's size, a permutation (the rows come back
+    sorted); past it, every source row followed by a with-replacement
+    stream.  So the rows drawn at a smaller count are a sub-multiset of
+    those drawn at a larger one, and counts equal to the cell sizes return
+    the training rows themselves, grouped by cell.
     """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(len(_CELLS))
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for child, cell in zip(children, _CELLS):
-        a, y = cell
+    parts = []
+    for child, cell in zip(np.random.SeedSequence(seed).spawn(len(_CELLS)), _CELLS):
         target = int(targets[cell])
         if target < 0:
             raise DisparityError(f"target count for cell {cell} must be nonnegative, got {target}")
-        source = np.flatnonzero(dataset.cell_mask(a, y))
+        source = np.flatnonzero(dataset.cell_mask(*cell))
         if target > 0 and source.size == 0:
             raise EstimationError(
-                f"cell (a={a}, y={y}) has no source rows but a target count of {target}"
+                f"cell (a={cell[0]}, y={cell[1]}) has no source rows but a target count of {target}"
             )
-        current = (
-            np.empty(0, dtype=np.intp)
-            if prev is None
-            else np.asarray(prev.cells[cell], dtype=np.intp)
-        )
-        if target == current.size:
-            cells[cell] = current
-        elif target > current.size:
-            cells[cell] = _draw_cell(np.random.default_rng(child), source, current, target)
+        rng = np.random.default_rng(child)
+        if target <= source.size:
+            parts.append(np.sort(rng.permutation(source)[:target]))
         else:
-            rng = np.random.default_rng(child)
-            keep = rng.choice(current.size, size=target, replace=False)
-            cells[cell] = current[np.sort(keep)]
-    state = ResampleState(t=t, cells=cells)
-    return dataset.subset(state.index()), state
+            parts.append(np.concatenate([source, rng.choice(source, size=target - source.size)]))
+    return dataset.subset(np.concatenate(parts))
 
 
 def blind_cost_weights(kind: BlindKind, stats: GroupStats, a: int, y: int, t: float) -> float:
@@ -392,16 +318,18 @@ def _blind_weight_values(
 
 
 class _CurveState:
-    """Mutable companion of an empirical curve: resample state and trace."""
+    """Companion of an empirical curve: its inputs, the fits it made and a trace.
+
+    Evaluations only record what they computed; no value depends on the
+    points evaluated before it.
+    """
 
     def __init__(self, dataset: LabeledDataset, config: FairFitConfig) -> None:
         self.dataset = dataset
         self.config = config
         self.stats = GroupStats.from_labels(dataset.a, dataset.y)
-        self.master = np.random.SeedSequence(config.seed)
         self.calls = 0
         self.clamped = False
-        self.resample: ResampleState | None = None
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
         self.rule: FairClassifier | None = None
@@ -415,11 +343,28 @@ def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
     return fit_group_models(data, MODE_AWARE, state.config.learner)
 
 
+def _measure_cells(
+    kind: DisparityKind, a: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row masks of the two cells a measure compares, group 1 then group 0.
+
+    DD compares whole groups, DO their label-1 rows, PD their label-0 rows;
+    the measure is the first cell's acceptance rate minus the second's.
+    """
+    rows = True if kind is DisparityKind.DD else y == int(kind is DisparityKind.DO)
+    return rows & (a == 1), rows & (a == 0)
+
+
+def _rate_gap(kind: DisparityKind, data: LabeledDataset, f: np.ndarray) -> float | None:
+    """The measure as a gap of two acceptance rates; None if a cell is empty."""
+    cell_1, cell_0 = _measure_cells(kind, data.a, data.y)
+    if not (cell_1.any() and cell_0.any()):
+        return None
+    return float(np.mean(f[cell_1]) - np.mean(f[cell_0]))
+
+
 def _train_disparity(state: _CurveState, decisions: np.ndarray) -> float:
-    ds = state.dataset
-    return empirical_disparity_arrays(
-        state.config.base_kind, state.stats, ds.a, ds.y.astype(float), decisions
-    )
+    return _rate_gap(state.config.base_kind, state.dataset, decisions)
 
 
 def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, float | int]:
@@ -429,10 +374,7 @@ def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, floa
 def _fuds_eval(state: _CurveState, t: float) -> float:
     props = fuds_proportions(state.stats, state.config.kind, t)
     targets = fuds_cell_counts(len(state.dataset), props)
-    child = state.master.spawn(1)[0]
-    data, state.resample = fuds_resample(
-        state.dataset, targets, prev=state.resample, seed=child, t=t
-    )
+    data = fuds_resample(state.dataset, targets, state.config.seed)
     model = _fit_learner(state, data)
     d = _train_disparity(state, _decision_values(model, state.dataset))
     state.payload[t] = (model, targets)
@@ -497,10 +439,8 @@ def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction
     n_A*n_B*D and every sum is an integer.  Returns t, the two boundary
     fractions and D, exactly.
     """
-    ds, kind = state.dataset, state.config.base_kind
-    # DD compares whole groups, DO their label-1 rows, PD their label-0 rows.
-    rows = True if kind is DisparityKind.DD else ds.y == int(kind is DisparityKind.DO)
-    cell_a, cell_b = rows & (ds.a == 1), rows & (ds.a == 0)
+    ds = state.dataset
+    cell_a, cell_b = _measure_cells(state.config.base_kind, ds.a, ds.y)
     n_a, n_b = int(cell_a.sum()), int(cell_b.sum())
     # A row with w == 0 never flips (accepted when score > 1/2): it joins
     # the base and enters the solve as an inert item at 0.
@@ -580,9 +520,9 @@ def empirical_curve(
 ) -> DisparityCurve:
     """The disparity-versus-t curve a pipeline solves, for audits and plots.
 
-    fuds evaluations advance a hidden resampling state, so their exact
-    values depend on call order; audit them on a monotone grid for stable
-    results.  fcsc and fpir values depend on t alone.
+    Every method's value depends on t alone, not on the points evaluated
+    before it: fuds redraws its resample from the configured seed at each
+    t, fcsc refits from scratch, and fpir moves thresholds on fixed scores.
     """
     return _build_curve(dataset, config, method, model=model)[0]
 
@@ -717,19 +657,7 @@ def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
         raise EstimationError("empty test set: metrics undefined")
     f = _decision_values(classifier, test)
     y = test.y.astype(float)
-    out: dict[str, float | None] = {
+    return {
         "accuracy": float(np.mean(f * y + (1.0 - f) * (1.0 - y))),
-        "dd": None,
-        "do": None,
-        "pd": None,
+        **{kind.value: _rate_gap(kind, test, f) for kind in DisparityKind},
     }
-    mask1 = test.a == 1
-    if mask1.any() and not mask1.all():
-        out["dd"] = float(np.mean(f[mask1]) - np.mean(f[~mask1]))
-    c11, c01 = test.cell_mask(1, 1), test.cell_mask(0, 1)
-    if c11.any() and c01.any():
-        out["do"] = float(np.mean(f[c11]) - np.mean(f[c01]))
-    c10, c00 = test.cell_mask(1, 0), test.cell_mask(0, 0)
-    if c10.any() and c00.any():
-        out["pd"] = float(np.mean(f[c10]) - np.mean(f[c00]))
-    return out

@@ -1,23 +1,30 @@
 """Command-line front end tests.
 
 CSV ingestion and validation, the four commands end to end on small
-deterministic inputs, byte-level reproducibility, and the consistency
-suites with an injected formula fault.
+deterministic inputs, byte-level reproducibility, the consistency suites
+with an injected formula fault, and a fuzz test of malformed inputs.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fairthresh.cli
 import fairthresh.core
+import fairthresh.fair_algorithms
 from fairthresh.cli import (
     ExperimentSpec,
     IngestError,
@@ -30,6 +37,8 @@ from fairthresh.cli import (
     _check_grid_suite,
 )
 from fairthresh.core import BlindKind, DisparityKind
+from fairthresh.estimators import fit_group_models
+from fairthresh.fair_algorithms import evaluate, run_fpir
 from fairthresh.gaussian import (
     default_model,
     disparity_curve_closed,
@@ -120,15 +129,6 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match=r"line 2.*'a'.*not binary"):
             ingest_csv(path, "y", "a")
 
-    def test_multiclass_protected_opt_in(self, tmp_path):
-        path = tmp_path / "groups.csv"
-        write_rows(path, ["x0", "y", "a"], [[0.5, 1, 0], [0.25, 0, 2], [0.75, 1, 1]])
-        ds = ingest_csv(path, "y", "a", allow_multiclass_protected=True)
-        assert ds.a.tolist() == [0, 2, 1]
-        write_rows(path, ["x0", "y", "a"], [[0.5, 1, 1.5]])
-        with pytest.raises(IngestError, match="not a group id"):
-            ingest_csv(path, "y", "a", allow_multiclass_protected=True)
-
     def test_non_numeric_features_list_lines(self, tmp_path):
         path = tmp_path / "bad_feats.csv"
         write_rows(
@@ -172,6 +172,18 @@ class TestIngestCsv:
         no_feats.write_text("y,a\n1,0\n")
         with pytest.raises(IngestError, match="no feature columns"):
             ingest_csv(no_feats, "y", "a")
+
+    def test_non_utf8_bytes_are_an_ingest_error(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"x0,y,a\n0.5,1,0\n0.\xff5,0,1\n")
+        with pytest.raises(IngestError, match="not UTF-8 text"):
+            ingest_csv(path, "y", "a")
+
+    def test_oversized_field_is_an_ingest_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x0,y,a\n0.5,1,0\n" + "1" * 131_073 + ",0,1\n")
+        with pytest.raises(IngestError, match="line 3: malformed CSV.*field limit"):
+            ingest_csv(path, "y", "a")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blanks.csv"
@@ -314,6 +326,24 @@ class TestCmdFit:
         assert doc["blind"] is True
         assert doc["run"]["mode"] == "blind"
         assert abs(doc["test_metrics"]["dd"]) <= 0.05
+
+    @pytest.mark.parametrize("method", ["fcsc", "fuds"])
+    def test_separable_rows_meet_a_zero_budget_at_the_plain_fit(self, tmp_path, method):
+        # The label is a threshold of x0, so the plain blind fit accepts
+        # exactly the label-1 rows: both true-positive rates are 1 and the
+        # train DO gap is exactly 0 at t = 0.
+        rng = np.random.default_rng(0)
+        a, y = rng.integers(0, 2, size=(2, 200))
+        x = 4.0 * y - 2.0 + rng.normal(0.0, 0.3, 200)
+        path = tmp_path / "separable.csv"
+        write_rows(path, ["x0", "y", "a"], [[repr(float(v)), *cells] for v, *cells in zip(x, y, a)])
+        out = tmp_path / "separable.json"
+        argv = ["fit", "--data", str(path), "--method", method, "--disparity", "do", "--blind",
+                "--delta", "0", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["t_hat"] == 0.0
+        assert doc["run"]["disparity_at_t_hat"] == 0.0
 
     def test_model_source_samples_study_sizes(self, data_dir, tmp_path):
         out = tmp_path / "model_fit.json"
@@ -512,6 +542,35 @@ class TestCmdFrontier:
         out2 = tmp_path / "emp2.csv"
         assert main(args[:-1] + [str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_aware_fpir_frontier_fits_the_group_model_once(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        grid = "0,0.05,0.1,0.15,0.2,0.25,0.3"
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return fit_group_models(*args, **kwargs)
+
+        for module in (fairthresh.cli, fairthresh.fair_algorithms):
+            monkeypatch.setattr(module, "fit_group_models", counting_fit)
+        out = tmp_path / "once.csv"
+        argv = ["frontier", "--data", str(data_dir / "g2000.csv"), "--method", "fpir",
+                "--delta-grid", grid, "--seed", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(fits) == 1
+        # Same rows as letting run_fpir fit its own model at every budget.
+        monkeypatch.undo()
+        cli = fairthresh.cli
+        spec = cli._spec_from_args(cli._build_parser().parse_args(argv))
+        train, test, _ = cli._load_source(spec)
+        rows = list(csv.reader(out.open(newline="")))[1:]
+        for index, (delta, row) in enumerate(zip(spec.delta_grid, rows, strict=True)):
+            config = cli._pipeline_config(spec, delta, cli._frontier_child_seed(spec.seed, index))
+            classifier, t_hat, _ = run_fpir(train, config)
+            metrics = evaluate(classifier, test)
+            assert row == [str(v) for v in (delta, t_hat, *metrics.values())]
 
     def test_blind_empirical_frontier_runs(self, data_dir, tmp_path):
         out = tmp_path / "blind.csv"
@@ -712,3 +771,96 @@ class TestMainDispatch:
             cmd_frontier(
                 ExperimentSpec(command="frontier", data=str(data_dir / "model.json"))
             )
+
+
+_DAMAGE = ("single group", "constant feature", "empty cell", "bad cell", "bad byte")
+_BAD_CELLS = ("", " ", "nan", "inf", "-inf", "1e999", "-1", "2", "0.5", "abc", '"', "\x00")
+_BAD_BYTES = (b"\xff", b"\xc3", b"\n", b",", b'"', b"\x00", b"-")
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """Bytes of a small CSV, left intact or damaged in one or two ways."""
+    n = draw(st.integers(4, 40))
+    # Every (group, label) cell starts nonempty; flipped labels unbalance them.
+    a = [i % 2 for i in range(n)]
+    y = [(i // 2) % 2 for i in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+        y[i] = 1 - y[i]
+    feats = draw(
+        st.lists(st.lists(st.floats(-5, 5), min_size=2, max_size=2), min_size=n, max_size=n)
+    )
+    damage = draw(st.lists(st.sampled_from(_DAMAGE), max_size=2))
+    if "single group" in damage:
+        a = [a[0]] * n
+    if "constant feature" in damage:
+        for row in feats:
+            row[0] = 1.0
+    rows = [[repr(f0), repr(f1), str(yi), str(ai)] for (f0, f1), yi, ai in zip(feats, y, a)]
+    if "empty cell" in damage:
+        cell = draw(st.sampled_from(["00", "01", "10", "11"]))
+        rows = [r for r in rows if r[3] + r[2] != cell] or rows[:1]
+    if "bad cell" in damage:
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        rows[row][col] = draw(st.sampled_from(_BAD_CELLS))
+    data = bytearray(("x0,x1,y,a\n" + "".join(",".join(r) + "\n" for r in rows)).encode())
+    if "bad byte" in damage:
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.sampled_from(_BAD_BYTES))
+    return bytes(data)
+
+
+_GOOD_FLAGS = {
+    "--delta": ("0", "0.1", "0.3"),
+    "--delta-grid": ("0,0.1", "0.2"),
+    "--tol": ("0.001", "0.01"),
+    "--split": ("0.7", "0.5"),
+    "--seed": ("0", "3"),
+}
+_BAD_FLAGS = (
+    ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
+    ("--delta-grid", "nan"), ("--delta-grid", "-1,0.1"), ("--delta-grid", "0.2,0.1"),
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+    ("--split", "nan"), ("--split", "-0.5"), ("--split", "1.5"),
+    ("--seed", "-1"),
+)
+
+
+class TestCliBoundaryFuzz:
+    """main on damaged CSVs and flag values: exit 0, or exit 1 with one error line."""
+
+    @given(
+        data=fuzzed_csv(),
+        command=st.sampled_from(["fit", "frontier"]),
+        method=st.sampled_from(["fuds", "fcsc", "fpir"]),
+        disparity=st.sampled_from(["dd", "do", "pd"]),
+        blind=st.booleans(),
+        flags=st.fixed_dictionaries(
+            {flag: st.sampled_from(values) for flag, values in _GOOD_FLAGS.items()}
+        ),
+        # Two of three examples keep valid flags, so most reach the data.
+        bad_flag=st.one_of(st.none(), st.none(), st.sampled_from(_BAD_FLAGS)),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_and_one_error_line(
+        self, data, command, method, disparity, blind, flags, bad_flag
+    ):
+        if bad_flag is not None:
+            flags = {**flags, bad_flag[0]: bad_flag[1]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(data)
+            argv = [command, "--data", str(path), "--method", method, "--disparity", disparity,
+                    "--out", str(Path(tmp) / "out")]
+            budget = "--delta" if command == "fit" else "--delta-grid"
+            # "--flag=value", so that argparse reads "-1,0.1" as a value
+            argv += [f"{flag}={flags[flag]}" for flag in (budget, "--tol", "--split", "--seed")]
+            if blind:
+                argv.append("--blind")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,7 +1,9 @@
 """Pipeline tests: resampling, cost reweighting, plug-in thresholding.
 
 Layout:
-- proportion/count/resample unit tests with hand-computed expectations;
+- proportion/count unit tests with hand-computed expectations, and the
+  resample draw checked row by row on a toy dataset whose feature is the
+  row id;
 - cost-table checks tying the reweighting construction to the threshold
   rule on finite support;
 - end-to-end pipeline runs on the synthetic Gaussian model, compared
@@ -48,7 +50,6 @@ from fairthresh.estimators import (
 from fairthresh.fair_algorithms import (
     FairClassifier,
     FairFitConfig,
-    ResampleState,
     blind_cost_weights,
     empirical_curve,
     evaluate,
@@ -256,79 +257,86 @@ class TestFudsCellCounts:
             fuds_cell_counts(10, bad)
 
 
+def drawn_rows(resampled):
+    """Source row ids of a toy-dataset resample, per cell."""
+    ids = resampled.x[:, 0].astype(int)
+    return {c: ids[resampled.cell_mask(*c)] for c in CELLS}
+
+
 class TestFudsResample:
     def test_cold_draw_exact_counts(self):
         dataset, _ = toy_dataset()
         sources = cell_sources(dataset)
         targets = {(1, 1): 5, (1, 0): 3, (0, 1): 7, (0, 0): 2}
-        resampled, state = fuds_resample(dataset, targets, seed=3, t=0.1)
-        assert state.t == 0.1
-        assert state.counts() == targets
+        resampled = fuds_resample(dataset, targets, seed=3)
         assert len(resampled) == sum(targets.values())
-        for cell in CELLS:
-            drawn = state.cells[cell]
+        for cell, drawn in drawn_rows(resampled).items():
+            assert len(drawn) == targets[cell]
             assert set(drawn).issubset(set(sources[cell]))
-            assert len(set(drawn)) == len(drawn)  # within-source, no duplicates
+            assert np.array_equal(drawn, np.unique(drawn))  # sorted, no duplicates
 
     def test_cold_full_recovers_original_rows(self):
+        # The toy rows are already in cell order, so the full-count draw
+        # (the t = 0 resample) is the dataset itself.
         dataset, counts = toy_dataset()
-        resampled, state = fuds_resample(dataset, counts, seed=3)
-        assert sorted(resampled.x[:, 0]) == sorted(dataset.x[:, 0])
-        for cell in CELLS:
-            assert np.array_equal(state.cells[cell], cell_sources(dataset)[cell])
+        resampled = fuds_resample(dataset, counts, seed=3)
+        assert np.array_equal(resampled.x, dataset.x)
+        assert np.array_equal(resampled.a, dataset.a)
+        assert np.array_equal(resampled.y, dataset.y)
 
     def test_identity_when_targets_unchanged(self):
         dataset, counts = toy_dataset()
-        _, state1 = fuds_resample(dataset, counts, seed=3)
-        resampled, state2 = fuds_resample(dataset, counts, prev=state1, seed=99)
+        targets = {(1, 1): 6, (1, 0): 12, (0, 1): 2, (0, 0): 9}
+        first = drawn_rows(fuds_resample(dataset, targets, seed=3))
+        fuds_resample(dataset, counts, seed=3)
+        fuds_resample(dataset, {c: 1 for c in CELLS}, seed=99)
+        again = drawn_rows(fuds_resample(dataset, targets, seed=3))
         for cell in CELLS:
-            assert np.array_equal(state1.cells[cell], state2.cells[cell])
-        assert sorted(resampled.x[:, 0]) == sorted(dataset.x[:, 0])
+            assert np.array_equal(first[cell], again[cell])
 
     def test_grow_prefers_unseen_rows(self):
         dataset, counts = toy_dataset()
-        _, full = fuds_resample(dataset, counts, seed=3)
-        shrunk_targets = dict(counts)
-        shrunk_targets[(1, 1)] = 3
-        _, shrunk = fuds_resample(dataset, shrunk_targets, prev=full, seed=4)
-        assert shrunk.counts()[(1, 1)] == 3
-        assert set(shrunk.cells[(1, 1)]).issubset(set(full.cells[(1, 1)]))
-        _, regrown = fuds_resample(dataset, counts, prev=shrunk, seed=5)
-        # the dropped rows are exactly the unseen ones, so regrowing to the
-        # source size recovers the original cell
-        assert Counter(regrown.cells[(1, 1)]) == Counter(full.cells[(1, 1)])
+        small = drawn_rows(fuds_resample(dataset, {c: 3 for c in CELLS}, seed=4))
+        large = drawn_rows(fuds_resample(dataset, {c: counts[c] - 1 for c in CELLS}, seed=4))
+        for cell in CELLS:
+            # growing within the cell adds rows not drawn yet, keeping the old
+            assert set(small[cell]).issubset(set(large[cell]))
+            assert len(set(large[cell])) == len(large[cell])
 
     def test_grow_beyond_source_resamples(self):
         dataset, counts = toy_dataset()
         targets = dict(counts)
         targets[(0, 0)] = 20  # source holds only 9 rows
-        resampled, state = fuds_resample(dataset, targets, seed=3)
-        drawn = state.cells[(0, 0)]
+        resampled = fuds_resample(dataset, targets, seed=3)
+        drawn = drawn_rows(resampled)[(0, 0)]
         source = set(cell_sources(dataset)[(0, 0)])
         assert len(drawn) == 20
         assert set(drawn) == source  # every source row is used before repeats
+        assert min(Counter(drawn).values()) >= 1
         assert len(resampled) == sum(targets.values())
 
     def test_shrink_keeps_subset(self):
         dataset, counts = toy_dataset()
-        _, full = fuds_resample(dataset, counts, seed=3)
         targets = dict(counts)
         targets[(0, 1)] = 4
-        _, state = fuds_resample(dataset, targets, prev=full, seed=6)
-        kept = state.cells[(0, 1)]
+        kept = drawn_rows(fuds_resample(dataset, targets, seed=6))[(0, 1)]
         assert len(kept) == 4
-        assert set(kept).issubset(set(full.cells[(0, 1)]))
+        assert set(kept).issubset(set(cell_sources(dataset)[(0, 1)]))
+        targets[(0, 1)] = 8
+        assert set(kept).issubset(set(drawn_rows(fuds_resample(dataset, targets, seed=6))[(0, 1)]))
 
     def test_shrink_then_regrow_bounded_change(self):
+        # Shrinking by five and regrowing by three loses exactly two rows
+        # per cell against the full draw: the draw at a count does not
+        # depend on the draws made before it.
         dataset, counts = toy_dataset()
-        _, full = fuds_resample(dataset, counts, seed=3)
-        shrunk_targets = {c: counts[c] - 5 for c in CELLS}
-        _, shrunk = fuds_resample(dataset, shrunk_targets, prev=full, seed=4)
-        regrown_targets = {c: counts[c] - 2 for c in CELLS}
-        _, regrown = fuds_resample(dataset, regrown_targets, prev=shrunk, seed=5)
+        full = drawn_rows(fuds_resample(dataset, counts, seed=3))
+        fuds_resample(dataset, {c: counts[c] - 5 for c in CELLS}, seed=3)
+        regrown = drawn_rows(fuds_resample(dataset, {c: counts[c] - 2 for c in CELLS}, seed=3))
         for cell in CELLS:
-            lost = Counter(full.cells[cell]) - Counter(regrown.cells[cell])
-            assert sum(lost.values()) <= 5
+            lost = Counter(full[cell]) - Counter(regrown[cell])
+            assert sum(lost.values()) == 2
+            assert not Counter(regrown[cell]) - Counter(full[cell])
 
     def test_empty_source_with_positive_target(self):
         dataset, counts = toy_dataset()
@@ -338,21 +346,19 @@ class TestFudsResample:
         with pytest.raises(EstimationError, match="no source rows"):
             fuds_resample(gutted, targets, seed=3)
         targets[(1, 0)] = 0  # zero target tolerates the empty cell
-        resampled, state = fuds_resample(gutted, targets, seed=3)
-        assert state.counts()[(1, 0)] == 0
+        resampled = fuds_resample(gutted, targets, seed=3)
+        assert not resampled.cell_mask(1, 0).any()
         assert len(resampled) == 6
 
     def test_deterministic_per_seed(self):
         dataset, _ = toy_dataset()
         targets = {(1, 1): 6, (1, 0): 4, (0, 1): 5, (0, 0): 3}
-        _, s1 = fuds_resample(dataset, targets, seed=11)
-        _, s2 = fuds_resample(dataset, targets, seed=11)
-        _, s3 = fuds_resample(dataset, targets, seed=np.random.SeedSequence(11))
-        _, s4 = fuds_resample(dataset, targets, seed=12)
+        s1 = drawn_rows(fuds_resample(dataset, targets, seed=11))
+        s2 = drawn_rows(fuds_resample(dataset, targets, seed=11))
+        s3 = drawn_rows(fuds_resample(dataset, targets, seed=12))
         for cell in CELLS:
-            assert np.array_equal(s1.cells[cell], s2.cells[cell])
-            assert np.array_equal(s1.cells[cell], s3.cells[cell])
-        assert any(not np.array_equal(s1.cells[c], s4.cells[c]) for c in CELLS)
+            assert np.array_equal(s1[cell], s2[cell])
+        assert any(not np.array_equal(s1[c], s3[c]) for c in CELLS)
 
     def test_negative_target_rejected(self):
         dataset, counts = toy_dataset()
@@ -373,15 +379,31 @@ class TestFudsResample:
         dataset, _ = toy_dataset()
         sources = cell_sources(dataset)
         targets = {(1, 1): t11, (1, 0): t10, (0, 1): t01, (0, 0): t00}
-        resampled, state = fuds_resample(dataset, targets, seed=seed)
-        assert state.counts() == targets
+        resampled = fuds_resample(dataset, targets, seed=seed)
         assert len(resampled) == sum(targets.values())
-        for cell in CELLS:
-            assert set(state.cells[cell]).issubset(set(sources[cell]))
+        for cell, drawn in drawn_rows(resampled).items():
+            assert len(drawn) == targets[cell]
+            assert set(drawn).issubset(set(sources[cell]))
 
-    def test_state_requires_all_cells(self):
-        with pytest.raises(DisparityError, match="cells"):
-            ResampleState(t=0.0, cells={(1, 1): np.array([0])})
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=4, max_size=4
+        ),
+        before=st.lists(st.integers(0, 30), min_size=4, max_size=4),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_smaller_counts_draw_sub_multisets(self, pairs, before, seed):
+        # Counts run past every toy cell's size (at most 12), so the
+        # with-replacement tail is covered too.
+        dataset, _ = toy_dataset()
+        small_targets = {c: min(pair) for c, pair in zip(CELLS, pairs)}
+        large_targets = {c: max(pair) for c, pair in zip(CELLS, pairs)}
+        large = drawn_rows(fuds_resample(dataset, large_targets, seed=seed))
+        fuds_resample(dataset, dict(zip(CELLS, before)), seed=seed)
+        small = drawn_rows(fuds_resample(dataset, small_targets, seed=seed))
+        for cell in CELLS:
+            assert not Counter(small[cell]) - Counter(large[cell])
 
 
 class TestCostTables:
@@ -494,10 +516,6 @@ class TestFairFitConfig:
             FairFitConfig(kind=DisparityKind.DD, delta=0.1, mode="blind")
         with pytest.raises(DisparityError, match="kind"):
             FairFitConfig(kind="dd", delta=0.1)
-        with pytest.raises(DisparityError, match="sorted"):
-            FairFitConfig(kind=DisparityKind.DD, delta=0.1, pareto_deltas=(0.2, 0.1))
-        with pytest.raises(DisparityError, match="nonnegative"):
-            FairFitConfig(kind=DisparityKind.DD, delta=0.1, pareto_deltas=(-0.1, 0.2))
 
 
 class TestRunFuds:
@@ -752,11 +770,12 @@ class TestPipelineFamilies:
                 worst = max(worst, math.hypot(gb, *gw))
         assert worst <= 1e-8
 
-    def test_fcsc_curve_value_independent_of_call_order(self, train):
+    @pytest.mark.parametrize("method", ["fuds", "fcsc"])
+    def test_curve_value_independent_of_call_order(self, train, method):
         cfg = make_config(DisparityKind.DD, 0.0)
-        swept = empirical_curve(train, cfg, "fcsc")
+        swept = empirical_curve(train, cfg, method)
         for t in np.linspace(swept.t_lo, swept.t_hi, 13)[1:-1]:
-            assert swept(t) == empirical_curve(train, cfg, "fcsc")(t)
+            assert swept(t) == empirical_curve(train, cfg, method)(t)
 
     def test_blind_runs_cut_disparity_of_unconstrained_fit(self, train, test_set):
         base = fit_logistic(train, LEARNER)
