@@ -75,8 +75,9 @@ _METHOD_RUNNERS = {"fuds": run_fuds, "fcsc": run_fcsc, "fpir": run_fpir}
 _KIND_NAMES = {"dd": DisparityKind.DD, "do": DisparityKind.DO, "pd": DisparityKind.PD}
 _BLIND_NAMES = {"dd": BlindKind.DD_X, "do": BlindKind.DO_X, "pd": BlindKind.PD_X}
 
-# Learner shared by all commands. The Newton learner converges on every fit
-# with no budget to tune, so the library default serves every command.
+# Learner of the frontier's prefit group model: the library default, which
+# the pipelines use for every fit. The Newton learner converges on every fit
+# with no budget to tune.
 _CLI_LEARNER = LogisticConfig()
 
 # Desk-scale study shape used when the data source is a model file.
@@ -288,14 +289,7 @@ def _load_source(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset, 
 
 
 def _pipeline_config(spec: ExperimentSpec, delta: float, seed: int) -> FairFitConfig:
-    return FairFitConfig(
-        kind=spec.kind,
-        delta=delta,
-        tol=spec.tol,
-        mode="blind" if spec.blind else "aware",
-        seed=seed,
-        learner=_CLI_LEARNER,
-    )
+    return FairFitConfig(kind=spec.kind, delta=delta, tol=spec.tol, seed=seed)
 
 
 def _write_json(document: dict, out: str | None) -> None:
@@ -430,13 +424,7 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
     for method in _METHOD_RUNNERS:
         for name, kind in _KIND_NAMES.items():
             for delta in deltas:
-                config = FairFitConfig(
-                    kind=kind,
-                    delta=delta,
-                    tol=spec.tol,
-                    seed=spec.seed,
-                    learner=_CLI_LEARNER,
-                )
+                config = FairFitConfig(kind=kind, delta=delta, tol=spec.tol, seed=spec.seed)
                 classifier, t_hat, _ = _METHOD_RUNNERS[method](train, config)
                 metrics = evaluate(classifier, test)
                 reference = references[(name, delta)]

@@ -104,10 +104,6 @@ class GroupStats:
         return self.p(1, y) + self.p(0, y)
 
     @classmethod
-    def from_cells(cls, cells: dict[tuple[int, int], float]) -> "GroupStats":
-        return cls(p11=cells[(1, 1)], p10=cells[(1, 0)], p01=cells[(0, 1)], p00=cells[(0, 0)])
-
-    @classmethod
     def from_counts(cls, n11: int, n10: int, n01: int, n00: int) -> "GroupStats":
         """Plug-in estimate n_ay / n.  Rejects empty cells rather than smoothing."""
         n = n11 + n10 + n01 + n00

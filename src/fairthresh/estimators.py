@@ -148,7 +148,7 @@ class LogisticParams:
             )
         except KeyError as exc:
             raise FitError(f"malformed parameter document: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FitError(f"malformed parameter document: bad value ({exc})") from exc
 
 
@@ -205,7 +205,7 @@ class ProbModel:
                 return cls(mode=mode, params=LogisticParams.from_dict(data["params"]))
         except KeyError as exc:
             raise FitError(f"malformed model document: missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise FitError(f"malformed model document: bad value ({exc})") from exc
         raise FitError(f"unknown estimator mode {mode!r}")
 
@@ -217,7 +217,7 @@ def save_prob_model(model: ProbModel, path: str | Path) -> None:
 def load_prob_model(path: str | Path) -> ProbModel:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FitError(f"malformed model document: {exc}") from exc
     return ProbModel.from_dict(data)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .core import DisparityKind, DomainError, GroupStats, bilinear_coeffs
-from .solver import DEFAULT_TOL, BracketError, SolverError
+from .solver import DEFAULT_TOL, BracketError, SolverError, bisect
 
 __all__ = [
     "GroupLabelSurvival",
@@ -122,27 +122,18 @@ def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: flo
     return risk
 
 
-def _solve_equality(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    iterations: int = 80,
-) -> float:
+class _ExactRoot(Exception):
+    """Raised with the parameter at which a system residual is exactly zero."""
+
+
+def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
     """Root of the monotone non-increasing fn(t) = target, clamped to [lo, hi]."""
     d_lo, d_hi = fn(lo), fn(hi)
     if target >= d_lo:
         return lo
     if target <= d_hi:
         return hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda t: fn(t) > target, lo, hi, steps=80)
     return 0.5 * (lo + hi)
 
 
@@ -262,20 +253,8 @@ def solve_eqodds(
         clean = [(t2, r) for t2, r, clamped in probes if not clamped]
 
         def clamp_edge(t_clean: float, t_clamped: float) -> tuple[float, float]:
-            a, b = t_clean, t_clamped
-            r_a = None
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    break
-                r_mid, clamped = outer_residual(mid)
-                if clamped:
-                    b = mid
-                else:
-                    a, r_a = mid, r_mid
-            if r_a is None:
-                r_a, _ = outer_residual(a)
-            return a, r_a
+            t2, _ = bisect(lambda t: not outer_residual(t)[1], t_clean, t_clamped, steps=60)
+            return t2, outer_residual(t2)[0]
 
         if clean:
             first_idx = next(i for i, p in enumerate(probes) if not p[2])
@@ -300,21 +279,19 @@ def solve_eqodds(
                 f"of the system residual over the parameter rectangle"
             )
     b_lo, b_hi = bracket
-    if b_lo < b_hi:
-        v_lo, _ = outer_residual(b_lo)
-        for _ in range(80):
-            mid = 0.5 * (b_lo + b_hi)
-            if mid <= b_lo or mid >= b_hi:
-                break
-            v_mid, _ = outer_residual(mid)
-            if v_mid == 0.0:
-                b_lo = b_hi = mid
-                break
-            if (v_mid > 0.0) == (v_lo > 0.0):
-                b_lo, v_lo = mid, v_mid
-            else:
-                b_hi = mid
-    t2 = 0.5 * (b_lo + b_hi)
+    lo_positive = outer_residual(b_lo)[0] > 0.0
+
+    def on_lo_side(t2: float) -> bool:
+        residual, _ = outer_residual(t2)
+        if residual == 0.0:
+            raise _ExactRoot(t2)
+        return (residual > 0.0) == lo_positive
+
+    try:
+        b_lo, b_hi = bisect(on_lo_side, b_lo, b_hi, steps=80)
+        t2 = 0.5 * (b_lo + b_hi)
+    except _ExactRoot as root:
+        (t2,) = root.args
     t1, _ = inner_t1(t2)
     return finish(t1, t2, case=case)
 
@@ -344,15 +321,7 @@ def solve_multiclass_dp(
 
     def quantile(a: int, s: float) -> float:
         # Threshold where group a's acceptance crosses s.
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if group_curves[a](mid) > s:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(lambda tau: group_curves[a](tau) > s, 0.0, 1.0, steps=100)
         return 0.5 * (lo + hi)
 
     def offsets(s: float) -> list[float]:
@@ -367,14 +336,7 @@ def solve_multiclass_dp(
             f"offset sum does not cross zero on ({s_lo}, {s_hi}): "
             f"endpoints {sum_lo!r}, {sum_hi!r}"
         )
-    for _ in range(100):
-        mid = 0.5 * (s_lo + s_hi)
-        if mid <= s_lo or mid >= s_hi:
-            break
-        if math.fsum(offsets(mid)) > 0.0:
-            s_lo = mid
-        else:
-            s_hi = mid
+    s_lo, s_hi = bisect(lambda s: math.fsum(offsets(s)) > 0.0, s_lo, s_hi, steps=100)
     s_star = 0.5 * (s_lo + s_hi)
 
     t = offsets(s_star)

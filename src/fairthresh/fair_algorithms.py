@@ -22,7 +22,6 @@ disparity being controlled.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
@@ -45,18 +44,15 @@ from .estimators import (
     MODE_AWARE,
     MODE_BLIND_A,
     LabeledDataset,
-    LogisticConfig,
     ProbModel,
     fit_group_models,
     fit_logistic,
     predict_proba,
 )
 from .discrete import solve_breakpoints
-from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
+from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, bisect, solve_threshold
 
 __all__ = [
-    "MODE_FIT_AWARE",
-    "MODE_FIT_BLIND",
     "FairFitConfig",
     "FairClassifier",
     "fuds_proportions",
@@ -69,9 +65,6 @@ __all__ = [
     "run_fpir",
     "evaluate",
 ]
-
-MODE_FIT_AWARE = "aware"
-MODE_FIT_BLIND = "blind"
 
 _CELLS = ((1, 1), (1, 0), (0, 1), (0, 0))
 _METHODS = ("fuds", "fcsc", "fpir")
@@ -87,22 +80,19 @@ _FLOOR_NUDGE = 1e-9
 class FairFitConfig:
     """Settings shared by the three pipeline runners.
 
-    kind selects the disparity measure and must match mode: blind kinds
-    pair with mode "blind" (the fitted rule reads features only), aware
-    kinds with mode "aware".  delta is the disparity budget and tol the
-    fuds/fcsc bisection resolution (fpir, solved exactly, uses it only for
-    its bracket-edge margin).  seed fixes the row ordering fuds draws each
-    cell from, the same at every t.  learner sets the ridge penalty of every
-    fit; each refit starts afresh and runs to convergence, so a refit at t
-    depends only on the data the pipeline builds for t.
+    kind selects the disparity measure; a blind kind makes a blind run, whose
+    fitted rule reads features only.  delta is the disparity budget and tol
+    the fuds/fcsc bisection resolution (fpir, solved exactly, uses it only
+    for its bracket-edge margin).  seed fixes the row ordering fuds draws
+    each cell from, the same at every t.  Every fit uses the default learner;
+    each refit starts afresh and runs to convergence, so a refit at t depends
+    only on the data the pipeline builds for t.
     """
 
     kind: DisparityKind | BlindKind
     delta: float
     tol: float = DEFAULT_TOL
-    mode: str = MODE_FIT_AWARE
     seed: int = 0
-    learner: LogisticConfig = LogisticConfig()
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, (DisparityKind, BlindKind)):
@@ -111,13 +101,11 @@ class FairFitConfig:
             raise DisparityError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DisparityError(f"tol must be positive, got {self.tol!r}")
-        if self.mode not in (MODE_FIT_AWARE, MODE_FIT_BLIND):
-            raise DisparityError(f"mode must be 'aware' or 'blind', got {self.mode!r}")
-        if (self.mode == MODE_FIT_BLIND) != isinstance(self.kind, BlindKind):
-            raise DisparityError(
-                f"mode {self.mode!r} does not match kind {self.kind}: blind kinds need "
-                "blind mode, aware kinds need aware mode"
-            )
+
+    @property
+    def mode(self) -> str:
+        """The run's mode: "blind" for a blind kind, else "aware"."""
+        return "blind" if isinstance(self.kind, BlindKind) else "aware"
 
     @property
     def base_kind(self) -> DisparityKind:
@@ -338,9 +326,9 @@ class _CurveState:
 
 
 def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
-    if state.config.mode == MODE_FIT_BLIND:
-        return fit_logistic(data, state.config.learner)
-    return fit_group_models(data, MODE_AWARE, state.config.learner)
+    if isinstance(state.config.kind, BlindKind):
+        return fit_logistic(data)
+    return fit_group_models(data, MODE_AWARE)
 
 
 def _measure_cells(
@@ -404,18 +392,16 @@ def _fcsc_eval(state: _CurveState, t: float) -> float:
 def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     ds = state.dataset
     cfg = state.config
-    if cfg.mode == MODE_FIT_BLIND:
+    if isinstance(cfg.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
         models = {
-            "eta_y": fit_logistic(ds, cfg.learner),
-            "eta_a": fit_group_models(ds, MODE_BLIND_A, cfg.learner),
-            "eta_groups": (
-                None if cfg.kind is BlindKind.DD_X else fit_group_models(ds, MODE_AWARE, cfg.learner)
-            ),
+            "eta_y": fit_logistic(ds),
+            "eta_a": fit_group_models(ds, MODE_BLIND_A),
+            "eta_groups": None if cfg.kind is BlindKind.DD_X else fit_group_models(ds, MODE_AWARE),
         }
     elif model is None:
-        models = {"eta_groups": fit_group_models(ds, MODE_AWARE, cfg.learner)}
+        models = {"eta_groups": fit_group_models(ds, MODE_AWARE)}
     elif model.mode != MODE_AWARE:
         raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
     else:
@@ -474,13 +460,7 @@ def _clamp_edge(state: _CurveState, outside: float) -> float:
     """
     if _resample_feasible(state, outside):
         return outside
-    good, bad = 0.0, outside
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if _resample_feasible(state, mid):
-            good = mid
-        else:
-            bad = mid
+    good, _ = bisect(lambda t: _resample_feasible(state, t), 0.0, outside, steps=60)
     return good
 
 
@@ -542,14 +522,6 @@ def _report(
     classifier,
 ) -> dict:
     cfg = state.config
-    edge = _at_edge(result, curve, cfg.tol)
-    if edge:
-        warnings.warn(
-            f"empirical disparity root sits at the bracket edge (t_hat={result.t_star!r}, "
-            f"bracket [{curve.t_lo!r}, {curve.t_hi!r}]); the budget may be unattainable "
-            "on this sample",
-            stacklevel=3,
-        )
     report = {
         "method": method,
         "kind": cfg.kind.value,
@@ -566,7 +538,7 @@ def _report(
         "evaluations": result.evaluations,
         "converged": result.converged,
         "exact": result.exact,
-        "at_bracket_edge": edge,
+        "at_bracket_edge": _at_edge(result, curve, cfg.tol),
         "train_metrics": evaluate(classifier, state.dataset),
         "trace": list(state.trace),
     }

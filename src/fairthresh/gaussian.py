@@ -57,6 +57,11 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+# Largest |mean entry| and sigma a model may have: the squares of sampled
+# features, and their sums over a sample, then stay finite.
+_MAX_MAGNITUDE = 1e150
+
+
 @dataclass(frozen=True)
 class GaussianModel:
     """Cell probabilities, per-cell mean vectors, and a shared noise scale.
@@ -76,14 +81,19 @@ class GaussianModel:
     def __post_init__(self) -> None:
         for name in ("mu_11", "mu_10", "mu_01", "mu_00"):
             vec = tuple(float(v) for v in getattr(self, name))
-            if len(vec) == 0 or not all(math.isfinite(v) for v in vec):
-                raise DomainError(f"{name} must be a nonempty finite vector")
+            if len(vec) == 0 or not all(abs(v) <= _MAX_MAGNITUDE for v in vec):
+                raise DomainError(
+                    f"{name} must be a nonempty vector of finite entries within "
+                    f"+-{_MAX_MAGNITUDE:g}"
+                )
             object.__setattr__(self, name, vec)
         dims = {len(self.mu_11), len(self.mu_10), len(self.mu_01), len(self.mu_00)}
         if len(dims) != 1:
             raise DomainError(f"mean vectors must share one dimension, got {sorted(dims)}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < self.sigma <= _MAX_MAGNITUDE:
+            raise DomainError(
+                f"sigma must be positive and at most {_MAX_MAGNITUDE:g}, got {self.sigma!r}"
+            )
         for a in (0, 1):
             if self.separation(a) == 0.0:
                 raise DomainError(f"group {a} has identical class means; eta is constant")
@@ -125,7 +135,7 @@ class GaussianModel:
             seed = None if data.get("seed") is None else int(data["seed"])
         except KeyError as exc:
             raise DomainError(f"malformed model document: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed model document: bad value ({exc})") from exc
         return cls(
             stats=GroupStats(p11=p["11"], p10=p["10"], p01=p["01"], p00=p["00"]),
@@ -145,7 +155,7 @@ def save_model(model: GaussianModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> GaussianModel:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DomainError(f"malformed model document: {exc}") from exc
     return GaussianModel.from_dict(data)
 

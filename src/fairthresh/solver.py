@@ -1,9 +1,12 @@
 """Monotone bisection over disparity curves.
 
-The central solve: given a monotone non-increasing curve t -> D(t) and a
-tolerance level delta, find the smallest |t| with |D(t)| <= delta.  Built on
-top of it: Pareto-frontier tracing over a delta grid and a verifier for the
-frontier's adjacent-point tradeoff bounds.
+bisect is the package's one halving routine: every monotone one-dimensional
+search (the solve below, the fuds bracket clamp, the equalized-odds and
+multi-group solvers in extensions) calls it.  The central solve: given a
+monotone non-increasing curve t -> D(t) and a tolerance level delta, find
+the smallest |t| with |D(t)| <= delta.  Built on top of it: Pareto-frontier
+tracing over a delta grid and a verifier for the frontier's adjacent-point
+tradeoff bounds.
 """
 from __future__ import annotations
 
@@ -110,15 +113,43 @@ class TradeoffCheck(NamedTuple):
     worst_pair: int | None
 
 
+def bisect(
+    inside: Callable[[float], bool],
+    good: float,
+    bad: float,
+    steps: int | None = None,
+    width: float = 0.0,
+) -> tuple[float, float]:
+    """Halve the segment between a point where inside holds and one where it fails.
+
+    inside is called at midpoints only, never at either end; each midpoint
+    replaces the end on its side.  Stops after steps midpoints (no cap when
+    None), once |good - bad| <= width, or when the midpoint rounds onto an
+    end (the ends are then adjacent floats).  Returns the final (good, bad).
+    """
+    count = 0
+    while abs(good - bad) > width and (steps is None or count < steps):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        count += 1
+        if inside(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, bad
+
+
 def solve_threshold(
     curve: DisparityCurve, delta: float, tol: float = DEFAULT_TOL
 ) -> SolveResult:
     """Smallest-|t| point of the curve with |D(t)| <= delta.
 
-    Shortcut at t=0 when already feasible; otherwise bisect on the side where
-    the constraint binds.  The returned endpoint always satisfies the
-    constraint by loop invariant: on the positive branch D(hi) <= delta, on
-    the negative branch D(lo) >= -delta.
+    Shortcut at t=0 when already feasible; otherwise bisect from 0 toward the
+    bracket edge on the side where the constraint binds, sign * D(t) > delta
+    marking the infeasible points (sign = +1 when D(0) > delta, else -1).  The
+    returned end always satisfies the constraint: it is the last feasible
+    midpoint or the checked bracket edge.
     """
     if delta < 0.0:
         raise SolverError(f"delta must be nonnegative, got {delta!r}")
@@ -133,60 +164,32 @@ def solve_threshold(
     if abs(d0) <= delta:
         return SolveResult(0.0, d0, iterations=0, evaluations=1, converged=True, exact=True)
 
+    # Mirroring t and D is exact in floats, so both sides share one walk;
+    # a NaN midpoint counts as feasible on either side.
     if d0 > delta:
-        # Positive branch: walk D down to +delta on [0, t_hi].
-        target = delta
-        lo, d_lo = 0.0, d0
-        hi = curve.t_hi
-        d_hi = curve(hi)
-        if d_hi > delta:
-            raise BracketError(
-                f"D({hi!r}) = {d_hi!r} > delta = {delta!r}: target unreachable inside bracket"
-            )
-        iterations = 0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # float exhaustion below tol scale
-                break
-            d_mid = curve(mid)
-            iterations += 1
-            if d_mid > delta:
-                lo, d_lo = mid, d_mid
-            else:
-                hi, d_hi = mid, d_mid
-        t_star, d_star = hi, d_hi
+        sign, edge, target, relation = 1, curve.t_hi, delta, "> delta"
     else:
-        # Negative branch: walk D up to -delta on [t_lo, 0].
-        target = -delta
-        hi, d_hi = 0.0, d0
-        lo = curve.t_lo
-        d_lo = curve(lo)
-        if d_lo < -delta:
-            raise BracketError(
-                f"D({lo!r}) = {d_lo!r} < -delta = {-delta!r}: target unreachable inside bracket"
-            )
-        iterations = 0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            d_mid = curve(mid)
-            iterations += 1
-            if d_mid < -delta:
-                hi, d_hi = mid, d_mid
-            else:
-                lo, d_lo = mid, d_mid
-        t_star, d_star = lo, d_lo
+        sign, edge, target, relation = -1, curve.t_lo, -delta, "< -delta"
+    values = {edge: curve(edge)}
+    if sign * values[edge] > delta:
+        raise BracketError(
+            f"D({edge!r}) = {values[edge]!r} {relation} = {target!r}: "
+            "target unreachable inside bracket"
+        )
 
-    converged = hi - lo <= tol
-    exact = abs(d_star - target) <= max(_EXACT_SLACK, 100.0 * tol)
+    def feasible(t: float) -> bool:
+        values[t] = curve(t)
+        return not sign * values[t] > delta
+
+    t_star, t_out = bisect(feasible, edge, 0.0, width=tol)
+    iterations = len(values) - 1
     return SolveResult(
         t_star=t_star,
-        d_at_t=d_star,
+        d_at_t=values[t_star],
         iterations=iterations,
         evaluations=iterations + 2,
-        converged=converged,
-        exact=exact,
+        converged=abs(t_star - t_out) <= tol,
+        exact=abs(values[t_star] - target) <= max(_EXACT_SLACK, 100.0 * tol),
     )
 
 

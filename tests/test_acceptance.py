@@ -91,7 +91,6 @@ def study(model):
                     delta=delta,
                     tol=2**-10,
                     seed=seed,
-                    learner=LEARNER,
                 )
                 runs = {
                     "fuds": lambda: run_fuds(train, config),
@@ -370,7 +369,7 @@ def test_criterion_11_monotone_curves(model):
     prefit = fit_group_models(train, config=LEARNER)
     empirical_ok = True
     for kind in KINDS:
-        config = FairFitConfig(kind=kind, delta=0.1, tol=2**-10, learner=LEARNER)
+        config = FairFitConfig(kind=kind, delta=0.1, tol=2**-10)
         curve = empirical_curve(train, config, "fpir", model=prefit)
         empirical_ok = empirical_ok and is_monotone_nonincreasing(curve, 25, slack=1e-12)
 

@@ -6,14 +6,18 @@ with an injected formula fault, and a fuzz test of malformed inputs.
 """
 from __future__ import annotations
 
+import copy
 import csv
+import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -703,6 +707,9 @@ class TestCmdOracleCheck:
         assert re.search(r"model seed \d+ kind=\w+ delta=", failures[0])
 
 
+_MODEL_COMMANDS = (["fit"], ["frontier", "--delta-grid", "0,0.1"], ["synthetic"])
+
+
 class TestMainDispatch:
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
@@ -766,6 +773,48 @@ class TestMainDispatch:
         assert len(lines) == 1
         assert lines[0].startswith("error: malformed model document: bad value")
 
+    @staticmethod
+    def write_model_with(data_dir, tmp_path, field, literal):
+        """The saved model with one field's value replaced by a raw JSON literal."""
+        doc = json.loads((data_dir / "model.json").read_text())
+        doc[field] = "@@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@@"', literal))
+        return bad
+
+    @staticmethod
+    def run_in_process(argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue().splitlines()
+
+    @pytest.mark.parametrize("argv", _MODEL_COMMANDS)
+    def test_seed_beyond_int_range_is_one_error_line(self, data_dir, tmp_path, argv):
+        # JSON 1e400 decodes to inf, which int() cannot take
+        bad = self.write_model_with(data_dir, tmp_path, "seed", "1e400")
+        code, lines = self.run_in_process([argv[0], "--data", str(bad), *argv[1:]])
+        assert code == 1
+        assert lines == ["error: malformed model document: bad value "
+                         "(cannot convert float infinity to integer)"]
+
+    @pytest.mark.parametrize("argv", _MODEL_COMMANDS)
+    def test_sigma_beyond_float_range_is_one_error_line(self, data_dir, tmp_path, argv):
+        bad = self.write_model_with(data_dir, tmp_path, "sigma", "9" * 401)
+        code, lines = self.run_in_process([argv[0], "--data", str(bad), *argv[1:]])
+        assert code == 1
+        assert lines == ["error: malformed model document: bad value "
+                         "(int too large to convert to float)"]
+
+    @pytest.mark.parametrize("argv", _MODEL_COMMANDS)
+    def test_deeply_nested_model_file_is_one_error_line(self, tmp_path, argv):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000)
+        code, lines = self.run_in_process([argv[0], "--data", str(bad), *argv[1:]])
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: malformed model document: maximum recursion depth")
+
     def test_frontier_requires_grid(self, data_dir):
         with pytest.raises(IngestError, match="delta-grid"):
             cmd_frontier(
@@ -808,6 +857,43 @@ def fuzzed_csv(draw):
         at = draw(st.integers(0, len(data)))
         data[at:at] = draw(st.sampled_from(_BAD_BYTES))
     return bytes(data)
+
+
+_MODEL_PATHS = (
+    (), ("p",), ("p", "11"), ("p", "00"), ("mu",), ("mu", "10"), ("mu", "01", 0),
+    ("sigma",), ("seed",),
+)
+_BAD_VALUES = (
+    "abc", "", [], [0.5], {}, True, False, None, math.nan, math.inf, -math.inf,
+    1e308, -1.0, 0, 10**400, 1e-300,
+)
+
+
+@st.composite
+def fuzzed_model_json(draw):
+    """Text of the saved default model, left intact or damaged in one or two ways."""
+    doc = default_model().to_dict()
+    for action in draw(st.lists(st.sampled_from(("drop", "swap")), max_size=2)):
+        path = draw(st.sampled_from(_MODEL_PATHS[1:] if action == "drop" else _MODEL_PATHS))
+        value = None if action == "drop" else copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
+        if not path:
+            doc = value
+            continue
+        try:
+            parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+            if action == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed the path
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    # One in four examples nests the document, one in four truncates it.
+    depth = draw(st.sampled_from((0, 0, 3, 100_000)))
+    text = "[" * depth + text + "]" * depth
+    if draw(st.sampled_from((False, False, False, True))):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
 
 
 _GOOD_FLAGS = {
@@ -859,6 +945,31 @@ class TestCliBoundaryFuzz:
                 argv.append("--blind")
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @given(
+        text=fuzzed_model_json(),
+        argv=st.sampled_from([
+            ["fit", "--method", "fpir"],
+            ["fit", "--method", "fpir", "--blind"],
+            ["frontier", "--delta-grid", "0,0.1,0.2"],
+        ]),
+        disparity=st.sampled_from(["dd", "do", "pd"]),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_model_file_exit_code_and_one_error_line(self, text, argv, disparity):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(text)
+            argv = [argv[0], "--data", str(path), "--disparity", disparity, *argv[1:],
+                    "--out", str(Path(tmp) / "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
                 code = main(argv)
         assert code in (0, 1)
         if code == 1:

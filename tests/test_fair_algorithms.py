@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -76,8 +77,7 @@ LEARNER = LogisticConfig()
 
 
 def make_config(kind, delta, **kwargs):
-    mode = "blind" if isinstance(kind, BlindKind) else "aware"
-    defaults = dict(mode=mode, seed=7, learner=LEARNER, tol=2.0**-12)
+    defaults = dict(seed=7, tol=2.0**-12)
     defaults.update(kwargs)
     return FairFitConfig(kind=kind, delta=delta, **defaults)
 
@@ -500,20 +500,15 @@ class TestFairFitConfig:
         assert cfg.base_kind is DisparityKind.DD
 
     def test_base_kind_of_blind(self):
-        cfg = FairFitConfig(kind=BlindKind.DO_X, delta=0.1, mode="blind")
+        cfg = FairFitConfig(kind=BlindKind.DO_X, delta=0.1)
         assert cfg.base_kind is DisparityKind.DO
+        assert cfg.mode == "blind"
 
     def test_rejections(self):
         with pytest.raises(DisparityError, match="delta"):
             FairFitConfig(kind=DisparityKind.DD, delta=-0.1)
         with pytest.raises(DisparityError, match="tol"):
             FairFitConfig(kind=DisparityKind.DD, delta=0.1, tol=0.0)
-        with pytest.raises(DisparityError, match="mode"):
-            FairFitConfig(kind=DisparityKind.DD, delta=0.1, mode="oracle")
-        with pytest.raises(DisparityError, match="blind"):
-            FairFitConfig(kind=BlindKind.DD_X, delta=0.1, mode="aware")
-        with pytest.raises(DisparityError, match="blind"):
-            FairFitConfig(kind=DisparityKind.DD, delta=0.1, mode="blind")
         with pytest.raises(DisparityError, match="kind"):
             FairFitConfig(kind="dd", delta=0.1)
 
@@ -605,9 +600,7 @@ class TestRunFpir:
         big = sample(model, 10**6, seed=77)
         prefit = exact_prob_model(model)
         for delta in (0.0, 0.15):
-            cfg = FairFitConfig(
-                kind=DisparityKind.DD, delta=delta, seed=7, learner=LEARNER, tol=1e-6
-            )
+            cfg = FairFitConfig(kind=DisparityKind.DD, delta=delta, seed=7, tol=1e-6)
             _, t_hat, _ = run_fpir(big, cfg, model=prefit)
             oracle = theoretical_fair_classifier(model, DisparityKind.DD, delta, tol=1e-9)
             assert abs(t_hat - oracle.t_star) <= 1e-3
@@ -648,7 +641,7 @@ class TestRunFpir:
         with pytest.raises(DisparityError, match="group-aware"):
             run_fpir(train, cfg_aware, model=blind_model)
 
-    def test_edge_warning_when_budget_sits_at_bracket_end(self):
+    def test_bracket_edge_flagged_when_budget_sits_at_bracket_end(self):
         rng = np.random.default_rng(0)
         dataset = LabeledDataset(
             x=rng.normal(size=(8, 1)),
@@ -668,8 +661,9 @@ class TestRunFpir:
         # group-1 scores sit just below the reachable threshold ceiling, so
         # the disparity stays above budget until the last resolvable step
         prefit = ProbModel(MODE_AWARE, {1: flat(1.0 - (1e-9 + 0.5 * tol)), 0: flat(5e-10)})
-        cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.5, seed=7, learner=LEARNER, tol=tol)
-        with pytest.warns(UserWarning, match="bracket edge"):
+        cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.5, seed=7, tol=tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             _, t_hat, report = run_fpir(dataset, cfg, model=prefit)
         assert report["at_bracket_edge"] is True
         assert report["bracket"]["hi"] - t_hat <= 4.0 * tol
@@ -753,7 +747,7 @@ class TestPipelineFamilies:
     def test_every_refit_reaches_a_stationary_point(self, train, monkeypatch):
         fits = []
 
-        def recording_fit(data, mode, config):
+        def recording_fit(data, mode, config=LEARNER):
             fitted = fit_group_models(data, mode, config)
             fits.append((data, fitted, config.l2))
             return fitted

@@ -13,6 +13,7 @@ from fairthresh.solver import (
     DisparityCurve,
     FrontierRow,
     SolverError,
+    bisect,
     check_tradeoff_bounds,
     is_monotone_nonincreasing,
     solve_threshold,
@@ -129,6 +130,69 @@ class TestSolveThreshold:
             assert res.t_star < 0.0
             analytic = (d0 + delta) / slope
             assert res.t_star == pytest.approx(analytic, abs=2.0 ** -14)
+
+
+class TestBisect:
+    @staticmethod
+    def recording(predicate):
+        """predicate wrapped to record every point it is called at."""
+        calls = []
+
+        def inside(t: float) -> bool:
+            calls.append(t)
+            return predicate(t)
+
+        return inside, calls
+
+    def test_good_end_above_bad_end(self):
+        # The negative side of a solve walks from 0 down: good > bad.
+        inside, calls = self.recording(lambda t: t > -0.3)
+        good, bad = bisect(inside, 0.0, -1.0, width=2.0 ** -20)
+        assert bad <= -0.3 < good
+        assert good - bad <= 2.0 ** -20
+        assert all(-1.0 < t < 0.0 for t in calls)
+
+    def test_width_stop(self):
+        inside, calls = self.recording(lambda t: t >= 0.3)
+        good, bad = bisect(inside, 1.0, 0.0, width=2.0 ** -10)
+        assert len(calls) == 10
+        assert good - bad == 2.0 ** -10
+        assert bad < 0.3 <= good
+
+    def test_steps_cap(self):
+        inside, calls = self.recording(lambda t: t >= 0.3)
+        assert bisect(inside, 1.0, 0.0, steps=5) == (0.3125, 0.28125)
+        assert len(calls) == 5
+        assert bisect(inside, 1.0, 0.0, steps=0) == (1.0, 0.0)
+        assert len(calls) == 5
+
+    def test_float_exhaustion_returns_adjacent_floats(self):
+        inside, calls = self.recording(lambda t: t > -0.3)
+        good, bad = bisect(inside, 0.0, -1.0)
+        assert bad == -0.3
+        assert good == math.nextafter(-0.3, 0.0)
+        assert len(calls) < 100
+
+    @given(
+        a=st.floats(-1e6, 1e6),
+        b=st.floats(-1e6, 1e6),
+        cut=st.floats(0.0, 1.0),
+        steps=st.one_of(st.none(), st.integers(0, 80)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_never_called_at_either_end(self, a, b, cut, steps):
+        if a == b:
+            return
+        boundary = a + cut * (b - a)
+        if a < b:
+            inside, calls = self.recording(lambda t: t < boundary)
+        else:
+            inside, calls = self.recording(lambda t: t > boundary)
+        good, bad = bisect(inside, a, b, steps=steps)
+        assert a not in calls and b not in calls
+        assert min(a, b) <= min(good, bad) < max(good, bad) <= max(a, b)
+        assert good == a or inside(good)
+        assert bad == b or not inside(bad)
 
 
 class TestTracePareto:
