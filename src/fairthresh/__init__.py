@@ -26,7 +26,8 @@ Module map:
 - ``fair_algorithms``: the three training pipelines (resampling, cost
   reweighting, plug-in thresholding) with group-aware and group-blind
   variants, plus evaluation.
-- ``cli``: the ``fairthresh`` command line front end.
+- ``cli``: the ``fairthresh`` command line front end, imported on first
+  access (``fairthresh.cli``) rather than with the package.
 """
 from .core import *  # noqa: F401,F403
 from .solver import *  # noqa: F401,F403
@@ -36,9 +37,21 @@ from .estimators import *  # noqa: F401,F403
 from .gaussian import *  # noqa: F401,F403
 from .fair_algorithms import *  # noqa: F401,F403
 
-from . import cli, core, discrete, estimators, extensions, fair_algorithms, gaussian, solver
+from . import core, discrete, estimators, extensions, fair_algorithms, gaussian, solver
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI loads on first access, not with the package: run as
+    # ``python -m fairthresh.cli``, it would otherwise already be imported
+    # when runpy executes it, and runpy warns about that.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [  # noqa: PLE0604
     *core.__all__,

@@ -241,10 +241,11 @@ def solve_breakpoints(
     solve_randomized and by the plug-in pipeline's exact solve, which
     passes its arrays without keeping them, so they are freed once sorted.
     """
-    # A null item makes t = 0 a candidate; sorted first, it names its tie
-    # group. One array at a time, so large inputs are not held twice over.
+    # A null item makes t = 0 a candidate. The order inside a tie group is
+    # free (its sums are exact integers), so the sort need not be stable.
+    # One array at a time, so large inputs are not held twice over.
     ratio = np.concatenate(([0], ratio))
-    order = np.argsort(ratio, kind="stable")
+    order = np.argsort(ratio)
     ratio = ratio[order]
     positive = np.concatenate(([True], positive))[order]
     contrib = np.concatenate(([0], contrib))[order]
@@ -252,6 +253,9 @@ def solve_breakpoints(
     starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
     ratios = ratio[starts]
     del ratio
+    # Any member may lead the t = 0 group, -0.0 among them; the null item's
+    # 0 names it (0.0 on float inputs).
+    ratios[ratios == 0] = 0
     plus = np.add.reduceat(np.where(positive, contrib, 0), starts)
     minus = np.add.reduceat(np.where(positive, 0, contrib), starts)
     del positive, contrib, starts

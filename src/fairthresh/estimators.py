@@ -41,6 +41,12 @@ class FitError(RuntimeError):
     """Raised when a fit cannot proceed."""
 
 
+# Largest feature magnitude (and Gaussian model mean entry or sigma) the
+# package accepts: squares of such values, and their sums over a sample,
+# stay finite, so standardization and sampling never overflow.
+_MAX_MAGNITUDE = 1e150
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Rows of (feature vector, group id, binary label, sample weight)."""
@@ -63,8 +69,9 @@ class LabeledDataset:
         )
         if not (len(x) == len(a) == len(y) == len(w)):
             raise FitError("feature, group, label, and weight lengths differ")
-        if not np.isfinite(x).all():
-            raise FitError("features must be finite")
+        # min and max propagate NaN, which fails both comparisons.
+        if x.size and not (-_MAX_MAGNITUDE <= x.min() and x.max() <= _MAX_MAGNITUDE):
+            raise FitError(f"features must be finite and within +-{_MAX_MAGNITUDE:g}")
         if np.any((y != 0) & (y != 1)):
             raise FitError("labels must be 0 or 1")
         if np.any(w < 0) or not np.isfinite(w).all():
@@ -387,11 +394,14 @@ def predict_proba(
         if a is None:
             raise FitError("group-aware model needs the group id to predict")
         a_arr = np.broadcast_to(np.asarray(a, dtype=int), (len(x2),))
+        picks = (a_arr == 0, a_arr == 1)
+        other = ~(picks[0] | picks[1])
+        if other.any():
+            raise FitError(f"no parameters fitted for group {int(a_arr[other].min())}")
         z = np.empty(len(x2))
-        for g in np.unique(a_arr):
-            params = model.group_params(int(g))
-            pick = a_arr == g
-            z[pick] = params.scores(x2[pick])
+        for g, pick in enumerate(picks):
+            if pick.any():
+                z[pick] = model.group_params(g).scores(x2[pick])
     else:
         z = np.asarray(model.single_params().scores(x2))
     p = np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)

@@ -519,8 +519,11 @@ def _report(
     state: _CurveState,
     curve: DisparityCurve,
     result: SolveResult,
-    classifier,
+    decisions: np.ndarray,
 ) -> dict:
+    """The run's report.  Train metrics score the decisions the caller
+    already holds for the training rows (fpir: from the solve's own scores),
+    so no rule predicts those rows a second time."""
     cfg = state.config
     report = {
         "method": method,
@@ -539,7 +542,7 @@ def _report(
         "converged": result.converged,
         "exact": result.exact,
         "at_bracket_edge": _at_edge(result, curve, cfg.tol),
-        "train_metrics": evaluate(classifier, state.dataset),
+        "train_metrics": _metrics(decisions, state.dataset),
         "trace": list(state.trace),
     }
     if not isinstance(cfg.kind, BlindKind):
@@ -560,7 +563,7 @@ def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
     curve, state = _build_curve(dataset, config, "fuds")
     result = solve_threshold(curve, config.delta, config.tol)
     model, targets = state.payload[result.t_star]
-    report = _report("fuds", state, curve, result, model)
+    report = _report("fuds", state, curve, result, _decision_values(model, dataset))
     report["cell_counts"] = _cells_json(targets)
     return model, result.t_star, report
 
@@ -575,7 +578,7 @@ def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
     curve, state = _build_curve(dataset, config, "fcsc")
     result = solve_threshold(curve, config.delta, config.tol)
     model, table = state.payload[result.t_star]
-    report = _report("fcsc", state, curve, result, model)
+    report = _report("fcsc", state, curve, result, _decision_values(model, dataset))
     report["cost_table"] = _cells_json(table)
     return model, result.t_star, report
 
@@ -591,13 +594,18 @@ def run_fpir(
     blind runs fit label and group regressions from the same data.  The
     solve returns the smallest-|t| rule meeting the budget on the training
     rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
-    train disparity lands on the budget; no tolerance applies.
+    train disparity lands on the budget; no tolerance applies.  The report's
+    train metrics score the solve's own scores and weights, not a second
+    prediction on the training rows.
     """
     curve, state = _build_curve(dataset, config, "fpir", model=model)
     t_hat, tau_plus, tau_minus, d = _fpir_solve(state)
     classifier = replace(state.rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
     result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
-    report = _report("fpir", state, curve, result, classifier)
+    decisions = _plug_in_decisions(
+        state.score, state.w, t_hat, classifier.tau_plus, classifier.tau_minus
+    )
+    report = _report("fpir", state, curve, result, decisions)
     report["tau_plus"], report["tau_minus"] = classifier.tau_plus, classifier.tau_minus
     return classifier, t_hat, report
 
@@ -627,9 +635,13 @@ def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
     """
     if len(test) == 0:
         raise EstimationError("empty test set: metrics undefined")
-    f = _decision_values(classifier, test)
-    y = test.y.astype(float)
+    return _metrics(_decision_values(classifier, test), test)
+
+
+def _metrics(f: np.ndarray, data: LabeledDataset) -> dict[str, float | None]:
+    """Accuracy and the three disparity gaps of decisions f on data's rows."""
+    y = data.y.astype(float)
     return {
         "accuracy": float(np.mean(f * y + (1.0 - f) * (1.0 - y))),
-        **{kind.value: _rate_gap(kind, test, f) for kind in DisparityKind},
+        **{kind.value: _rate_gap(kind, data, f) for kind in DisparityKind},
     }

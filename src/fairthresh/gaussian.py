@@ -30,7 +30,14 @@ from .core import (
     natural_domain,
     threshold,
 )
-from .estimators import MODE_AWARE, LabeledDataset, LogisticParams, ProbModel, _sigmoid
+from .estimators import (
+    _MAX_MAGNITUDE,
+    MODE_AWARE,
+    LabeledDataset,
+    LogisticParams,
+    ProbModel,
+    _sigmoid,
+)
 from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
 
 __all__ = [
@@ -55,11 +62,6 @@ __all__ = [
 def norm_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# Largest |mean entry| and sigma a model may have: the squares of sampled
-# features, and their sums over a sample, then stay finite.
-_MAX_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)

@@ -815,6 +815,34 @@ class TestMainDispatch:
         assert len(lines) == 1
         assert lines[0].startswith("error: malformed model document: maximum recursion depth")
 
+    @pytest.mark.parametrize("value", ["1e154", "-1e200"])
+    def test_feature_beyond_magnitude_bound_is_one_error_line(self, tmp_path, value):
+        # Squares of such features overflow the learner's standardization.
+        rng = np.random.default_rng(5)
+        rows = [
+            [value if i % 10 == 0 else repr(float(rng.normal())), i % 2, (i // 2) % 2]
+            for i in range(200)
+        ]
+        write_rows(tmp_path / "huge.csv", ["x0", "y", "a"], rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lines = self.run_in_process(["fit", "--data", str(tmp_path / "huge.csv")])
+        assert code == 1
+        assert lines == ["error: features must be finite and within +-1e+150"]
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        src = str(Path(fairthresh.core.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fairthresh.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_frontier_requires_grid(self, data_dir):
         with pytest.raises(IngestError, match="delta-grid"):
             cmd_frontier(

@@ -23,6 +23,7 @@ from fairthresh.discrete import (
     disparity_exact,
     dmin_dmax,
     risk_exact,
+    solve_breakpoints,
     solve_randomized,
 )
 from fairthresh.solver import SolverError
@@ -320,6 +321,19 @@ class TestSolveRandomized:
         stats = TWO_ATOM.implied_stats()
         with pytest.raises(SolverError):
             solve_randomized(TWO_ATOM, DisparityKind.DD, stats, -0.1)
+
+
+class TestSolveBreakpoints:
+    def test_zero_group_is_named_by_positive_zero(self):
+        # A -0.0 flip point (score exactly 1/2, negative weight) shares the
+        # t = 0 tie group; whichever member the sort puts first, the solve
+        # reports t = +0.0.
+        rng = np.random.default_rng(0)
+        ratio = np.concatenate([np.full(100, -0.0), np.linspace(-1.0, 1.0, 101)])
+        positive = rng.random(ratio.size) < 0.5
+        contrib = rng.integers(-3, 4, ratio.size)
+        t, tau_plus, tau_minus, d = solve_breakpoints(ratio, positive, contrib, Fraction(10**6))
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ class TestDatasetValidation:
         with pytest.raises(FitError, match="finite"):
             LabeledDataset(x=np.array([[np.inf]]), a=np.zeros(1), y=np.zeros(1))
 
+    def test_rejects_features_beyond_magnitude_bound(self):
+        LabeledDataset(x=np.array([[1e150], [-1e150]]), a=np.zeros(2), y=np.zeros(2))
+        for value in (2e150, -1e200, np.nan):
+            with pytest.raises(FitError, match=r"finite and within \+-1e\+150"):
+                LabeledDataset(x=np.array([[0.0], [value]]), a=np.zeros(2), y=np.zeros(2))
+
     def test_cell_helpers(self, rng):
         ds = random_dataset(rng, n=30)
         total = sum(ds.cell_count(a, y) for a in (0, 1) for y in (0, 1))
@@ -287,6 +293,22 @@ class TestPredictProba:
         mixed = predict_proba(model, xs, groups)
         for i in range(8):
             assert mixed[i] == predict_proba(model, xs[i], int(groups[i]))
+
+    def test_aware_rejects_other_group_ids(self, rng):
+        model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
+        with pytest.raises(FitError, match="no parameters fitted for group 2"):
+            predict_proba(model, rng.normal(size=(3, 3)), np.array([0, 2, 1]))
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_aware_predicts_rows_of_one_group(self, rng, group):
+        model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
+        # The other group's parameters are never looked up.
+        single = ProbModel(mode=MODE_AWARE, params={group: model.group_params(group)})
+        xs = rng.normal(size=(5, 3))
+        groups = np.full(5, group)
+        expected = 1.0 / (1.0 + np.exp(-model.group_params(group).scores(xs)))
+        assert np.array_equal(predict_proba(single, xs, groups), predict_proba(model, xs, groups))
+        assert predict_proba(single, xs, groups) == pytest.approx(expected, abs=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self):
         params = LogisticParams(0.0, np.array([50.0]), np.zeros(1), np.ones(1))

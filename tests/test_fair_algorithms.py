@@ -668,6 +668,20 @@ class TestRunFpir:
         assert report["at_bracket_edge"] is True
         assert report["bracket"]["hi"] - t_hat <= 4.0 * tol
 
+    @pytest.mark.parametrize(
+        "kind, prefit",
+        [(kind, False) for kind in ALL_KINDS + BLIND_KINDS] + [(kind, True) for kind in ALL_KINDS],
+        ids=lambda v: v.value if hasattr(v, "value") else ("prefit" if v else "fit"),
+    )
+    def test_train_metrics_equal_evaluate_on_train(self, model, kind, prefit):
+        # The report scores the solve's own scores; the returned rule applied
+        # to the training rows must give the same numbers to the last bit.
+        small = sample(model, 2_000, seed=31)
+        prefit_model = fit_group_models(small, MODE_AWARE) if prefit else None
+        classifier, _, report = run_fpir(small, make_config(kind, 0.05), model=prefit_model)
+        assert 0.0 < max(classifier.tau_plus, classifier.tau_minus)
+        assert report["train_metrics"] == evaluate(classifier, small)
+
 
 def rate_disparity(kind, dataset, decisions):
     """Acceptance-rate gap of the measure's two cells, group 1 minus group 0."""
