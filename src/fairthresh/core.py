@@ -99,10 +99,6 @@ class GroupStats:
         """Marginal P(A=a)."""
         return self.p(a, 1) + self.p(a, 0)
 
-    def p_label(self, y: int) -> float:
-        """Marginal P(Y=y)."""
-        return self.p(1, y) + self.p(0, y)
-
     @classmethod
     def from_counts(cls, n11: int, n10: int, n01: int, n00: int) -> "GroupStats":
         """Plug-in estimate n_ay / n.  Rejects empty cells rather than smoothing."""

@@ -25,7 +25,6 @@ __all__ = [
     "RandomizedClassifier",
     "risk_exact",
     "disparity_exact",
-    "dmin_dmax",
     "solve_randomized",
     "brute_force_oracle",
 ]
@@ -63,9 +62,6 @@ class FiniteDistribution:
         total = sum(Fraction(m) for _, m, _ in self.atoms)
         if abs(total - 1) > Fraction(1, 10**9):
             raise DomainError(f"atom masses sum to {float(total)!r}, expected 1")
-
-    def group_mass(self, a: int) -> Fraction:
-        return sum((Fraction(m) for g, m, _ in self.atoms if g == a), Fraction(0))
 
     def implied_stats(self) -> GroupStats:
         """Cell probabilities induced by the atoms: p_{a,1} = sum of m*eta
@@ -156,26 +152,6 @@ def disparity_exact(
     return sum((at.mass * at.w * Fraction(f) for at, f in zip(atoms, classifier.accept)), Fraction(0))
 
 
-def dmin_dmax(
-    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, t: float | Fraction
-) -> tuple[Fraction, Fraction]:
-    """Least and greatest disparity achievable by randomizing the boundary
-    atoms of the threshold family at parameter t.
-
-    As functions of t both envelopes are step functions, monotone
-    non-increasing; the lower one is right-continuous, the upper one
-    left-continuous, and the left limit of the lower equals the upper.
-    Accepts an exact rational t to probe step edges without float rounding.
-    """
-    atoms = _prepare(dist, kind, stats)
-
-    def level(tau_plus: int, tau_minus: int) -> Fraction:
-        accept = _accepts(atoms, Fraction(t), Fraction(tau_plus), Fraction(tau_minus))
-        return sum((at.mass * at.w * f for at, f in zip(atoms, accept)), Fraction(0))
-
-    return level(0, 1), level(1, 0)
-
-
 def _accepts(atoms: list[_Atom], t: Fraction, tau_plus: Fraction, tau_minus: Fraction) -> tuple[Fraction, ...]:
     out = []
     for at in atoms:
@@ -194,10 +170,11 @@ def solve_randomized(
     """Risk-minimal classifier with |disparity| <= delta, exactly.
 
     The threshold parameter is the smallest |t| at which the envelope
-    [D_min(t), D_max(t)] meets the budget; boundary atoms on one weight
-    side are then accepted with the common fraction that lands the
-    disparity exactly on its target. Finite support makes every budget
-    attainable, so this never fails.
+    [D_min(t), D_max(t)] meets the budget; the boundary atoms of each
+    weight side are then accepted with one common fraction per side, at
+    most one of them strictly between 0 and 1, which lands the disparity
+    exactly on its target. Finite support makes every budget attainable,
+    so this never fails.
     """
     if delta < 0:
         raise SolverError(f"disparity budget {delta!r} must be nonnegative")

@@ -10,10 +10,8 @@ so a refit inside a bisection loop depends on nothing but that data.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -29,8 +27,6 @@ __all__ = [
     "predict_proba",
     "nll",
     "nll_gradient",
-    "save_prob_model",
-    "load_prob_model",
     "MODE_AWARE",
     "MODE_BLIND_Y",
     "MODE_BLIND_A",
@@ -60,8 +56,10 @@ class LabeledDataset:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2:
             raise FitError(f"features must be a 2-D array, got shape {x.shape}")
-        a = np.asarray(self.a, dtype=int)
-        y = np.asarray(self.y, dtype=int)
+        # Checked as floats, so a fractional group id or label is rejected
+        # rather than truncated.
+        a = np.asarray(self.a, dtype=float)
+        y = np.asarray(self.y, dtype=float)
         w = (
             np.ones(len(x), dtype=float)
             if self.weight is None
@@ -74,11 +72,13 @@ class LabeledDataset:
             raise FitError(f"features must be finite and within +-{_MAX_MAGNITUDE:g}")
         if np.any((y != 0) & (y != 1)):
             raise FitError("labels must be 0 or 1")
+        if np.any((a != 0) & (a != 1)):
+            raise FitError("group ids must be 0 or 1")
         if np.any(w < 0) or not np.isfinite(w).all():
             raise FitError("weights must be finite and nonnegative")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "a", a.astype(int))
+        object.__setattr__(self, "y", y.astype(int))
         object.__setattr__(self, "weight", w)
 
     def __len__(self) -> int:
@@ -131,32 +131,15 @@ class LogisticParams:
         return self.intercept - float(w @ self.mean), w
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        xs = (np.atleast_2d(np.asarray(x, dtype=float)) - self.mean) / self.scale
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        if x2.shape[1] != len(self.coef):
+            raise FitError(
+                f"x has {x2.shape[1]} features, the model was fitted on {len(self.coef)}"
+            )
+        xs = (x2 - self.mean) / self.scale
         # A row-wise sum, not a BLAS product: a row's score must not depend on
         # how many rows share the call.
         return self.intercept + (xs * self.coef).sum(axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "coef": list(self.coef),
-            "mean": list(self.mean),
-            "scale": list(self.scale),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticParams":
-        try:
-            return cls(
-                intercept=float(data["intercept"]),
-                coef=np.asarray(data["coef"], dtype=float),
-                mean=np.asarray(data["mean"], dtype=float),
-                scale=np.asarray(data["scale"], dtype=float),
-            )
-        except KeyError as exc:
-            raise FitError(f"malformed parameter document: missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FitError(f"malformed parameter document: bad value ({exc})") from exc
 
 
 MODE_AWARE = "aware"
@@ -191,42 +174,6 @@ class ProbModel:
         if not isinstance(self.params, LogisticParams):
             raise FitError(f"model mode {self.mode!r} has per-group parameters")
         return self.params
-
-    def to_dict(self) -> dict:
-        if self.mode == MODE_AWARE:
-            payload = {"groups": {str(a): p.to_dict() for a, p in sorted(self.params.items())}}
-        else:
-            payload = {"params": self.single_params().to_dict()}
-        return {"mode": self.mode, **payload}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbModel":
-        try:
-            mode = data["mode"]
-            if mode == MODE_AWARE:
-                groups = {
-                    int(a): LogisticParams.from_dict(p) for a, p in data["groups"].items()
-                }
-                return cls(mode=mode, params=groups)
-            if mode in (MODE_BLIND_Y, MODE_BLIND_A):
-                return cls(mode=mode, params=LogisticParams.from_dict(data["params"]))
-        except KeyError as exc:
-            raise FitError(f"malformed model document: missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise FitError(f"malformed model document: bad value ({exc})") from exc
-        raise FitError(f"unknown estimator mode {mode!r}")
-
-
-def save_prob_model(model: ProbModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_prob_model(path: str | Path) -> ProbModel:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise FitError(f"malformed model document: {exc}") from exc
-    return ProbModel.from_dict(data)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -354,8 +301,8 @@ def fit_group_models(
     """Fit the regression function a pipeline needs.
 
     ``aware`` fits one logistic model per group for P(Y=1 | x, a) and needs
-    every (a, y) cell populated; ``blind_y`` fits P(Y=1 | x) on all rows;
-    ``blind_a`` fits P(A=1 | x) with the group id as the target.
+    every (a, y) cell populated; ``blind_a`` fits P(A=1 | x) with the group
+    id as the target.  fit_logistic fits the label regression P(Y=1 | x).
     """
     if len(dataset) == 0:
         raise FitError("cannot fit on an empty dataset")
@@ -371,11 +318,6 @@ def fit_group_models(
                 dataset.x[pick], dataset.y[pick], dataset.weight[pick], config
             )
         return ProbModel(mode=MODE_AWARE, params=per_group)
-    if mode == MODE_BLIND_Y:
-        for y in (0, 1):
-            if not (dataset.y == y).any():
-                raise FitError(f"label regression needs rows with y={y}")
-        return fit_logistic(dataset, config)
     if mode == MODE_BLIND_A:
         for a in (0, 1):
             if not (dataset.a == a).any():

@@ -1,11 +1,10 @@
 """Solvers for composite fairness targets.
 
-Three extensions of the single-measure machinery:
+Two extensions of the single-measure machinery:
 
 - equalized odds: control opportunity and predictive-equality differences
   simultaneously with a two-parameter family of group thresholds;
-- perfect demographic parity for a K-group protected attribute;
-- cost-sensitive thresholds for asymmetric misclassification costs.
+- perfect demographic parity for a K-group protected attribute.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .core import DisparityKind, DomainError, GroupStats, bilinear_coeffs
+from .core import DomainError, GroupStats
 from .solver import DEFAULT_TOL, BracketError, SolverError, bisect
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "eqodds_risk",
     "solve_eqodds",
     "solve_multiclass_dp",
-    "cost_sensitive_threshold",
 ]
 
 
@@ -357,23 +355,3 @@ def solve_multiclass_dp(
     return MulticlassThresholds(
         t=tuple(t), thresholds=thresholds, acceptance=acceptance, s_star=s_star
     )
-
-
-def cost_sensitive_threshold(
-    kind: DisparityKind, stats: GroupStats, a: int, t: float, c: float
-) -> float:
-    """Group threshold under misclassification cost c for false positives.
-
-    Solves eta > c + t * w(eta, a) for the affine weight w, giving
-    (c + t*b_a) / (1 - t*s_a).  At c=1/2 this equals the plain threshold at
-    the doubled parameter 2t.
-    """
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"cost parameter must lie in (0, 1), got {c!r}")
-    spec = bilinear_coeffs(kind, stats)
-    denom = 1.0 - t * spec.s[a]
-    if denom <= 0.0:
-        raise DomainError(
-            f"cost-sensitive denominator {denom!r} <= 0 for {kind.name} group {a} at t={t!r}"
-        )
-    return (c + t * spec.b[a]) / denom

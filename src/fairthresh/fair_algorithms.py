@@ -101,6 +101,8 @@ class FairFitConfig:
             raise DisparityError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DisparityError(f"tol must be positive, got {self.tol!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DisparityError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def mode(self) -> str:
@@ -316,7 +318,6 @@ class _CurveState:
         self.dataset = dataset
         self.config = config
         self.stats = GroupStats.from_labels(dataset.a, dataset.y)
-        self.calls = 0
         self.clamped = False
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
@@ -367,9 +368,8 @@ def _fuds_eval(state: _CurveState, t: float) -> float:
     d = _train_disparity(state, _decision_values(model, state.dataset))
     state.payload[t] = (model, targets)
     state.trace.append(
-        {"call": state.calls, "t": t, "disparity": d, "cell_counts": _cells_json(targets)}
+        {"call": len(state.trace), "t": t, "disparity": d, "cell_counts": _cells_json(targets)}
     )
-    state.calls += 1
     return d
 
 
@@ -384,8 +384,7 @@ def _fcsc_eval(state: _CurveState, t: float) -> float:
     model = _fit_learner(state, data)
     d = _train_disparity(state, _decision_values(model, state.dataset))
     state.payload[t] = (model, table)
-    state.trace.append({"call": state.calls, "t": t, "disparity": d})
-    state.calls += 1
+    state.trace.append({"call": len(state.trace), "t": t, "disparity": d})
     return d
 
 
@@ -412,8 +411,7 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
 
 def _fpir_eval(state: _CurveState, t: float) -> float:
     d = _train_disparity(state, _plug_in_decisions(state.score, state.w, t))
-    state.trace.append({"call": state.calls, "t": t, "disparity": d})
-    state.calls += 1
+    state.trace.append({"call": len(state.trace), "t": t, "disparity": d})
     return d
 
 

@@ -42,7 +42,6 @@ from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
 
 __all__ = [
     "GaussianModel",
-    "PsiEvaluator",
     "FairThresholdRule",
     "eta",
     "exact_prob_model",
@@ -160,19 +159,6 @@ def load_model(path: str | Path) -> GaussianModel:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DomainError(f"malformed model document: {exc}") from exc
     return GaussianModel.from_dict(data)
-
-
-@dataclass(frozen=True)
-class PsiEvaluator:
-    """Per-cell maps t -> psi_ay(t), the CDF of eta_a(X) given (A, Y) = (a, y)."""
-
-    model: GaussianModel
-
-    def __call__(self, a: int, y: int, t: float) -> float:
-        return psi(self.model, a, y, t)
-
-    def survival(self, a: int, y: int, tau: float) -> float:
-        return self.model.survival(a, y, tau)
 
 
 def eta(model: GaussianModel, a: int, x: np.ndarray) -> float | np.ndarray:
@@ -319,10 +305,6 @@ class FairThresholdRule:
     risk: float
     disparity: float
     solve: SolveResult
-
-    def accept(self, model: GaussianModel, x: np.ndarray, a: int) -> np.ndarray:
-        """Apply the rule: accept rows whose eta_a exceeds the group threshold."""
-        return np.asarray(eta(model, a, x)) > self.thresholds[a]
 
 
 def theoretical_fair_classifier(

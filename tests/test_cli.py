@@ -61,6 +61,11 @@ def write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture(scope="module")
 def model():
     return default_model()
@@ -455,7 +460,7 @@ class TestCmdFrontier:
         assert code == 0
         raw = out.read_bytes()
         assert raw.count(b"\r\n") == 21  # header + 20 rows, CRLF line ends
-        rows = list(csv.reader(out.open(newline="")))
+        rows = read_rows(out)
         assert rows[0] == ["delta", "t", "accuracy", "dd", "do", "pd"]
         assert len(rows) == 21
         accuracies = [float(r[2]) for r in rows[1:]]
@@ -484,7 +489,7 @@ class TestCmdFrontier:
         expected = trace_pareto(
             curve, lambda t: risk_closed(model, DisparityKind.DO, t), deltas
         )
-        rows = list(csv.reader(out.open(newline="")))[1:]
+        rows = read_rows(out)[1:]
         for row, ref in zip(rows, expected):
             assert float(row[0]) == ref.delta
             assert float(row[1]) == ref.t
@@ -511,7 +516,7 @@ class TestCmdFrontier:
             )
             == 0
         )
-        rows = list(csv.reader(out.open(newline="")))[1:]
+        rows = read_rows(out)[1:]
         assert len(rows) == 2
         assert float(rows[0][1]) > 0.0  # binding budget moves the parameter
         assert float(rows[1][1]) == 0.0  # slack budget keeps the plain rule
@@ -537,7 +542,7 @@ class TestCmdFrontier:
             str(out),
         ]
         assert main(args) == 0
-        rows = list(csv.reader(out.open(newline="")))[1:]
+        rows = read_rows(out)[1:]
         assert len(rows) == 3
         accuracies = [float(r[2]) for r in rows]
         assert accuracies[0] <= accuracies[2] + 0.02  # tighter budget costs accuracy
@@ -569,7 +574,7 @@ class TestCmdFrontier:
         cli = fairthresh.cli
         spec = cli._spec_from_args(cli._build_parser().parse_args(argv))
         train, test, _ = cli._load_source(spec)
-        rows = list(csv.reader(out.open(newline="")))[1:]
+        rows = read_rows(out)[1:]
         for index, (delta, row) in enumerate(zip(spec.delta_grid, rows, strict=True)):
             config = cli._pipeline_config(spec, delta, cli._frontier_child_seed(spec.seed, index))
             classifier, t_hat, _ = run_fpir(train, config)
@@ -597,7 +602,7 @@ class TestCmdFrontier:
             ]
         )
         assert code == 0
-        rows = list(csv.reader(out.open(newline="")))
+        rows = read_rows(out)
         assert len(rows) == 2
 
     def test_blind_closed_frontier_rejected(self, data_dir, capsys):

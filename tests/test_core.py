@@ -51,7 +51,6 @@ class TestGroupStats:
     def test_valid_cells(self, table_stats):
         assert table_stats.p_group(1) == pytest.approx(0.70)
         assert table_stats.p_group(0) == pytest.approx(0.30)
-        assert table_stats.p_label(1) == pytest.approx(0.61)
 
     def test_rejects_zero_cell(self):
         with pytest.raises(DisparityError):

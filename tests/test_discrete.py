@@ -1,10 +1,10 @@
 """Tests for the exact finite-support solver.
 
-Oracles first: weight coefficients and boundary ratios are re-derived from
-their definitions in rational arithmetic, optima are cross-checked against
-the in-package exhaustive oracle and against large samples of random
-feasible classifiers, and every frozen value is asserted as an exact
-fraction of the binary inputs.
+Oracles first: weight coefficients are re-derived from their definitions
+in rational arithmetic, optima are cross-checked against the in-package
+exhaustive oracle and against large samples of random feasible
+classifiers, and every frozen value is asserted as an exact fraction of
+the binary inputs.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from fairthresh.discrete import (
     RandomizedClassifier,
     brute_force_oracle,
     disparity_exact,
-    dmin_dmax,
     risk_exact,
     solve_breakpoints,
     solve_randomized,
@@ -45,18 +44,6 @@ def oracle_coeffs(kind: DisparityKind, stats: GroupStats) -> tuple[tuple[Fractio
     if kind is DisparityKind.DO:
         return (-1 / p01, 1 / p11), (Fraction(0), Fraction(0))
     return (1 / p00, -1 / p10), (-1 / p00, 1 / p10)
-
-
-def oracle_ratios(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -> list[Fraction]:
-    """Exact boundary ratios (2*eta - 1) / w of the atoms with nonzero weight."""
-    (s0, s1), (b0, b1) = oracle_coeffs(kind, stats)
-    out = set()
-    for a, _, e in dist.atoms:
-        ef = Fraction(e)
-        w = (s1 * ef + b1) if a == 1 else (s0 * ef + b0)
-        if w != 0:
-            out.add((2 * ef - 1) / w)
-    return sorted(out)
 
 
 def bayes_risk(dist: FiniteDistribution) -> Fraction:
@@ -86,10 +73,8 @@ def random_instance(rng: random.Random, n_max: int = 6, dyadic: bool = False) ->
 
 TWO_ATOM = FiniteDistribution([(1, 0.5, 0.8), (0, 0.5, 0.4)])
 E1, E0 = Fraction(0.8), Fraction(0.4)
-# Exact boundary ratios of the two-atom instance under the demographic
-# measure: group weights are exactly +2 and -2 because the implied group
-# masses are exactly one half.
-Q1 = (2 * E1 - 1) / 2
+# Exact boundary ratio of the group-0 atom under the demographic measure:
+# its weight is exactly -2 because the implied group mass is exactly one half.
 Q0 = (1 - 2 * E0) / 2
 
 
@@ -104,8 +89,6 @@ class TestFiniteDistribution:
         assert stats.p10 == (1 - 0.8) / 2
         assert stats.p01 == 0.2
         assert stats.p00 == (1 - 0.4) / 2
-        assert TWO_ATOM.group_mass(0) == Fraction(1, 2)
-        assert TWO_ATOM.group_mass(1) == Fraction(1, 2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -156,69 +139,6 @@ class TestRiskExact:
             Fraction(0),
         )
         assert risk_exact(dist, f) == want
-
-
-# ---------------------------------------------------------------------------
-# Disparity envelope
-
-
-class TestEnvelope:
-    def test_two_atom_steps(self):
-        stats = TWO_ATOM.implied_stats()
-        kind = DisparityKind.DD
-
-        def env(t):
-            return dmin_dmax(TWO_ATOM, kind, stats, t)
-
-        # Flat before the first boundary, a one-atom gap at each boundary,
-        # flat between and after.
-        assert env(Q0 - Fraction(1, 100)) == (1, 1)
-        assert env(Q0) == (0, 1)
-        assert env((Q0 + Q1) / 2) == (0, 0)
-        assert env(Q1) == (-1, 0)
-        assert env(Q1 + Fraction(1, 100)) == (-1, -1)
-
-    def test_gap_is_boundary_mass_times_weight(self):
-        stats = TWO_ATOM.implied_stats()
-        lo, hi = dmin_dmax(TWO_ATOM, DisparityKind.DD, stats, Q1)
-        assert hi - lo == Fraction(0.5) * 2
-
-    def test_step_continuity_random(self):
-        rng = random.Random(90125)
-        eps = Fraction(1, 10**9)
-        checked = 0
-        for _ in range(25):
-            dist = random_instance(rng, n_max=6)
-            stats = dist.implied_stats()
-            for kind in DisparityKind:
-                ratios = oracle_ratios(dist, kind, stats)
-                for i, r in enumerate(ratios):
-                    near_prev = i > 0 and r - ratios[i - 1] <= 2 * eps
-                    near_next = i + 1 < len(ratios) and ratios[i + 1] - r <= 2 * eps
-                    if near_prev or near_next:
-                        continue
-                    at = dmin_dmax(dist, kind, stats, r)
-                    right = dmin_dmax(dist, kind, stats, r + eps)
-                    left = dmin_dmax(dist, kind, stats, r - eps)
-                    assert right[0] == at[0]  # lower envelope right-continuous
-                    assert left[1] == at[1]  # upper envelope left-continuous
-                    assert left[0] == at[1]  # left limit of lower = upper
-                    checked += 1
-        assert checked > 100
-
-    def test_monotone_on_grid(self):
-        rng = random.Random(3551)
-        for _ in range(10):
-            dist = random_instance(rng)
-            stats = dist.implied_stats()
-            for kind in DisparityKind:
-                grid = [Fraction(k, 10) - 3 for k in range(61)]
-                values = [dmin_dmax(dist, kind, stats, t) for t in grid]
-                for (lo_a, hi_a), (lo_b, hi_b) in zip(values, values[1:]):
-                    assert lo_b <= lo_a
-                    assert hi_b <= hi_a
-                for lo, hi in values:
-                    assert lo <= hi
 
 
 # ---------------------------------------------------------------------------

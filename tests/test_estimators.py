@@ -22,11 +22,9 @@ from fairthresh.estimators import (
     ProbModel,
     fit_group_models,
     fit_logistic,
-    load_prob_model,
     nll,
     nll_gradient,
     predict_proba,
-    save_prob_model,
 )
 from fairthresh.gaussian import default_model, eta, sample
 
@@ -70,8 +68,14 @@ class TestDatasetValidation:
             LabeledDataset(x=np.zeros((4, 2)), a=np.zeros(3), y=np.zeros(4))
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(FitError, match="labels"):
-            LabeledDataset(x=np.zeros((2, 1)), a=np.zeros(2), y=np.array([0, 2]))
+        for label in (2, 0.5):
+            with pytest.raises(FitError, match="labels"):
+                LabeledDataset(x=np.zeros((2, 1)), a=np.zeros(2), y=np.array([0, label]))
+
+    @pytest.mark.parametrize("group", [2, -1, 0.5, np.nan])
+    def test_rejects_group_ids_other_than_0_and_1(self, group):
+        with pytest.raises(FitError, match="group ids must be 0 or 1"):
+            LabeledDataset(x=np.zeros((3, 1)), a=np.array([0, 1, group]), y=np.zeros(3))
 
     def test_rejects_negative_weights(self):
         with pytest.raises(FitError, match="weights"):
@@ -221,24 +225,11 @@ class TestFitGroupModels:
         preds = predict_proba(fitted, x)
         assert float(np.max(np.abs(preds - share))) <= 0.02
 
-    def test_blind_label_mode_matches_fit_logistic(self, rng):
-        ds = random_dataset(rng, n=120)
-        via_modes = fit_group_models(ds, MODE_BLIND_Y).single_params()
-        direct = fit_logistic(ds).single_params()
-        assert via_modes.intercept == direct.intercept
-        assert np.array_equal(via_modes.coef, direct.coef)
-
     def test_missing_cell_named_in_error(self, rng):
         ds = random_dataset(rng, n=40)
         only_group_1 = ds.subset(ds.a == 1)
         with pytest.raises(FitError, match=r"cell \(a=0, y=0\)"):
             fit_group_models(only_group_1, MODE_AWARE)
-
-    def test_single_label_rejected_for_label_mode(self, rng):
-        ds = random_dataset(rng, n=40)
-        only_positive = ds.subset(ds.y == 1)
-        with pytest.raises(FitError, match="y=0"):
-            fit_group_models(only_positive, MODE_BLIND_Y)
 
     def test_single_group_rejected_for_group_mode(self, rng):
         ds = random_dataset(rng, n=40)
@@ -310,35 +301,19 @@ class TestPredictProba:
         assert np.array_equal(predict_proba(single, xs, groups), predict_proba(model, xs, groups))
         assert predict_proba(single, xs, groups) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_wrong_feature_width(self, width):
+        train = sample(default_model(), 2_000, seed=11)
+        x = np.zeros((4, width))
+        aware = fit_group_models(train, MODE_AWARE)
+        with pytest.raises(FitError, match=f"x has {width} features, the model was fitted on 2"):
+            predict_proba(aware, x, np.zeros(4, dtype=int))
+        with pytest.raises(FitError, match=f"x has {width} features, the model was fitted on 2"):
+            predict_proba(fit_logistic(train), x)
+
     def test_outputs_strictly_inside_unit_interval(self):
         params = LogisticParams(0.0, np.array([50.0]), np.zeros(1), np.ones(1))
         model = ProbModel(mode=MODE_BLIND_Y, params=params)
         hi = predict_proba(model, np.array([10.0]))
         lo = predict_proba(model, np.array([-10.0]))
         assert 0.0 < lo < hi < 1.0
-
-
-class TestSerialization:
-    def test_blind_round_trip(self, rng, tmp_path):
-        model = fit_logistic(random_dataset(rng, n=50))
-        path = tmp_path / "blind.json"
-        save_prob_model(model, path)
-        loaded = load_prob_model(path)
-        assert loaded.mode == model.mode
-        xs = rng.normal(size=(5, 3))
-        assert np.array_equal(predict_proba(loaded, xs), predict_proba(model, xs))
-
-    def test_aware_round_trip(self, rng, tmp_path):
-        model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
-        path = tmp_path / "aware.json"
-        save_prob_model(model, path)
-        loaded = load_prob_model(path)
-        xs = rng.normal(size=(5, 3))
-        for a in (0, 1):
-            assert np.array_equal(predict_proba(loaded, xs, a), predict_proba(model, xs, a))
-
-    def test_malformed_document_rejected(self):
-        with pytest.raises(FitError, match="malformed"):
-            ProbModel.from_dict({"mode": MODE_AWARE})
-        with pytest.raises(FitError, match="unknown"):
-            ProbModel.from_dict({"mode": "nonsense", "params": {}})

@@ -20,12 +20,10 @@ from fairthresh.core import (
     DomainError,
     GroupStats,
     bilinear_coeffs,
-    natural_domain,
     threshold,
 )
 from fairthresh.extensions import (
     EqOddsThresholds,
-    cost_sensitive_threshold,
     eqodds_disparities,
     eqodds_group_threshold,
     eqodds_risk,
@@ -508,73 +506,3 @@ class TestSolveMulticlassDP:
             solve_multiclass_dp([power_curve(1.0)] * 2, [0.0, 1.0])
         with pytest.raises(SolverError):
             solve_multiclass_dp([power_curve(1.0)] * 2, [0.6, 0.6])
-
-
-# ---------------------------------------------------------------------------
-# Cost-sensitive thresholds
-
-
-class TestCostSensitiveThreshold:
-    def test_zero_parameter_returns_cost(self, table_stats):
-        for kind in DisparityKind:
-            for c in (0.2, 0.5, 0.8):
-                assert cost_sensitive_threshold(kind, table_stats, 0, 0.0, c) == c
-                assert cost_sensitive_threshold(kind, table_stats, 1, 0.0, c) == c
-
-    def test_balanced_cost_frozen(self, table_stats):
-        got = cost_sensitive_threshold(DisparityKind.DD, table_stats, 1, 0.07, 0.5)
-        assert got == pytest.approx(0.6, abs=1e-15)
-        assert got == pytest.approx(
-            threshold(DisparityKind.DD, table_stats, 1, 0.14), abs=1e-14
-        )
-
-    def test_asymmetric_cost_frozen(self, table_stats):
-        # A positive parameter relaxes group 0 under the opportunity
-        # measure: 0.3 / (1 + 0.06/0.12) = 0.2.
-        got = cost_sensitive_threshold(DisparityKind.DO, table_stats, 0, 0.06, 0.3)
-        assert got == pytest.approx(0.2, abs=1e-15)
-
-    @given(
-        stats=stats_strategy,
-        kind=st.sampled_from(list(DisparityKind)),
-        a=st.sampled_from([0, 1]),
-        u=st.floats(-0.95, 0.95),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_balanced_cost_matches_doubled_parameter(self, stats, kind, a, u):
-        lo, hi = natural_domain(kind, stats)
-        t = 0.5 * (u * hi if u >= 0 else -u * lo)
-        assert cost_sensitive_threshold(kind, stats, a, t, 0.5) == pytest.approx(
-            threshold(kind, stats, a, 2.0 * t), abs=1e-12
-        )
-
-    @given(
-        stats=stats_strategy,
-        kind=st.sampled_from(list(DisparityKind)),
-        a=st.sampled_from([0, 1]),
-        u=st.floats(-0.9, 0.9),
-        c_lo=st.floats(0.05, 0.45),
-        c_hi=st.floats(0.55, 0.95),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_monotone_in_cost(self, stats, kind, a, u, c_lo, c_hi):
-        lo, hi = natural_domain(kind, stats)
-        t = 0.5 * (u * hi if u >= 0 else -u * lo)
-        assert cost_sensitive_threshold(kind, stats, a, t, c_lo) < cost_sensitive_threshold(
-            kind, stats, a, t, c_hi
-        )
-
-    def test_cost_bounds_rejected(self, table_stats):
-        for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DomainError):
-                cost_sensitive_threshold(DisparityKind.DD, table_stats, 1, 0.0, bad)
-
-    def test_vanishing_denominator_rejected(self, table_stats):
-        with pytest.raises(DomainError):
-            cost_sensitive_threshold(
-                DisparityKind.PD, table_stats, 0, 1.5 * table_stats.p(0, 0), 0.5
-            )
-        with pytest.raises(DomainError):
-            cost_sensitive_threshold(
-                DisparityKind.DO, table_stats, 0, -1.5 * table_stats.p(0, 1), 0.5
-            )

@@ -39,6 +39,7 @@ from fairthresh.core import (
 from fairthresh import fair_algorithms
 from fairthresh.estimators import (
     MODE_AWARE,
+    FitError,
     LabeledDataset,
     LogisticConfig,
     LogisticParams,
@@ -512,6 +513,11 @@ class TestFairFitConfig:
         with pytest.raises(DisparityError, match="kind"):
             FairFitConfig(kind="dd", delta=0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_rejects_seed_other_than_nonnegative_integer(self, seed):
+        with pytest.raises(DisparityError, match="seed must be a nonnegative integer"):
+            FairFitConfig(kind=DisparityKind.DD, delta=0.1, seed=seed)
+
 
 class TestRunFuds:
     def test_slack_budget_returns_plain_fit(self, train):
@@ -631,6 +637,13 @@ class TestRunFpir:
         cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.0, seed=3)
         _, _, report = run_fpir(train_local, cfg, model=prefit)
         assert abs(report["disparity_at_t_hat"]) <= 0.0
+
+    def test_prefit_model_rejects_data_of_another_feature_width(self, model):
+        train_local = sample(model, 2_000, seed=11)
+        prefit = fit_group_models(train_local, MODE_AWARE)
+        one_column = LabeledDataset(x=train_local.x[:, :1], a=train_local.a, y=train_local.y)
+        with pytest.raises(FitError, match="x has 1 features, the model was fitted on 2"):
+            run_fpir(one_column, FairFitConfig(kind=DisparityKind.DD, delta=0.05), model=prefit)
 
     def test_rejects_blind_prefit_mix(self, train):
         cfg = make_config(BlindKind.DD_X, 0.1)

@@ -24,7 +24,6 @@ from fairthresh.estimators import predict_proba
 from fairthresh.gaussian import (
     DEFAULT_STATS,
     GaussianModel,
-    PsiEvaluator,
     default_model,
     disparity_curve_closed,
     eta,
@@ -289,11 +288,6 @@ class TestPsi:
                 vals = [model.survival(a, y, t) for t in taus]
                 assert all(b <= a_ for a_, b in zip(vals, vals[1:]))
 
-    def test_psi_evaluator_adapter(self, model):
-        ev = PsiEvaluator(model)
-        assert ev(1, 0, 0.4) == psi(model, 1, 0, 0.4)
-        assert ev.survival(0, 1, 0.4) == model.survival(0, 1, 0.4)
-
 
 class TestDisparityCurves:
     def test_identical_groups_have_zero_disparity(self):
@@ -462,13 +456,6 @@ class TestTheoreticalFairClassifier:
                     fresh_sample, fresh_eta, kind, rule.thresholds[0], rule.thresholds[1]
                 )
                 assert abs(emp - delta) <= 0.005
-
-    def test_accept_helper_matches_thresholds(self, model, rng):
-        rule = theoretical_fair_classifier(model, DisparityKind.PD, delta=0.1)
-        xs = rng.normal(size=(50, 2))
-        for a in (0, 1):
-            manual = np.asarray(eta(model, a, xs)) > rule.thresholds[a]
-            assert np.array_equal(rule.accept(model, xs, a), manual)
 
 
 class TestExactProbModel:
