@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -82,6 +82,8 @@ class GroupStats:
     p10: float
     p01: float
     p00: float
+    # Lookup table of p(a, y), built once; kept out of eq, hash and repr.
+    _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = (self.p11, self.p10, self.p01, self.p00)
@@ -90,10 +92,18 @@ class GroupStats:
         total = math.fsum(cells)
         if abs(total - 1.0) > _PROB_TOL:
             raise DisparityError(f"cell probabilities must sum to 1 within {_PROB_TOL}, got {total!r}")
+        table = {(1, 1): self.p11, (1, 0): self.p10, (0, 1): self.p01, (0, 0): self.p00}
+        object.__setattr__(self, "_cells", table)
 
     def p(self, a: int, y: int) -> float:
-        """Cell probability P(A=a, Y=y)."""
-        return getattr(self, f"p{a}{y}")
+        """Cell probability P(A=a, Y=y); a and y are integers 0 or 1."""
+        # Booleans hash like 0 and 1, so they are turned away before the lookup.
+        if not (a is True or a is False or y is True or y is False):
+            try:
+                return self._cells[a, y]
+            except (KeyError, TypeError):
+                pass
+        raise DisparityError(f"no cell (a={a!r}, y={y!r}): group and label must be 0 or 1")
 
     def p_group(self, a: int) -> float:
         """Marginal P(A=a)."""

@@ -31,6 +31,9 @@ __all__ = [
 
 _ORACLE_ATOM_CAP = 12
 
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_UNIT_ENDS = (_ZERO, _ONE)
+
 Rational = Fraction
 
 
@@ -156,11 +159,11 @@ def _accepts(atoms: list[_Atom], t: Fraction, tau_plus: Fraction, tau_minus: Fra
     out = []
     for at in atoms:
         if at.w == 0:
-            out.append(Fraction(1) if at.eta > Fraction(1, 2) else Fraction(0))
+            out.append(_ONE if at.eta > _HALF else _ZERO)
         elif at.w > 0:
-            out.append(Fraction(1) if at.ratio > t else tau_plus if at.ratio == t else Fraction(0))
+            out.append(_ONE if at.ratio > t else tau_plus if at.ratio == t else _ZERO)
         else:
-            out.append(Fraction(1) if at.ratio < t else tau_minus if at.ratio == t else Fraction(0))
+            out.append(_ONE if at.ratio < t else tau_minus if at.ratio == t else _ZERO)
     return tuple(out)
 
 
@@ -281,52 +284,61 @@ def brute_force_oracle(
     atoms = _prepare(dist, kind, stats)
     ratios = sorted({at.ratio for at in atoms if at.ratio is not None})
 
-    candidates: list[Fraction] = [Fraction(0)]
+    candidates: list[Fraction] = [_ZERO]
     if ratios:
         candidates.append(ratios[0] - 1)
         candidates.extend(ratios)
         candidates.extend((a + b) / 2 for a, b in zip(ratios, ratios[1:]))
         candidates.append(ratios[-1] + 1)
 
+    # Terms that do not depend on t: the risk of rejecting every atom, the
+    # atoms with w == 0 (decided by eta alone), and per live atom its
+    # disparity contribution m*w and risk slope m*(1 - 2*eta).
+    fixed_risk = sum((at.mass * at.eta for at in atoms), _ZERO)
+    live = []
+    for at in atoms:
+        slope = at.mass * (1 - 2 * at.eta)
+        if at.w == 0:
+            if at.eta > _HALF:
+                fixed_risk += slope
+        else:
+            live.append((at.w > 0, at.ratio, at.mass * at.w, slope))
+
     best: tuple[Fraction, Fraction, Fraction, Fraction] | None = None  # risk, t, u, v
     for t in candidates:
-        base_risk = sum((at.mass * at.eta for at in atoms), Fraction(0))
-        d0 = Fraction(0)
-        gain_plus = gain_minus = Fraction(0)  # disparity slopes of u, -v
-        cost_plus = cost_minus = Fraction(0)  # risk slopes of u, v
-        for at in atoms:
-            slope = at.mass * (1 - 2 * at.eta)
-            if at.w == 0:
-                if at.eta > Fraction(1, 2):
+        base_risk = fixed_risk
+        d0 = _ZERO
+        gain_plus = gain_minus = _ZERO  # disparity slopes of u, -v
+        cost_plus = cost_minus = _ZERO  # risk slopes of u, v
+        for positive, ratio, mw, slope in live:
+            if positive:
+                if ratio > t:
                     base_risk += slope
-            elif at.w > 0:
-                if at.ratio > t:
-                    base_risk += slope
-                    d0 += at.mass * at.w
-                elif at.ratio == t:
-                    gain_plus += at.mass * at.w
+                    d0 += mw
+                elif ratio == t:
+                    gain_plus += mw
                     cost_plus += slope
             else:
-                if at.ratio < t:
+                if ratio < t:
                     base_risk += slope
-                    d0 += at.mass * at.w
-                elif at.ratio == t:
-                    gain_minus -= at.mass * at.w
+                    d0 += mw
+                elif ratio == t:
+                    gain_minus -= mw
                     cost_minus += slope
 
         vertices: list[tuple[Fraction, Fraction]] = []
-        for u in (Fraction(0), Fraction(1)):
-            for v in (Fraction(0), Fraction(1)):
+        for u in _UNIT_ENDS:
+            for v in _UNIT_ENDS:
                 if abs(d0 + u * gain_plus - v * gain_minus) <= deltaf:
                     vertices.append((u, v))
         for bound in (deltaf, -deltaf):
             if gain_minus != 0:
-                for u in (Fraction(0), Fraction(1)):
+                for u in _UNIT_ENDS:
                     v = (d0 + u * gain_plus - bound) / gain_minus
                     if 0 <= v <= 1:
                         vertices.append((u, v))
             if gain_plus != 0:
-                for v in (Fraction(0), Fraction(1)):
+                for v in _UNIT_ENDS:
                     u = (bound - d0 + v * gain_minus) / gain_plus
                     if 0 <= u <= 1:
                         vertices.append((u, v))

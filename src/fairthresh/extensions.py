@@ -77,14 +77,23 @@ def eqodds_group_threshold(stats: GroupStats, a: int, t1: float, t2: float) -> f
     Reduces to the opportunity-only threshold at t2=0 and the
     predictive-equality-only threshold at t1=0.
     """
+    _check_eqodds_point(stats, t1, t2)
+    return _group_threshold(stats, a, t1, t2)
+
+
+def _check_eqodds_point(stats: GroupStats, t1: float, t2: float) -> None:
     (lo1, hi1), (lo2, hi2) = _eqodds_domain(stats)
     if not (lo1 <= t1 <= hi1 and lo2 <= t2 <= hi2):
         raise DomainError(
             f"(t1, t2) = ({t1!r}, {t2!r}) outside [{lo1!r}, {hi1!r}] x [{lo2!r}, {hi2!r}]"
         )
     # The two rectangle corners where a group denominator vanishes are excluded.
-    if (t1, t2) in {(hi1, lo2), (lo1, hi2)}:
+    if (t1, t2) == (hi1, lo2) or (t1, t2) == (lo1, hi2):
         raise DomainError(f"corner point ({t1!r}, {t2!r}) excluded from the parameter domain")
+
+
+def _group_threshold(stats: GroupStats, a: int, t1: float, t2: float) -> float:
+    """eqodds_group_threshold at a point already checked by _check_eqodds_point."""
     sign = 2 * a - 1
     pa1, pa0 = stats.p(a, 1), stats.p(a, 0)
     denom = 2.0 * pa1 * pa0 + sign * (t2 * pa1 - t1 * pa0)
@@ -103,8 +112,9 @@ def eqodds_disparities(
     Both components are group 1 minus group 0 and monotone non-increasing in
     each parameter.
     """
-    thr1 = eqodds_group_threshold(stats, 1, t1, t2)
-    thr0 = eqodds_group_threshold(stats, 0, t1, t2)
+    _check_eqodds_point(stats, t1, t2)
+    thr1 = _group_threshold(stats, 1, t1, t2)
+    thr0 = _group_threshold(stats, 0, t1, t2)
     do = dists.survival(1, 1, thr1) - dists.survival(0, 1, thr0)
     pd = dists.survival(1, 0, thr1) - dists.survival(0, 0, thr0)
     return do, pd
@@ -112,9 +122,10 @@ def eqodds_disparities(
 
 def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: float) -> float:
     """Misclassification rate of the two-threshold rule."""
+    _check_eqodds_point(stats, t1, t2)
     risk = 0.0
     for a in (0, 1):
-        thr = eqodds_group_threshold(stats, a, t1, t2)
+        thr = _group_threshold(stats, a, t1, t2)
         risk += stats.p(a, 1) * (1.0 - dists.survival(a, 1, thr))
         risk += stats.p(a, 0) * dists.survival(a, 0, thr)
     return risk

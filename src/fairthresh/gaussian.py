@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,8 @@ class GaussianModel:
     mu_00: tuple[float, ...]
     sigma: float
     seed: int | None = None
+    # separation(a) per group, computed once; kept out of eq, hash and repr.
+    _separation: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("mu_11", "mu_10", "mu_01", "mu_00"):
@@ -95,8 +97,12 @@ class GaussianModel:
             raise DomainError(
                 f"sigma must be positive and at most {_MAX_MAGNITUDE:g}, got {self.sigma!r}"
             )
+        separation = {
+            a: float(np.linalg.norm(self.mu(a, 1) - self.mu(a, 0))) for a in (0, 1)
+        }
+        object.__setattr__(self, "_separation", separation)
         for a in (0, 1):
-            if self.separation(a) == 0.0:
+            if separation[a] == 0.0:
                 raise DomainError(f"group {a} has identical class means; eta is constant")
 
     @property
@@ -108,7 +114,10 @@ class GaussianModel:
 
     def separation(self, a: int) -> float:
         """Distance between the two class means of group a."""
-        return float(np.linalg.norm(self.mu(a, 1) - self.mu(a, 0)))
+        try:
+            return self._separation[a]
+        except (KeyError, TypeError):
+            raise DomainError(f"no group {a!r}: groups are 0 and 1") from None
 
     def survival(self, a: int, y: int, tau: float) -> float:
         """P(eta_a(X) > tau | A=a, Y=y), defined on the closed unit interval."""

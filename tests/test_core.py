@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ class TestGroupStats:
     def test_valid_cells(self, table_stats):
         assert table_stats.p_group(1) == pytest.approx(0.70)
         assert table_stats.p_group(0) == pytest.approx(0.30)
+
+    def test_numpy_integer_cells(self, table_stats):
+        assert table_stats.p(np.int64(1), np.int8(0)) == table_stats.p10
+        assert table_stats.p(*np.array([0, 1])) == table_stats.p01
+
+    @pytest.mark.parametrize(
+        "a, y", [(2, 0), (-1, 0), (True, 1), (1, False), (0, 2), (1, -1), ("1", "1"), ([1], 0)]
+    )
+    def test_cell_outside_binary_rejected(self, table_stats, a, y):
+        with pytest.raises(DisparityError, match=re.escape(f"no cell (a={a!r}, y={y!r})")):
+            table_stats.p(a, y)
+
+    def test_lookup_table_out_of_eq_hash_repr(self):
+        one, two = GroupStats(0.49, 0.21, 0.12, 0.18), GroupStats(0.49, 0.21, 0.12, 0.18)
+        object.__setattr__(two, "_cells", {})
+        assert one == two and hash(one) == hash(two)
+        assert repr(two) == "GroupStats(p11=0.49, p10=0.21, p01=0.12, p00=0.18)"
 
     def test_rejects_zero_cell(self):
         with pytest.raises(DisparityError):

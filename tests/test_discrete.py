@@ -276,6 +276,20 @@ class TestBruteForceOracle:
                 risk, _ = brute_force_oracle(dist, kind, stats, 1000.0)
                 assert risk == bayes_risk(dist)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_returned_classifier_attains_its_risk_within_budget(self, delta):
+        # The reported risk is the exact risk of the reported classifier,
+        # and that classifier meets the budget exactly.
+        rng = random.Random(8080)
+        # Scores 0 and 1 give the DO and PD measures zero-weight atoms.
+        edges = FiniteDistribution([(1, 0.25, 0.7), (1, 0.25, 0.0), (0, 0.25, 1.0), (0, 0.25, 0.3)])
+        for dist in [random_instance(rng) for _ in range(25)] + [edges]:
+            stats = dist.implied_stats()
+            for kind in DisparityKind:
+                risk, f = brute_force_oracle(dist, kind, stats, delta)
+                assert risk_exact(dist, f) == risk
+                assert abs(disparity_exact(dist, kind, stats, f)) <= Fraction(delta)
+
     def test_atom_cap(self):
         atoms = [(i % 2, 1 / 13, 0.3 + 0.04 * i) for i in range(13)]
         dist = FiniteDistribution(atoms)

@@ -289,6 +289,46 @@ class TestPsi:
                 assert all(b <= a_ for a_, b in zip(vals, vals[1:]))
 
 
+def psi_at_call_time(model, a, y, t):
+    """psi's formula with the class-mean separation recomputed on every call."""
+    mu1 = np.asarray(getattr(model, f"mu_{a}1"), dtype=float)
+    mu0 = np.asarray(getattr(model, f"mu_{a}0"), dtype=float)
+    sep = float(np.linalg.norm(mu1 - mu0))
+    pa1, pa0 = getattr(model.stats, f"p{a}1"), getattr(model.stats, f"p{a}0")
+    q = t * pa0 / ((1.0 - t) * pa1)
+    z = model.sigma * math.log(q) / sep + (1.0 - 2.0 * y) * sep / (2.0 * model.sigma)
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+class TestCachedSeparation:
+    @pytest.mark.parametrize("seed", [None, 3, 41])
+    def test_psi_and_survival_equal_call_time_formula(self, seed):
+        model = default_model() if seed is None else model_from_seed(seed)
+        for t in np.linspace(0.005, 0.995, 199):
+            for a in (0, 1):
+                for y in (0, 1):
+                    expected = psi_at_call_time(model, a, y, float(t))
+                    assert psi(model, a, y, float(t)) == expected
+                    assert model.survival(a, y, float(t)) == 1.0 - expected
+
+    def test_cache_is_not_part_of_the_model(self, tmp_path):
+        model = default_model()
+        tampered = default_model()
+        object.__setattr__(tampered, "_separation", {0: 1.0, 1: 2.0})
+        assert tampered.separation(1) == 2.0
+        assert tampered == model and hash(tampered) == hash(model)
+        assert repr(tampered) == repr(model)
+        assert tampered.to_dict() == model.to_dict()
+        save_model(model, tmp_path / "model.json")
+        save_model(tampered, tmp_path / "tampered.json")
+        assert (tmp_path / "tampered.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    @pytest.mark.parametrize("a", [2, -1, None])
+    def test_separation_of_unknown_group_rejected(self, a):
+        with pytest.raises(DomainError, match="no group"):
+            default_model().separation(a)
+
+
 class TestDisparityCurves:
     def test_identical_groups_have_zero_disparity(self):
         m = GaussianModel(
