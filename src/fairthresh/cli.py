@@ -30,7 +30,9 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -176,14 +178,15 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
 
     All columns other than the label and protected columns are features and
     must parse as finite reals; rows violating that are reported together
-    with their line numbers. Label and protected values must be 0 or 1.
+    with their line numbers. Label and protected values must be 0 or 1. A
+    leading UTF-8 byte-order mark is dropped.
     """
     path_str = str(path)
     if not Path(path).exists():
         raise IngestError(f"no such file: {path_str}")
     if label_col == protected_col:
         raise IngestError("label and protected columns must differ")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             return _read_rows(reader, path_str, label_col, protected_col)
@@ -193,8 +196,52 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
             raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
 
 
+# Rows converted per chunk. Columns are parsed a chunk at a time, so the
+# peak memory stays near that of the finished arrays.
+_CHUNK_ROWS = 4096
+_BINARY_CELLS = {"0": 0.0, "1": 1.0}
+
+
+def _rows_until_error(reader, failure: list[Exception]) -> Iterator[list[str]]:
+    """Yield the reader's rows; on a read error, keep it in ``failure`` and stop."""
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        failure.append(exc)
+
+
+def _float_or_nan(raw: str) -> float:
+    try:
+        return float(raw.strip())
+    except ValueError:
+        return math.nan
+
+
+def _binary_column(cells: tuple[str, ...]) -> np.ndarray:
+    """A label or protected column as 0.0/1.0, NaN where ``_parse_binary`` raises."""
+    values = list(map(_BINARY_CELLS.get, cells))
+    if None not in values:
+        return np.array(values)
+    parsed = np.array([_float_or_nan(raw) if v is None else v for v, raw in zip(values, cells)])
+    return np.where((parsed == 0.0) | (parsed == 1.0), parsed, math.nan)
+
+
+def _feature_column(cells: tuple[str, ...]) -> list[float]:
+    """A feature column as floats, NaN where a cell does not parse."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return list(map(_float_or_nan, cells))
+
+
 def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> LabeledDataset:
-    """Parse and validate the rows of an open CSV reader."""
+    """Parse and validate the rows of an open CSV reader, one chunk of rows at a time.
+
+    The first line, in file order, with a wrong field count or a bad label or
+    protected value raises (checked in that order within a line). Lines with
+    bad features are reported together, and only when nothing else raised.
+    Blank lines are skipped.
+    """
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -204,51 +251,70 @@ def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> Lab
             raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
         if header.count(col) > 1:
             raise IngestError(f"{path_str}: duplicate column {col!r}")
+    width = len(header)
     label_ix = header.index(label_col)
     group_ix = header.index(protected_col)
-    feature_ix = [i for i in range(len(header)) if i not in (label_ix, group_ix)]
+    feature_ix = [i for i in range(width) if i not in (label_ix, group_ix)]
     if not feature_ix:
         raise IngestError(f"{path_str}: no feature columns besides label and protected")
 
-    features: list[list[float]] = []
-    groups: list[int] = []
-    labels: list[int] = []
+    def parse_chunk(rows: list[list[str]], first_line: int):
+        """(x, a, y, bad feature lines) of one chunk; raises on its first bad line."""
+        wrong = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != width
+        table = [row for row, w in zip(rows, wrong) if not w] if wrong.any() else rows
+        kept = np.flatnonzero(~wrong)
+        cols = list(zip(*table)) or [()] * width
+        labels, groups = _binary_column(cols[label_ix]), _binary_column(cols[group_ix])
+        bad = np.isnan(labels) | np.isnan(groups)
+        flagged = wrong.copy()
+        flagged[kept[bad]] = True
+        for i in np.flatnonzero(flagged):
+            row, lineno = rows[i], first_line + int(i)
+            # Every blank row is flagged: too few fields, or an empty label.
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise IngestError(
+                    f"{path_str} line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            _parse_binary(row[label_ix], label_col, "label", lineno, path_str)
+            _parse_binary(row[group_ix], protected_col, "protected", lineno, path_str)
+        if bad.any():
+            table = [row for row, b in zip(table, bad) if not b]
+            cols = list(zip(*table)) or [()] * width
+            kept, labels, groups = kept[~bad], labels[~bad], groups[~bad]
+        x = np.empty((len(table), len(feature_ix)))
+        for j, c in enumerate(feature_ix):
+            x[:, j] = _feature_column(cols[c])
+        finite = np.isfinite(x).all(axis=1)
+        return x, groups, labels, (first_line + kept[~finite]).tolist()
+
+    failure: list[Exception] = []
+    rows_in = _rows_until_error(reader, failure)
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     bad_lines: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise IngestError(
-                f"{path_str} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        label = _parse_binary(row[label_ix], label_col, "label", lineno, path_str)
-        group = _parse_binary(row[group_ix], protected_col, "protected", lineno, path_str)
-        row_feats = []
-        for i in feature_ix:
-            try:
-                v = float(row[i].strip())
-            except ValueError:
-                v = math.nan
-            row_feats.append(v)
-        if not all(math.isfinite(v) for v in row_feats):
-            bad_lines.append(lineno)
-            continue
-        features.append(row_feats)
-        groups.append(group)
-        labels.append(label)
+    first_line = 2
+    while True:
+        rows = list(islice(rows_in, _CHUNK_ROWS))
+        if rows:
+            x, groups, labels, bad = parse_chunk(rows, first_line)
+            blocks.append((x, groups, labels))
+            bad_lines += bad
+            first_line += len(rows)
+        if failure:
+            raise failure[0]
+        if len(rows) < _CHUNK_ROWS:
+            break
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
         raise IngestError(
             f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
         )
-    if not labels:
+    if not any(len(labels) for _, _, labels in blocks):
         raise IngestError(f"{path_str}: no data rows")
-    return LabeledDataset(
-        x=np.asarray(features, dtype=float),
-        a=np.asarray(groups, dtype=int),
-        y=np.asarray(labels, dtype=int),
-    )
+    x, groups, labels = (np.concatenate(parts) for parts in zip(*blocks))
+    return LabeledDataset(x=x, a=groups.astype(int), y=labels.astype(int))
 
 
 def _split_dataset(

@@ -20,6 +20,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from fairthresh.cli import (
     _check_grid_suite,
 )
 from fairthresh.core import BlindKind, DisparityKind
-from fairthresh.estimators import fit_group_models
+from fairthresh.estimators import FitError, LabeledDataset, fit_group_models
 from fairthresh.fair_algorithms import evaluate, run_fpir
 from fairthresh.gaussian import (
     default_model,
@@ -193,6 +194,14 @@ class TestIngestCsv:
         path.write_text("x0,y,a\n0.5,1,0\n" + "1" * 131_073 + ",0,1\n")
         with pytest.raises(IngestError, match="line 3: malformed CSV.*field limit"):
             ingest_csv(path, "y", "a")
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,a,x0,x1\n1,0,0.5,1.5\n0,1,-0.25,2.0\n")
+        ds = ingest_csv(path, "y", "a")
+        assert ds.y.tolist() == [1, 0]
+        assert ds.a.tolist() == [0, 1]
+        assert ds.x.tolist() == [[0.5, 1.5], [-0.25, 2.0]]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blanks.csv"
@@ -855,8 +864,14 @@ class TestMainDispatch:
             )
 
 
-_DAMAGE = ("single group", "constant feature", "empty cell", "bad cell", "bad byte")
-_BAD_CELLS = ("", " ", "nan", "inf", "-inf", "1e999", "-1", "2", "0.5", "abc", '"', "\x00")
+_DAMAGE = (
+    "single group", "constant feature", "empty cell", "bad cell", "bad byte",
+    "short row", "long row", "blank row",
+)
+_BAD_CELLS = (
+    "", " ", "nan", "inf", "-inf", "1e999", "-1", "2", "0.5", "abc", '"', "\x00",
+    "1e154", "-1e200", "1e150",
+)
 _BAD_BYTES = (b"\xff", b"\xc3", b"\n", b",", b'"', b"\x00", b"-")
 
 
@@ -885,11 +900,244 @@ def fuzzed_csv(draw):
     if "bad cell" in damage:
         row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
         rows[row][col] = draw(st.sampled_from(_BAD_CELLS))
+    if "short row" in damage:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        del row[draw(st.integers(0, len(row) - 1))]
+    if "long row" in damage:
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.sampled_from(("0", "1", ""))))
+    if "blank row" in damage:
+        blank = draw(st.sampled_from(([""], ["  "], ["", "", "", ""])))
+        rows.insert(draw(st.integers(0, len(rows))), blank)
     data = bytearray(("x0,x1,y,a\n" + "".join(",".join(r) + "\n" for r in rows)).encode())
     if "bad byte" in damage:
         at = draw(st.integers(0, len(data)))
         data[at:at] = draw(st.sampled_from(_BAD_BYTES))
     return bytes(data)
+
+
+def _reference_binary(raw, column, what, lineno, path):
+    try:
+        parsed = float(raw.strip())
+    except ValueError:
+        raise IngestError(
+            f"{path} line {lineno}: {what} column {column!r} has non-numeric value {raw!r}"
+        ) from None
+    if parsed not in (0.0, 1.0):
+        raise IngestError(
+            f"{path} line {lineno}: {what} column {column!r} value {raw!r} is not binary"
+        )
+    return int(parsed)
+
+
+def _reference_ingest(path, label_col, protected_col):
+    """The row-at-a-time CSV parser that ingest_csv's column parser replaced.
+
+    It validates each row before it reads the next, so its first error is the
+    first bad line in file order by construction. It opens the file as plain
+    UTF-8, so it keeps a byte-order mark in the first header name.
+    """
+    path_str = str(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return _reference_read_rows(reader, path_str, label_col, protected_col)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
+
+
+def _reference_read_rows(reader, path_str, label_col, protected_col):
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise IngestError(f"{path_str}: empty file (no header row)") from None
+    for col in (label_col, protected_col):
+        if header.count(col) == 0:
+            raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
+        if header.count(col) > 1:
+            raise IngestError(f"{path_str}: duplicate column {col!r}")
+    label_ix = header.index(label_col)
+    group_ix = header.index(protected_col)
+    feature_ix = [i for i in range(len(header)) if i not in (label_ix, group_ix)]
+    if not feature_ix:
+        raise IngestError(f"{path_str}: no feature columns besides label and protected")
+
+    features, groups, labels, bad_lines = [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise IngestError(
+                f"{path_str} line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        label = _reference_binary(row[label_ix], label_col, "label", lineno, path_str)
+        group = _reference_binary(row[group_ix], protected_col, "protected", lineno, path_str)
+        row_feats = []
+        for i in feature_ix:
+            try:
+                v = float(row[i].strip())
+            except ValueError:
+                v = math.nan
+            row_feats.append(v)
+        if not all(math.isfinite(v) for v in row_feats):
+            bad_lines.append(lineno)
+            continue
+        features.append(row_feats)
+        groups.append(group)
+        labels.append(label)
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:20])
+        more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
+        raise IngestError(
+            f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
+        )
+    if not labels:
+        raise IngestError(f"{path_str}: no data rows")
+    return LabeledDataset(
+        x=np.asarray(features, dtype=float),
+        a=np.asarray(groups, dtype=int),
+        y=np.asarray(labels, dtype=int),
+    )
+
+
+def _ingest_outcome(ingest, path):
+    """The dataset an ingest returns, or the (type name, text) of its error."""
+    try:
+        return ingest(path, "y", "a")
+    except (IngestError, FitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_ingest_matches_reference(path):
+    got, want = _ingest_outcome(ingest_csv, path), _ingest_outcome(_reference_ingest, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("x", "a", "y", "weight"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert got.x.flags.c_contiguous
+
+
+def write_feature_rows(path, rows, header="x0,x1,y,a"):
+    """A CSV of the header and the given rows, each one line of text."""
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def good_rows(n, start=0):
+    return [f"{0.25 * i},{-0.5 * i},{(i // 2) % 2},{i % 2}" for i in range(start, start + n)]
+
+
+class TestIngestMatchesRowParser:
+    """ingest_csv against the row-at-a-time reference: same arrays, same error text."""
+
+    @given(data=fuzzed_csv(), chunk=st.sampled_from((1, 2, 3, 7, fairthresh.cli._CHUNK_ROWS)))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_csv(self, data, chunk):
+        # Small chunks put the fuzzed damage on both sides of chunk boundaries.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", chunk):
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(data)
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0.5,1,0", "0.5,0.5,2,0"], "line 3: expected 4 fields, got 3"),
+            (["0.5,0.5,2,0", "0.5,1,0"], "line 3: label column 'y' value '2' is not binary"),
+            (["abc,0.5,2,0"], "line 3: label column 'y' value '2' is not binary"),
+            (["0.5,0.5,x,2"], "line 3: label column 'y' has non-numeric value 'x'"),
+            (["0.5,0.5,1,2"], "line 3: protected column 'a' value '2' is not binary"),
+            (["abc,0.5,1,0", "0.5,0.5,1,0", "0.5,0.5,7,1"], "line 5: label column 'y'"),
+            (["abc,0.5,1,0", "1,2,3"], "line 4: expected 4 fields, got 3"),
+            (["0.5,0.5,1,0,9"], "line 3: expected 4 fields, got 5"),
+        ],
+        ids=[
+            "width-then-label", "label-then-width", "feature-and-label-on-one-line",
+            "non-numeric-label", "protected", "feature-line-then-label-line",
+            "feature-line-then-short-line", "long-line",
+        ],
+    )
+    def test_first_bad_line_wins(self, tmp_path, rows, message):
+        path = write_feature_rows(tmp_path / "bad.csv", good_rows(1) + rows + good_rows(2))
+        with pytest.raises(IngestError, match=re.escape(message)):
+            ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
+
+    def test_binary_cells_parse_as_floats(self, tmp_path):
+        rows = ["0.5,0.5,1.0,0", "0.5,0.5, 1 ,-0", "0.5,0.5,0e0,1.", "0.5,0.5,+1,0"]
+        path = write_feature_rows(tmp_path / "spelled.csv", rows)
+        ds = ingest_csv(path, "y", "a")
+        assert ds.y.tolist() == [1, 1, 0, 1]
+        assert ds.a.tolist() == [0, 0, 1, 0]
+        assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("blank", ["", "  ", ",,,", " , ,\t,"])
+    def test_blank_row_shapes_are_skipped(self, tmp_path, blank):
+        path = write_feature_rows(tmp_path / "blank.csv", [blank, *good_rows(2), blank])
+        assert len(ingest_csv(path, "y", "a")) == 2
+        assert_ingest_matches_reference(path)
+        only_blank = write_feature_rows(tmp_path / "only.csv", [blank, blank])
+        with pytest.raises(IngestError, match="no data rows"):
+            ingest_csv(only_blank, "y", "a")
+
+    @pytest.mark.parametrize(
+        "late_row, late_error",
+        [
+            ("0.\udcff5,0.5,1,0", "not UTF-8 text"),
+            ("1" * 131_073 + ",0.5,1,0", "malformed CSV"),
+        ],
+        ids=["bad-byte", "oversized-field"],
+    )
+    def test_earlier_bad_label_beats_a_later_read_error(self, tmp_path, late_row, late_error):
+        # 600 rows put the late row past the first 8 KB that the text layer decodes.
+        rows = [*good_rows(1), *good_rows(600, start=1), late_row]
+        for bad_label, expected in ((None, late_error), (2, "line 3: label column 'y'")):
+            if bad_label is not None:
+                rows[1] = f"0.5,0.5,{bad_label},0"
+            path = tmp_path / "late.csv"
+            text = "x0,x1,y,a\n" + "".join(row + "\n" for row in rows)
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            with pytest.raises(IngestError, match=expected):
+                ingest_csv(path, "y", "a")
+            assert_ingest_matches_reference(path)
+
+    def test_more_than_twenty_bad_feature_lines(self, tmp_path):
+        rows = [f"bad{i},0.5,1,0" if i % 2 else row for i, row in enumerate(good_rows(60))]
+        path = write_feature_rows(tmp_path / "many.csv", rows)
+        shown = ", ".join(str(n) for n in range(3, 43, 2))
+        with pytest.raises(IngestError, match=re.escape(f"lines {shown} (+10 more)")):
+            ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("label_error", [False, True])
+    def test_bad_lines_across_chunk_boundaries(self, tmp_path, label_error):
+        rows = good_rows(9_000)
+        # Line L holds rows[L - 2]; the first chunk ends on line _CHUNK_ROWS + 1.
+        edge = fairthresh.cli._CHUNK_ROWS + 1
+        for line in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge):
+            rows[line - 2] = "nan,0.5,1,0"
+        rows[edge + 2 - 2] = ",,,"
+        if label_error:
+            rows[2 * edge + 3 - 2] = "0.5,0.5,0.5,0"
+        path = write_feature_rows(tmp_path / "big.csv", rows)
+        expected = (
+            f"line {2 * edge + 3}: label column 'y' value '0.5' is not binary"
+            if label_error
+            else f"lines {edge - 1}, {edge}, {edge + 1}, {2 * edge - 1}, {2 * edge}"
+        )
+        with pytest.raises(IngestError, match=re.escape(expected)):
+            ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
+        rows = [row for row in rows if not row.startswith(("nan", "0.5,0.5,0.5"))]
+        path = write_feature_rows(tmp_path / "big.csv", rows)
+        assert len(ingest_csv(path, "y", "a")) == len(rows) - 1
+        assert_ingest_matches_reference(path)
 
 
 _MODEL_PATHS = (
