@@ -760,20 +760,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, with_out: bool = True, with_tol: bool = True) -> None:
         p.add_argument(
             "--seed",
             type=int,
             default=None,
             help=f"base seed (default: ${SEED_ENV} or 0)",
         )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=DEFAULT_TOL,
-            help="bisection tolerance of fuds, fcsc and closed-form frontiers "
-            "(fpir solves exactly)",
-        )
+        if with_tol:
+            p.add_argument(
+                "--tol",
+                type=float,
+                default=DEFAULT_TOL,
+                help="bisection tolerance of fuds, fcsc and closed-form frontiers "
+                "(fpir solves exactly)",
+            )
         if with_out:
             p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -824,7 +825,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(synthetic)
 
     oracle = sub.add_parser("oracle-check", help="run solver-versus-oracle suites")
-    add_common(oracle, with_out=False)
+    add_common(oracle, with_out=False, with_tol=False)
 
     return parser
 
@@ -834,7 +835,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     fields = {
         "command": args.command,
         "seed": seed,
-        "tol": args.tol,
+        "tol": getattr(args, "tol", DEFAULT_TOL),
         "out": getattr(args, "out", None),
     }
     if args.command in ("fit", "frontier"):

@@ -6,11 +6,13 @@ thresholding cannot hit the disparity budget. The optimum then randomizes
 on the boundary set. This module solves that problem exactly: every float
 input is a binary rational, so all decisions (boundary membership, step
 levels of the disparity envelope, the interpolated acceptance fractions)
-are carried out in ``fractions.Fraction`` arithmetic with zero rounding
-error, and reported risks and disparities are exact rationals.
+are carried out in ``fractions.Fraction`` arithmetic, or in integers over
+a common denominator, with zero rounding error, and reported risks and
+disparities are exact rationals.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,24 +49,30 @@ class FiniteDistribution:
     """
 
     atoms: tuple[tuple[int, float, float], ...]
+    # Exact atoms per (kind, stats), built once by _prepare; kept out of eq,
+    # hash and repr.
+    _prepared: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms) -> None:
-        object.__setattr__(self, "atoms", tuple((int(a), float(m), float(e)) for a, m, e in atoms))
-        groups = {a for a, _, _ in self.atoms}
-        if not self.atoms:
+        atoms = tuple((a, float(m), float(e)) for a, m, e in atoms)
+        if not atoms:
             raise DomainError("distribution needs at least one atom")
-        if not groups <= {0, 1}:
-            raise DomainError(f"group labels must be 0 or 1, got {sorted(groups)}")
-        if groups != {0, 1}:
+        # Checked before the cast, so that int() cannot truncate 0.5 to 0.
+        for a, _, _ in atoms:
+            if a not in (0, 1):
+                raise DomainError(f"group labels must be 0 or 1, got {a!r}")
+        object.__setattr__(self, "atoms", tuple((int(a), m, e) for a, m, e in atoms))
+        if {a for a, _, _ in self.atoms} != {0, 1}:
             raise DomainError("every group needs at least one atom")
         for a, m, e in self.atoms:
-            if m <= 0.0:
-                raise DomainError(f"atom mass {m!r} must be positive")
+            if not (math.isfinite(m) and m > 0.0):
+                raise DomainError(f"atom mass {m!r} must be positive and finite")
             if not 0.0 <= e <= 1.0:
                 raise DomainError(f"atom score {e!r} outside [0, 1]")
         total = sum(Fraction(m) for _, m, _ in self.atoms)
         if abs(total - 1) > Fraction(1, 10**9):
             raise DomainError(f"atom masses sum to {float(total)!r}, expected 1")
+        object.__setattr__(self, "_prepared", {})
 
     def implied_stats(self) -> GroupStats:
         """Cell probabilities induced by the atoms: p_{a,1} = sum of m*eta
@@ -116,18 +124,25 @@ class _Atom:
     mass: Fraction
     eta: Fraction
     w: Fraction
+    mw: Fraction  # mass * w, the atom's disparity contribution when accepted
+    slope: Fraction  # mass * (1 - 2*eta), its risk change when accepted
     ratio: Fraction | None  # (2*eta - 1) / w, None when w == 0
 
 
-def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -> list[_Atom]:
-    (s0, s1), (b0, b1) = _exact_coeffs(kind, stats)
-    out = []
-    for a, m, e in dist.atoms:
-        mf, ef = Fraction(m), Fraction(e)
-        w = (s1 * ef + b1) if a == 1 else (s0 * ef + b0)
-        ratio = (2 * ef - 1) / w if w != 0 else None
-        out.append(_Atom(mass=mf, eta=ef, w=w, ratio=ratio))
-    return out
+def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -> tuple[_Atom, ...]:
+    """The exact atoms of dist under (kind, stats), built once per triple."""
+    key = (kind, stats)
+    atoms = dist._prepared.get(key)
+    if atoms is None:
+        (s0, s1), (b0, b1) = _exact_coeffs(kind, stats)
+        out = []
+        for a, m, e in dist.atoms:
+            mf, ef = Fraction(m), Fraction(e)
+            w = (s1 * ef + b1) if a == 1 else (s0 * ef + b0)
+            ratio = (2 * ef - 1) / w if w != 0 else None
+            out.append(_Atom(mf, ef, w, mw=mf * w, slope=mf * (1 - 2 * ef), ratio=ratio))
+        atoms = dist._prepared[key] = tuple(out)
+    return atoms
 
 
 def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fraction:
@@ -152,10 +167,10 @@ def disparity_exact(
             f"classifier covers {len(classifier.accept)} atoms, distribution has {len(dist.atoms)}"
         )
     atoms = _prepare(dist, kind, stats)
-    return sum((at.mass * at.w * Fraction(f) for at, f in zip(atoms, classifier.accept)), Fraction(0))
+    return sum((at.mw * Fraction(f) for at, f in zip(atoms, classifier.accept)), Fraction(0))
 
 
-def _accepts(atoms: list[_Atom], t: Fraction, tau_plus: Fraction, tau_minus: Fraction) -> tuple[Fraction, ...]:
+def _accepts(atoms: tuple[_Atom, ...], t: Fraction, tau_plus: Fraction, tau_minus: Fraction) -> tuple[Fraction, ...]:
     out = []
     for at in atoms:
         if at.w == 0:
@@ -179,17 +194,16 @@ def solve_randomized(
     exactly on its target. Finite support makes every budget attainable,
     so this never fails.
     """
-    if delta < 0:
-        raise SolverError(f"disparity budget {delta!r} must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
     atoms = _prepare(dist, kind, stats)
-    live = [at for at in atoms if at.w != 0]
-    contrib = [at.mass * at.w for at in live]
+    live = [at for at in atoms if at.ratio is not None]
     # Integer contributions in units of 1/scale keep the sums cheap and exact.
-    scale = math.lcm(*(c.denominator for c in contrib))
+    scale = math.lcm(*(at.mw.denominator for at in live))
     t_star, tau_plus, tau_minus, _ = solve_breakpoints(
         np.array([at.ratio for at in live], dtype=object),
         np.array([at.w > 0 for at in live], dtype=bool),
-        np.array([c.numerator * (scale // c.denominator) for c in contrib], dtype=object),
+        np.array([at.mw.numerator * (scale // at.mw.denominator) for at in live], dtype=object),
         Fraction(delta) * scale,
     )
     return RandomizedClassifier(
@@ -271,87 +285,126 @@ def brute_force_oracle(
     consecutive ratios, and sentinels beyond both ends. At each candidate
     parameter the two per-side boundary fractions form a linear program
     over the unit square cut by the band |disparity| <= delta, whose
-    optimum sits at a vertex; all vertices are enumerated. Exact rational
-    arithmetic end to end.
+    optimum sits at a vertex; all vertices are enumerated. Exact end to
+    end: candidates are compared by their rank among the ratios, sums are
+    integers over one common denominator, and vertex risks are compared by
+    cross-multiplication.
     """
-    if delta < 0:
-        raise SolverError(f"disparity budget {delta!r} must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
     if len(dist.atoms) > _ORACLE_ATOM_CAP:
         raise SolverError(
             f"oracle capped at {_ORACLE_ATOM_CAP} atoms, got {len(dist.atoms)}"
         )
     deltaf = Fraction(delta)
     atoms = _prepare(dist, kind, stats)
-    ratios = sorted({at.ratio for at in atoms if at.ratio is not None})
+    # Live atoms in ratio order, each with the position of its ratio (see
+    # _candidate_positions).
+    live = sorted((at for at in atoms if at.ratio is not None), key=lambda at: at.ratio)
+    ratios: list[Fraction] = []
+    positions = []
+    for at in live:
+        if not ratios or at.ratio != ratios[-1]:
+            ratios.append(at.ratio)
+        positions.append(2 * len(ratios) - 1)
+    candidates = _candidate_positions(ratios)
 
-    candidates: list[Fraction] = [_ZERO]
-    if ratios:
-        candidates.append(ratios[0] - 1)
-        candidates.extend(ratios)
-        candidates.extend((a + b) / 2 for a, b in zip(ratios, ratios[1:]))
-        candidates.append(ratios[-1] + 1)
-
-    # Terms that do not depend on t: the risk of rejecting every atom, the
-    # atoms with w == 0 (decided by eta alone), and per live atom its
-    # disparity contribution m*w and risk slope m*(1 - 2*eta).
+    # Terms that do not depend on t: the risk of rejecting every atom, and
+    # the atoms with w == 0, which eta alone decides.
     fixed_risk = sum((at.mass * at.eta for at in atoms), _ZERO)
-    live = []
-    for at in atoms:
-        slope = at.mass * (1 - 2 * at.eta)
-        if at.w == 0:
-            if at.eta > _HALF:
-                fixed_risk += slope
-        else:
-            live.append((at.w > 0, at.ratio, at.mass * at.w, slope))
+    fixed_risk += sum((at.slope for at in atoms if at.ratio is None and at.eta > _HALF), _ZERO)
+    # Every sum below is an integer count of 1/scale: per live atom its
+    # disparity contribution m*w (positive on the u side) and risk slope.
+    scale = math.lcm(
+        fixed_risk.denominator,
+        deltaf.denominator,
+        *(q.denominator for at in live for q in (at.mw, at.slope)),
+    )
 
-    best: tuple[Fraction, Fraction, Fraction, Fraction] | None = None  # risk, t, u, v
-    for t in candidates:
-        base_risk = fixed_risk
-        d0 = _ZERO
-        gain_plus = gain_minus = _ZERO  # disparity slopes of u, -v
-        cost_plus = cost_minus = _ZERO  # risk slopes of u, v
-        for positive, ratio, mw, slope in live:
-            if positive:
-                if ratio > t:
+    def units(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    terms = [(pos, units(at.mw), units(at.slope)) for pos, at in zip(positions, live)]
+    fixed, budget = units(fixed_risk), units(deltaf)
+
+    # risk numerator, its denominator, candidate index, u and v numerators
+    best = None
+    for index, t in enumerate(candidates):  # t is a position, compared with pos
+        base_risk = fixed
+        # Disparity slopes of u (>= 0) and v (<= 0), and their risk slopes.
+        d0 = gain_plus = gain_minus = 0
+        cost_plus = cost_minus = 0
+        for pos, mw, slope in terms:
+            if mw > 0:
+                if pos > t:
                     base_risk += slope
                     d0 += mw
-                elif ratio == t:
+                elif pos == t:
                     gain_plus += mw
                     cost_plus += slope
             else:
-                if ratio < t:
+                if pos < t:
                     base_risk += slope
                     d0 += mw
-                elif ratio == t:
-                    gain_minus -= mw
+                elif pos == t:
+                    gain_minus += mw
                     cost_minus += slope
 
-        vertices: list[tuple[Fraction, Fraction]] = []
-        for u in _UNIT_ENDS:
-            for v in _UNIT_ENDS:
-                if abs(d0 + u * gain_plus - v * gain_minus) <= deltaf:
-                    vertices.append((u, v))
-        for bound in (deltaf, -deltaf):
-            if gain_minus != 0:
-                for u in _UNIT_ENDS:
-                    v = (d0 + u * gain_plus - bound) / gain_minus
-                    if 0 <= v <= 1:
-                        vertices.append((u, v))
-            if gain_plus != 0:
-                for v in _UNIT_ENDS:
-                    u = (bound - d0 + v * gain_minus) / gain_plus
-                    if 0 <= u <= 1:
-                        vertices.append((u, v))
+        # Vertices (u, v) = (un/den, vn/den) with den > 0.
+        vertices = [
+            (u, v, 1)
+            for u in (0, 1)
+            for v in (0, 1)
+            if abs(d0 + u * gain_plus + v * gain_minus) <= budget
+        ]
+        for bound in (budget, -budget):
+            if gain_minus:  # v solves d0 + u*gain_plus + v*gain_minus == bound
+                for u in (0, 1):
+                    num, den = d0 + u * gain_plus - bound, -gain_minus
+                    if 0 <= num <= den:
+                        vertices.append((u * den, num, den))
+            if gain_plus:  # u solves the same for v at 0 or 1
+                for v in (0, 1):
+                    num, den = bound - d0 - v * gain_minus, gain_plus
+                    if 0 <= num <= den:
+                        vertices.append((num, v * den, den))
 
-        for u, v in vertices:
-            risk = base_risk + u * cost_plus + v * cost_minus
-            if best is None or risk < best[0]:
-                best = (risk, t, u, v)
+        for un, vn, den in vertices:
+            risk = base_risk * den + un * cost_plus + vn * cost_minus
+            if best is None or risk * best[1] < best[0] * den:
+                best = (risk, den, index, un, vn)
 
     if best is None:
         raise SolverError("no feasible randomized classifier found")
-    risk, t, u, v = best
+    risk, den, index, un, vn = best
+    t = _ZERO if index == 0 else _candidate_value(ratios, candidates[index])
+    u, v = Fraction(un, den), Fraction(vn, den)
     classifier = RandomizedClassifier(
         accept=_accepts(atoms, t, u, v), t_star=t, tau_plus=u, tau_minus=v
     )
-    return risk, classifier
+    return Fraction(risk, den * scale), classifier
+
+
+def _candidate_positions(ratios: list[Fraction]) -> list[int]:
+    """The oracle's candidate parameters, in search order, as positions on
+    the line of the k sorted distinct ratios: t = 0, the sentinel below
+    (0), every ratio (2j + 1), every midpoint (2j + 2), the sentinel above
+    (2k). t = 0 takes the position of the ratio it equals, or one between
+    its neighbours."""
+    k = len(ratios)
+    i = bisect.bisect_left(ratios, 0)
+    candidates = [2 * i + 1 if i < k and ratios[i] == 0 else 2 * i]
+    if ratios:
+        candidates += [0, *range(1, 2 * k, 2), *range(2, 2 * k - 1, 2), 2 * k]
+    return candidates
+
+
+def _candidate_value(ratios: list[Fraction], pos: int) -> Fraction:
+    """The parameter of a candidate other than t = 0 at its position."""
+    if pos == 0:
+        return ratios[0] - 1
+    if pos == 2 * len(ratios):
+        return ratios[-1] + 1
+    if pos % 2:
+        return ratios[pos // 2]
+    return (ratios[pos // 2 - 1] + ratios[pos // 2]) / 2

@@ -19,6 +19,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -39,9 +40,11 @@ from fairthresh.cli import (
     cmd_synthetic,
     ingest_csv,
     main,
+    _check_discrete_suite,
     _check_grid_suite,
 )
 from fairthresh.core import BlindKind, DisparityKind
+from fairthresh.discrete import RandomizedClassifier
 from fairthresh.estimators import FitError, LabeledDataset, fit_group_models
 from fairthresh.fair_algorithms import evaluate, run_fpir
 from fairthresh.gaussian import (
@@ -720,6 +723,30 @@ class TestCmdOracleCheck:
         assert failures
         assert re.search(r"model seed \d+ kind=\w+ delta=", failures[0])
 
+    def test_perturbed_exact_solver_fails_named(self, monkeypatch):
+        # A solver that rejects its boundary atoms instead of randomizing
+        # them misses budgets and optima that the oracle reaches.
+        true_solve = fairthresh.cli.solve_randomized
+
+        def unrandomized(dist, kind, stats, delta):
+            f = true_solve(dist, kind, stats, delta)
+            accept = tuple(Fraction(0) if 0 < a < 1 else a for a in f.accept)
+            return RandomizedClassifier(accept=accept, t_star=f.t_star)
+
+        monkeypatch.setattr(fairthresh.cli, "solve_randomized", unrandomized)
+        failures: list[str] = []
+        summary = _check_discrete_suite(0, failures)
+        assert summary.startswith("discrete: 1800 checks")
+        assert failures
+        for line in failures:
+            assert re.fullmatch(
+                r"discrete instance \d+ kind=\w+ delta=[\d.]+: "
+                r"(risk gap|constraint excess) \S+",
+                line,
+            ), line
+        assert any("risk gap" in line for line in failures)
+        assert any("constraint excess" in line for line in failures)
+
 
 _MODEL_COMMANDS = (["fit"], ["frontier", "--delta-grid", "0,0.1"], ["synthetic"])
 
@@ -728,6 +755,14 @@ class TestMainDispatch:
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["train", "--data", "x.csv"])
+
+    def test_oracle_check_takes_no_tol(self, capsys):
+        # oracle-check solves exactly and never bisects, so it has no
+        # tolerance to take.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--tol", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_fit_spec_roundtrip(self, data_dir, tmp_path):
         # cmd_fit is callable directly with a validated ExperimentSpec

@@ -14,11 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fairthresh.core import DisparityKind, DomainError, GroupStats
+from fairthresh.core import DisparityError, DisparityKind, DomainError, GroupStats
 from fairthresh.discrete import (
     FiniteDistribution,
     RandomizedClassifier,
+    _candidate_positions,
+    _candidate_value,
+    _prepare,
     brute_force_oracle,
     disparity_exact,
     risk_exact,
@@ -71,6 +76,128 @@ def random_instance(rng: random.Random, n_max: int = 6, dyadic: bool = False) ->
     return FiniteDistribution(list(zip(groups, masses, etas)))
 
 
+def _reference_candidates(ratios: list[Fraction]) -> list[Fraction]:
+    """0, the sentinel below, the sorted distinct ratios, their midpoints,
+    the sentinel above."""
+    candidates = [Fraction(0)]
+    if ratios:
+        candidates.append(ratios[0] - 1)
+        candidates.extend(ratios)
+        candidates.extend((a + b) / 2 for a, b in zip(ratios, ratios[1:]))
+        candidates.append(ratios[-1] + 1)
+    return candidates
+
+
+def _reference_brute_force_oracle(
+    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float
+) -> tuple[Fraction, tuple[Fraction, ...], Fraction, Fraction, Fraction]:
+    """The exhaustive oracle in Fraction arithmetic alone, as it stood
+    before its sums moved to integers: same candidates, vertices and strict
+    tie-break, with the atoms re-derived from oracle_coeffs. Returns
+    (risk, accept, t, tau_plus, tau_minus)."""
+    deltaf = Fraction(delta)
+    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+    (s0, s1), (b0, b1) = oracle_coeffs(kind, stats)
+    atoms = []  # mass, eta, w, ratio
+    for a, m, e in dist.atoms:
+        mf, ef = Fraction(m), Fraction(e)
+        w = (s1 * ef + b1) if a == 1 else (s0 * ef + b0)
+        atoms.append((mf, ef, w, (2 * ef - 1) / w if w != 0 else None))
+    candidates = _reference_candidates(sorted({ratio for *_, ratio in atoms if ratio is not None}))
+    fixed_risk = sum((m * e for m, e, _, _ in atoms), zero)
+    live = []
+    for m, e, w, ratio in atoms:
+        slope = m * (1 - 2 * e)
+        if w == 0:
+            if e > half:
+                fixed_risk += slope
+        else:
+            live.append((w > 0, ratio, m * w, slope))
+
+    best = None  # risk, t, u, v
+    for t in candidates:
+        base_risk, d0 = fixed_risk, zero
+        gain_plus = gain_minus = zero  # disparity slopes of u, -v
+        cost_plus = cost_minus = zero  # risk slopes of u, v
+        for positive, ratio, mw, slope in live:
+            if positive:
+                if ratio > t:
+                    base_risk += slope
+                    d0 += mw
+                elif ratio == t:
+                    gain_plus += mw
+                    cost_plus += slope
+            else:
+                if ratio < t:
+                    base_risk += slope
+                    d0 += mw
+                elif ratio == t:
+                    gain_minus -= mw
+                    cost_minus += slope
+
+        vertices = []
+        for u in (zero, one):
+            for v in (zero, one):
+                if abs(d0 + u * gain_plus - v * gain_minus) <= deltaf:
+                    vertices.append((u, v))
+        for bound in (deltaf, -deltaf):
+            if gain_minus != 0:
+                for u in (zero, one):
+                    v = (d0 + u * gain_plus - bound) / gain_minus
+                    if 0 <= v <= 1:
+                        vertices.append((u, v))
+            if gain_plus != 0:
+                for v in (zero, one):
+                    u = (bound - d0 + v * gain_minus) / gain_plus
+                    if 0 <= u <= 1:
+                        vertices.append((u, v))
+
+        for u, v in vertices:
+            risk = base_risk + u * cost_plus + v * cost_minus
+            if best is None or risk < best[0]:
+                best = (risk, t, u, v)
+
+    risk, t, u, v = best
+    accept = tuple(
+        (one if e > half else zero) if w == 0
+        else (one if ratio > t else u if ratio == t else zero) if w > 0
+        else (one if ratio < t else v if ratio == t else zero)
+        for _, e, w, ratio in atoms
+    )
+    return risk, accept, t, u, v
+
+
+def assert_oracle_matches_reference(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float) -> None:
+    risk, f = brute_force_oracle(dist, kind, stats, delta)
+    got = (risk, f.accept, f.t_star, f.tau_plus, f.tau_minus)
+    assert got == _reference_brute_force_oracle(dist, kind, stats, delta), (dist, kind, delta)
+    assert all(type(q) is Fraction for q in (risk, *f.accept, f.t_star, f.tau_plus, f.tau_minus))
+
+
+def instance_from(rng: random.Random, etas: list[float]) -> FiniteDistribution:
+    """Dyadic masses over the given scores, both groups present."""
+    n = len(etas)
+    groups = [0, 1] + [rng.randint(0, 1) for _ in range(n - 2)]
+    cuts = sorted(rng.sample(range(1, 64), n - 1))
+    masses = [(b - a) / 64 for a, b in zip([0] + cuts, cuts + [64])]
+    return FiniteDistribution(list(zip(groups, masses, etas)))
+
+
+ORACLE_DELTAS = (0.0, 0.05, 0.3, 1000.0)
+
+
+@st.composite
+def finite_instances(draw) -> FiniteDistribution:
+    """Up to 8 atoms with integer-ratio masses; scores mix the tie-prone
+    and zero-weight values with arbitrary ones."""
+    n = draw(st.integers(2, 8))
+    groups = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    raw = draw(st.lists(st.integers(1, 64), min_size=n, max_size=n))
+    score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+    etas = draw(st.lists(score, min_size=n, max_size=n))
+    return FiniteDistribution([(a, r / sum(raw), e) for a, r, e in zip(groups, raw, etas)])
+
+
 TWO_ATOM = FiniteDistribution([(1, 0.5, 0.8), (0, 0.5, 0.4)])
 E1, E0 = Fraction(0.8), Fraction(0.4)
 # Exact boundary ratio of the group-0 atom under the demographic measure:
@@ -103,6 +230,52 @@ class TestFiniteDistribution:
             FiniteDistribution([(1, 0.5, 1.5), (0, 0.5, 0.5)])
         with pytest.raises(DomainError):
             FiniteDistribution([(1, 0.5, 0.5), (0, 0.4, 0.5)])
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(DomainError, match="positive and finite"):
+            FiniteDistribution([(1, mass, 0.5), (0, 0.5, 0.5)])
+
+    @pytest.mark.parametrize("group", [0.5, 1.9, -0.2, math.nan])
+    def test_fractional_group_id_rejected(self, group):
+        # int() would truncate 0.5 to 0 and 1.9 to 1.
+        with pytest.raises(DomainError, match="group labels must be 0 or 1"):
+            FiniteDistribution([(group, 0.5, 0.5), (0, 0.25, 0.5), (1, 0.25, 0.5)])
+
+    def test_integral_group_ids_become_ints(self):
+        dist = FiniteDistribution([(1.0, 0.5, 0.5), (np.int64(0), 0.5, 0.5)])
+        assert [type(a) for a, _, _ in dist.atoms] == [int, int]
+        assert dist == FiniteDistribution([(1, 0.5, 0.5), (0, 0.5, 0.5)])
+
+    def test_prepared_atoms_out_of_eq_hash_repr(self):
+        dist = FiniteDistribution([(1, 0.5, 0.8), (0, 0.5, 0.4)])
+        before = (hash(dist), repr(dist))
+        stats = dist.implied_stats()
+        solve_randomized(dist, DisparityKind.DD, stats, 0.1)
+        brute_force_oracle(dist, DisparityKind.PD, stats, 0.1)
+        assert dist._prepared
+        assert dist == TWO_ATOM and (hash(dist), repr(dist)) == before == (hash(TWO_ATOM), repr(TWO_ATOM))
+
+    def test_prepare_runs_once_per_kind_and_stats(self):
+        dist = random_instance(random.Random(5))
+        stats = dist.implied_stats()
+        other = GroupStats(p11=0.3, p10=0.2, p01=0.25, p00=0.25)
+        atoms = _prepare(dist, DisparityKind.DO, stats)
+        assert _prepare(dist, DisparityKind.DO, dist.implied_stats()) is atoms
+        assert _prepare(dist, DisparityKind.DD, stats) is not atoms
+        assert _prepare(dist, DisparityKind.DO, other) is not atoms
+        # Each memo entry answers for its own (kind, stats).
+        for kind in DisparityKind:
+            for s in (stats, other):
+                assert_oracle_matches_reference(dist, kind, s, 0.05)
+                f = solve_randomized(dist, kind, s, 0.05)
+                (s0, s1), (b0, b1) = oracle_coeffs(kind, s)
+                want = sum(
+                    (Fraction(m) * ((s1 if a else s0) * Fraction(e) + (b1 if a else b0)) * fa
+                     for (a, m, e), fa in zip(dist.atoms, f.accept)),
+                    Fraction(0),
+                )
+                assert disparity_exact(dist, kind, s, f) == want
 
     def test_classifier_validation(self):
         with pytest.raises(DomainError):
@@ -242,6 +415,12 @@ class TestSolveRandomized:
         with pytest.raises(SolverError):
             solve_randomized(TWO_ATOM, DisparityKind.DD, stats, -0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, delta):
+        stats = TWO_ATOM.implied_stats()
+        with pytest.raises(SolverError, match="must be finite and nonnegative"):
+            solve_randomized(TWO_ATOM, DisparityKind.DD, stats, delta)
+
 
 class TestSolveBreakpoints:
     def test_zero_group_is_named_by_positive_zero(self):
@@ -301,6 +480,12 @@ class TestBruteForceOracle:
         with pytest.raises(SolverError):
             brute_force_oracle(TWO_ATOM, DisparityKind.DD, stats, -1e-9)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, delta):
+        stats = TWO_ATOM.implied_stats()
+        with pytest.raises(SolverError, match="must be finite and nonnegative"):
+            brute_force_oracle(TWO_ATOM, DisparityKind.DD, stats, delta)
+
     def test_beats_random_feasible_classifiers(self):
         # No random-search classifier that clearly satisfies the budget may
         # undercut the oracle: a sampled lower-bound check of optimality.
@@ -328,3 +513,72 @@ class TestBruteForceOracle:
             feasible = np.abs(dis) <= delta - 1e-9
             if feasible.any():
                 assert risk[feasible].min() >= float(oracle_risk) - 1e-9
+
+
+class TestOracleCandidates:
+    @given(
+        st.lists(st.integers(-6, 6), unique=True, max_size=8).map(
+            lambda xs: [Fraction(x, 3) for x in sorted(xs)]
+        )
+    )
+    def test_positions_order_like_the_reference_candidates(self, ratios):
+        # A midpoint is never the oracle's answer: the corner of the ratio
+        # before it classifies the same and comes first. Its position is
+        # checked here, where a misplaced one shows.
+        positions = _candidate_positions(ratios)
+        values = [Fraction(0)] + [_candidate_value(ratios, p) for p in positions[1:]]
+        assert values == _reference_candidates(ratios)
+        for t, p in zip(values, positions):
+            for j, r in enumerate(ratios):
+                assert ((r > t), (r == t)) == ((2 * j + 1 > p), (2 * j + 1 == p))
+
+
+class TestOracleMatchesReference:
+    """brute_force_oracle sums in integers over one denominator; the
+    Fraction-only reference must give the same risk, acceptances, t and
+    boundary fractions exactly."""
+
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["plain", "dyadic"])
+    def test_random_instances(self, dyadic):
+        rng = random.Random(4242 + dyadic)
+        for _ in range(40):
+            dist = random_instance(rng, n_max=8, dyadic=dyadic)
+            stats = dist.implied_stats()
+            for kind in DisparityKind:
+                for delta in ORACLE_DELTAS:
+                    assert_oracle_matches_reference(dist, kind, stats, delta)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [(0.25, 0.5, 0.75), (0.5,), (0.0, 1.0), (0.0, 0.5, 1.0, 0.25)],
+        ids=["tie-prone", "half", "zero-weight", "mixed"],
+    )
+    def test_special_scores(self, scores):
+        # Scores from a small set tie boundary ratios across atoms and
+        # groups; eta = 1/2 puts a ratio at 0, where the t = 0 candidate
+        # sits; eta in {0, 1} gives the DO and PD measures zero-weight atoms.
+        rng = random.Random(str(scores))
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            etas = [rng.choice(scores) if rng.random() < 0.75 else rng.uniform(0.05, 0.95) for _ in range(n)]
+            dist = instance_from(rng, etas)
+            try:
+                stats = dist.implied_stats()
+            except DisparityError:  # an empty cell, e.g. every score 0
+                continue
+            for kind in DisparityKind:
+                for delta in ORACLE_DELTAS:
+                    assert_oracle_matches_reference(dist, kind, stats, delta)
+
+    @given(
+        dist=finite_instances(),
+        kind=st.sampled_from(list(DisparityKind)),
+        delta=st.one_of(st.sampled_from(ORACLE_DELTAS), st.floats(0.0, 2.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_instances(self, dist, kind, delta):
+        try:
+            stats = dist.implied_stats()
+        except DisparityError:
+            assume(False)
+        assert_oracle_matches_reference(dist, kind, stats, delta)
