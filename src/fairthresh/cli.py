@@ -46,7 +46,7 @@ from .discrete import (
     solve_randomized,
 )
 from .estimators import MODE_AWARE, FitError, LabeledDataset, LogisticConfig, fit_group_models
-from .extensions import eqodds_disparities, eqodds_risk, solve_eqodds
+from .extensions import eqodds_risk, solve_eqodds
 from .fair_algorithms import FairFitConfig, evaluate, run_fcsc, run_fpir, run_fuds
 from .gaussian import (
     default_model,
@@ -97,6 +97,11 @@ _GRID_MODEL_SEEDS = tuple(range(101, 111))
 _GRID_DELTAS_CYCLE = (0.0, 0.05, 0.1, 0.15)
 _EQODDS_DELTAS = (0.05, 0.1)
 _EQODDS_TOL = 1e-4
+# Equalized-odds oracle grid: points per axis at each level, the number of
+# levels, and the half-width in cells of each level's window.
+_EQODDS_GRID = 121
+_EQODDS_LEVELS = 3
+_EQODDS_WINDOW = 4
 
 
 class IngestError(DisparityError):
@@ -651,40 +656,42 @@ def _check_grid_suite(failures: list[str]) -> str:
     return f"bisect-grid: {checks} curves, worst |t difference| {worst:.3e}"
 
 
-def _eqodds_grid_oracle(model, stats, delta: float, coarse: int = 121, fine: int = 121):
-    """Best feasible risk on a coarse grid, refined around its argmin."""
+def _eqodds_grid_oracle(model, stats, delta: float) -> float | None:
+    """Least risk of a group-threshold pair (T0, T1) on a grid, with |DO| and
+    |PD| at most delta; None when no grid point meets the budget.
 
-    def best_on(t1s, t2s):
-        top = (None, None, float("inf"))
-        for t1 in t1s:
-            for t2 in t2s:
-                try:
-                    do, pd = eqodds_disparities(model, stats, t1, t2)
-                except DisparityError:
-                    continue
-                if max(abs(do), abs(pd)) > delta + 1e-12:
-                    continue
-                risk = eqodds_risk(model, stats, t1, t2)
-                if risk < top[2]:
-                    top = (t1, t2, risk)
-        return top
-
-    def linspace(lo, hi, n):
-        step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
-
-    lo1, hi1 = -stats.p(0, 1), stats.p(1, 1)
-    lo2, hi2 = -stats.p(1, 0), stats.p(0, 0)
-    t1c, t2c, _ = best_on(linspace(lo1, hi1, coarse), linspace(lo2, hi2, coarse))
-    if t1c is None:
-        return None
-    w1 = 2.0 * (hi1 - lo1) / (coarse - 1)
-    w2 = 2.0 * (hi2 - lo2) / (coarse - 1)
-    _, _, risk = best_on(
-        linspace(max(lo1, t1c - w1), min(hi1, t1c + w1), fine),
-        linspace(max(lo2, t2c - w2), min(hi2, t2c + w2), fine),
-    )
-    return risk
+    The rule accepts group a where eta > T_a. DO, PD and the risk are sums of
+    one term per group, each depending on that group's threshold alone, so
+    one survival call per grid value and cell gives the whole grid as numpy
+    broadcasts. Each level grids a window of a few cells around the previous
+    level's argmin. The grid never passes through the solver's (t1, t2) map.
+    """
+    spans = [(0.0, 1.0), (0.0, 1.0)]
+    best = math.inf
+    for _ in range(_EQODDS_LEVELS):
+        axes = [np.linspace(lo, hi, _EQODDS_GRID) for lo, hi in spans]
+        surv = {
+            (a, y): np.array([model.survival(a, y, T) for T in axes[a].tolist()])
+            for a in (0, 1)
+            for y in (0, 1)
+        }
+        risk_terms = [
+            stats.p(a, 1) * (1.0 - surv[a, 1]) + stats.p(a, 0) * surv[a, 0] for a in (0, 1)
+        ]
+        # Rows index T0, columns T1; both differences are group 1 minus group 0.
+        do = surv[1, 1][None, :] - surv[0, 1][:, None]
+        pd = surv[1, 0][None, :] - surv[0, 0][:, None]
+        risk = risk_terms[0][:, None] + risk_terms[1][None, :]
+        risk[np.maximum(np.abs(do), np.abs(pd)) > delta + 1e-12] = math.inf
+        i, j = np.unravel_index(np.argmin(risk), risk.shape)
+        if risk[i, j] == math.inf:
+            break
+        best = min(best, float(risk[i, j]))
+        spans = []
+        for axis, k in zip(axes, (i, j)):
+            width = _EQODDS_WINDOW * (axis[-1] - axis[0]) / (_EQODDS_GRID - 1)
+            spans.append((max(0.0, axis[k] - width), min(1.0, axis[k] + width)))
+    return best if best < math.inf else None
 
 
 def _check_eqodds_suite(failures: list[str]) -> str:

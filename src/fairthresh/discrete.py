@@ -40,6 +40,22 @@ Rational = Fraction
 
 
 @dataclass(frozen=True)
+class _Terms:
+    """An atom's exact mass and score with its kind-free risk terms."""
+
+    mass: Fraction
+    eta: Fraction
+    held: Fraction  # mass * eta, its risk when rejected
+    slope: Fraction  # mass * (1 - 2*eta), its risk change when accepted
+
+    @classmethod
+    def of(cls, m: float, e: float) -> "_Terms":
+        mf, ef = Fraction(m), Fraction(e)
+        held = mf * ef
+        return cls(mf, ef, held, mf - 2 * held)
+
+
+@dataclass(frozen=True)
 class FiniteDistribution:
     """A finitely supported joint law of (score eta, group A).
 
@@ -49,8 +65,11 @@ class FiniteDistribution:
     """
 
     atoms: tuple[tuple[int, float, float], ...]
-    # Exact atoms per (kind, stats), built once by _prepare; kept out of eq,
-    # hash and repr.
+    # Exact terms per atom and the risk of rejecting every atom, built once
+    # here, and the exact atoms per (kind, stats), built once by _prepare;
+    # all kept out of eq, hash and repr.
+    _terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
+    _reject_risk: Fraction = field(init=False, repr=False, compare=False)
     _prepared: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms) -> None:
@@ -69,19 +88,21 @@ class FiniteDistribution:
                 raise DomainError(f"atom mass {m!r} must be positive and finite")
             if not 0.0 <= e <= 1.0:
                 raise DomainError(f"atom score {e!r} outside [0, 1]")
-        total = sum(Fraction(m) for _, m, _ in self.atoms)
+        terms = tuple(_Terms.of(m, e) for _, m, e in self.atoms)
+        total = sum((t.mass for t in terms), _ZERO)
         if abs(total - 1) > Fraction(1, 10**9):
             raise DomainError(f"atom masses sum to {float(total)!r}, expected 1")
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_reject_risk", sum((t.held for t in terms), _ZERO))
         object.__setattr__(self, "_prepared", {})
 
     def implied_stats(self) -> GroupStats:
         """Cell probabilities induced by the atoms: p_{a,1} = sum of m*eta
         over group a. Raises when a cell is empty (degenerate scores)."""
         cells = {(a, y): Fraction(0) for a in (0, 1) for y in (0, 1)}
-        for a, m, e in self.atoms:
-            mf, ef = Fraction(m), Fraction(e)
-            cells[(a, 1)] += mf * ef
-            cells[(a, 0)] += mf * (1 - ef)
+        for (a, _, _), t in zip(self.atoms, self._terms):
+            cells[(a, 1)] += t.held
+            cells[(a, 0)] += t.mass - t.held
         return GroupStats(
             p11=float(cells[(1, 1)]),
             p10=float(cells[(1, 0)]),
@@ -136,11 +157,10 @@ def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -
     if atoms is None:
         (s0, s1), (b0, b1) = _exact_coeffs(kind, stats)
         out = []
-        for a, m, e in dist.atoms:
-            mf, ef = Fraction(m), Fraction(e)
-            w = (s1 * ef + b1) if a == 1 else (s0 * ef + b0)
-            ratio = (2 * ef - 1) / w if w != 0 else None
-            out.append(_Atom(mf, ef, w, mw=mf * w, slope=mf * (1 - 2 * ef), ratio=ratio))
+        for (a, _, _), t in zip(dist.atoms, dist._terms):
+            w = (s1 * t.eta + b1) if a == 1 else (s0 * t.eta + b0)
+            ratio = (2 * t.eta - 1) / w if w != 0 else None
+            out.append(_Atom(t.mass, t.eta, w, mw=t.mass * w, slope=t.slope, ratio=ratio))
         atoms = dist._prepared[key] = tuple(out)
     return atoms
 
@@ -151,10 +171,10 @@ def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fr
         raise DomainError(
             f"classifier covers {len(classifier.accept)} atoms, distribution has {len(dist.atoms)}"
         )
-    total = Fraction(0)
-    for (a, m, e), f in zip(dist.atoms, classifier.accept):
-        mf, ef = Fraction(m), Fraction(e)
-        total += mf * ((1 - 2 * ef) * Fraction(f) + ef)
+    total = dist._reject_risk
+    for t, f in zip(dist._terms, classifier.accept):
+        if f:
+            total += t.slope * Fraction(f)
     return total
 
 
@@ -311,8 +331,9 @@ def brute_force_oracle(
 
     # Terms that do not depend on t: the risk of rejecting every atom, and
     # the atoms with w == 0, which eta alone decides.
-    fixed_risk = sum((at.mass * at.eta for at in atoms), _ZERO)
-    fixed_risk += sum((at.slope for at in atoms if at.ratio is None and at.eta > _HALF), _ZERO)
+    fixed_risk = dist._reject_risk + sum(
+        (at.slope for at in atoms if at.ratio is None and at.eta > _HALF), _ZERO
+    )
     # Every sum below is an integer count of 1/scale: per live atom its
     # disparity contribution m*w (positive on the u side) and risk slope.
     scale = math.lcm(

@@ -369,10 +369,20 @@ def model_from_seed(
 def default_model() -> GaussianModel:
     """The package's reference synthetic model.
 
-    Selected by scripts/find_default_model.py: the first seed whose model
-    shows large baseline disparity on all three measures (|D(0)| > 0.35),
-    keeps the fair accuracies in a moderate band, and admits equalized odds
-    solutions across a budget grid with grid-oracle agreement. The mean
+    Seed 22 is the first seed of model_from_seed whose model met four
+    criteria:
+
+    1. strong baseline unfairness: |D(0)| > 0.35 for DD, DO and PD;
+    2. delta=0 fair accuracies in [0.68, 0.80] for all three kinds;
+    3. equalized odds solutions at delta in {0.05, 0.1, 0.2} with
+       max(|DO|, |PD|) <= delta + 10 * DEFAULT_TOL (delta=0 is left out:
+       with unequal separation-to-noise ratios the joint equality system
+       has no interior solution);
+    4. at delta in {0.05, 0.1}, solver risk within 1e-4 of a grid oracle.
+
+    Criterion 4 was judged by an earlier oracle that gridded the solver's
+    (t1, t2) parameters; the present group-threshold oracle would take seed
+    9, which that one rejected with no feasible grid point. The mean
     literals are frozen; model_from_seed(22) reproduces them.
     """
     return GaussianModel(

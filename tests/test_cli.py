@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import fairthresh.cli
 import fairthresh.core
+import fairthresh.extensions
 import fairthresh.fair_algorithms
 from fairthresh.cli import (
     ExperimentSpec,
@@ -42,10 +43,12 @@ from fairthresh.cli import (
     main,
     _check_discrete_suite,
     _check_grid_suite,
+    _eqodds_grid_oracle,
 )
 from fairthresh.core import BlindKind, DisparityKind
 from fairthresh.discrete import RandomizedClassifier
 from fairthresh.estimators import FitError, LabeledDataset, fit_group_models
+from fairthresh.extensions import eqodds_risk, solve_eqodds
 from fairthresh.fair_algorithms import evaluate, run_fpir
 from fairthresh.gaussian import (
     default_model,
@@ -746,6 +749,43 @@ class TestCmdOracleCheck:
             ), line
         assert any("risk gap" in line for line in failures)
         assert any("constraint excess" in line for line in failures)
+
+    def test_eqodds_oracle_agrees_with_the_solver(self, model):
+        stats = model.stats
+        for delta in fairthresh.cli._EQODDS_DELTAS:
+            solution = solve_eqodds(model, stats, delta)
+            solver_risk = eqodds_risk(model, stats, solution.t1, solution.t2)
+            grid_risk = _eqodds_grid_oracle(model, stats, delta)
+            # A grid point is a feasible rule, so it cannot beat the optimum.
+            assert grid_risk >= solver_risk - 1e-9
+            assert grid_risk - solver_risk <= 1e-5
+
+    def test_eqodds_oracle_is_independent_of_the_solver_map(self, model, monkeypatch):
+        want = _eqodds_grid_oracle(model, model.stats, 0.05)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle reached the solver's threshold map")
+
+        for name in ("_group_threshold", "eqodds_group_threshold", "eqodds_disparities",
+                     "eqodds_risk"):
+            monkeypatch.setattr(fairthresh.extensions, name, unreachable)
+        monkeypatch.setattr(fairthresh.cli, "eqodds_risk", unreachable)
+        assert _eqodds_grid_oracle(model, model.stats, 0.05) == want
+
+    def test_perturbed_eqodds_threshold_map_fails_named(self, monkeypatch, capsys):
+        # Group 1's threshold moved off the optimal rule: the solver still
+        # meets the budget, at a risk the group-threshold grid undercuts.
+        true_map = fairthresh.extensions._group_threshold
+
+        def shifted(stats, a, t1, t2):
+            thr = true_map(stats, a, t1, t2)
+            return min(1.0, max(0.0, thr + 0.03)) if a == 1 else thr
+
+        monkeypatch.setattr(fairthresh.extensions, "_group_threshold", shifted)
+        code = cmd_oracle_check(ExperimentSpec(command="oracle-check", seed=0))
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(r"^FAIL eqodds delta=[\d.]+: risk gap \S+ versus grid$", out, re.M)
 
 
 _MODEL_COMMANDS = (["fit"], ["frontier", "--delta-grid", "0,0.1"], ["synthetic"])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fairthresh import cli
 from fairthresh.core import DisparityError, DisparityKind, DomainError, GroupStats
 from fairthresh.discrete import (
     FiniteDistribution,
@@ -312,6 +313,29 @@ class TestRiskExact:
             Fraction(0),
         )
         assert risk_exact(dist, f) == want
+
+    def test_oracle_check_cases_match_hand_sum(self):
+        # The 1,800 (instance, kind, budget) cases of oracle-check's discrete
+        # suite: the memoized terms give the same Fraction as the per-atom sum.
+        rng = random.Random(0)
+        checked = 0
+        for _ in range(cli._DISCRETE_INSTANCES):
+            dist = cli._random_finite_instance(rng)
+            stats = dist.implied_stats()
+            for kind in DisparityKind:
+                for delta in cli._DISCRETE_DELTAS:
+                    f = solve_randomized(dist, kind, stats, delta)
+                    want = sum(
+                        (
+                            Fraction(m) * ((1 - 2 * Fraction(e)) * Fraction(fa) + Fraction(e))
+                            for (_, m, e), fa in zip(dist.atoms, f.accept)
+                        ),
+                        Fraction(0),
+                    )
+                    got = risk_exact(dist, f)
+                    assert type(got) is Fraction and got == want
+                    checked += 1
+        assert checked == 1800
 
 
 # ---------------------------------------------------------------------------
