@@ -6,7 +6,8 @@ learner here is a deterministic weighted logistic regression fitted by
 damped Newton steps (iteratively reweighted least squares). Features are
 standardized internally and an intercept is always included. Every fit
 starts from zero and runs to the maximum-likelihood point of its own data,
-so a refit inside a bisection loop depends on nothing but that data.
+so a refit inside a bisection loop depends on nothing but that data.  A dataset
+caches its standardized design ("frame") and shares it with its reweighted copies.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ class LabeledDataset:
     a: np.ndarray
     y: np.ndarray
     weight: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -100,7 +102,13 @@ class LabeledDataset:
         )
 
     def with_weights(self, weight: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(x=self.x, a=self.a, y=self.y, weight=weight)
+        return LabeledDataset(x=self.x, a=self.a, y=self.y, weight=weight, _frames=self._frames)
+
+    def _frame(self, group: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The frame of all rows (group None) or of one group's rows, built once."""
+        if group not in self._frames:
+            self._frames[group] = _standardize(self.x if group is None else self.x[self.a == group])
+        return self._frames[group]
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,9 @@ class LogisticParams:
             raise FitError(
                 f"x has {x2.shape[1]} features, the model was fitted on {len(self.coef)}"
             )
-        xs = (x2 - self.mean) / self.scale
+        return self.standardized_scores((x2 - self.mean) / self.scale)
+
+    def standardized_scores(self, xs: np.ndarray) -> np.ndarray:
         # A row-wise sum, not a BLAS product: a row's score must not depend on
         # how many rows share the call.
         return self.intercept + (xs * self.coef).sum(axis=1)
@@ -181,11 +191,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means and scales of x, and x's design in that frame."""
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    return mean, scale
+    return mean, scale, _design(x, mean, scale)
 
 
 def _design(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -237,9 +248,9 @@ _MAX_HALVINGS = 40
 
 
 def _fit_params(
-    x: np.ndarray, target: np.ndarray, weight: np.ndarray, config: LogisticConfig
+    frame: tuple[np.ndarray, ...], target: np.ndarray, weight: np.ndarray, config: LogisticConfig
 ) -> tuple[LogisticParams, tuple[float, ...]]:
-    """Damped Newton (IRLS) fit in the standardized frame.
+    """Damped Newton (IRLS) fit in a standardized frame.
 
     Each step solves the (d+1)x(d+1) Hessian system and is halved until
     the objective strictly decreases.
@@ -247,14 +258,13 @@ def _fit_params(
     wsum = float(weight.sum())
     if wsum <= 0:
         raise FitError("total sample weight must be positive")
-    mean, scale = _standardize(x)
-    design = _design(x, mean, scale)
+    mean, scale, design = frame
     wn = weight / wsum
     t = target.astype(float)
-    ridge = _ridge(config.l2, x.shape[1])
+    ridge = _ridge(config.l2, len(mean))
 
     theta = np.zeros(design.shape[1])
-    z = np.zeros(len(x))
+    z = np.zeros(len(design))
     softplus = np.logaddexp(0.0, z)
     loss = float(wn @ softplus)
     history = [loss]
@@ -289,7 +299,7 @@ def fit_logistic(dataset: LabeledDataset, config: LogisticConfig = LogisticConfi
     """Weighted logistic regression of the label on the features."""
     if len(dataset) == 0:
         raise FitError("cannot fit on an empty dataset")
-    params, history = _fit_params(dataset.x, dataset.y, dataset.weight, config)
+    params, history = _fit_params(dataset._frame(), dataset.y, dataset.weight, config)
     return ProbModel(mode=MODE_BLIND_Y, params=params, history=history)
 
 
@@ -315,14 +325,14 @@ def fit_group_models(
         for a in (0, 1):
             pick = dataset.a == a
             per_group[a], _ = _fit_params(
-                dataset.x[pick], dataset.y[pick], dataset.weight[pick], config
+                dataset._frame(a), dataset.y[pick], dataset.weight[pick], config
             )
         return ProbModel(mode=MODE_AWARE, params=per_group)
     if mode == MODE_BLIND_A:
         for a in (0, 1):
             if not (dataset.a == a).any():
                 raise FitError(f"group regression needs rows with a={a}")
-        params, history = _fit_params(dataset.x, dataset.a.astype(int), dataset.weight, config)
+        params, history = _fit_params(dataset._frame(), dataset.a, dataset.weight, config)
         return ProbModel(mode=MODE_BLIND_A, params=params, history=history)
     raise FitError(f"unknown estimator mode {mode!r}")
 
@@ -348,3 +358,16 @@ def predict_proba(
         z = np.asarray(model.single_params().scores(x2))
     p = np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
     return p if np.asarray(x).ndim > 1 else float(p[0])
+
+
+def fitted_decisions(model: ProbModel, dataset: LabeledDataset) -> np.ndarray:
+    """predict_proba(model, dataset.x, dataset.a) > 0.5 as floats, scored from
+    the cached frame of dataset (or a reweighted copy) that model was fitted in."""
+    z = np.empty(len(dataset))
+    for g in (0, 1) if model.mode == MODE_AWARE else (None,):
+        mean, _, design = dataset._frame(g)
+        params = model.single_params() if g is None else model.group_params(g)
+        if params.mean is not mean:
+            raise FitError("model was not fitted in this dataset's frame")
+        z[slice(None) if g is None else dataset.a == g] = params.standardized_scores(design[:, 1:])
+    return (_sigmoid(z) > 0.5).astype(float)

@@ -6,8 +6,8 @@ t on the original training rows, where the group ids and labels are
 observed, so the same plug-in estimate drives aware and blind runs alike.
 The pipelines differ in how the classifier at t is produced:
 
-- the resampling pipeline redraws the training set to tilted cell
-  proportions and refits an unconstrained learner, bisecting t;
+- the resampling pipeline weighs each training row by its multiplicity in a
+  draw at tilted cell proportions and refits an unconstrained learner, bisecting t;
 - the cost-reweighting pipeline refits on the original rows with per-cell
   misclassification costs, bisecting t;
 - the plug-in pipeline fits regression estimates once and only moves
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .estimators import (
     ProbModel,
     fit_group_models,
     fit_logistic,
+    fitted_decisions,
     predict_proba,
 )
 from .discrete import solve_breakpoints
@@ -245,18 +246,18 @@ def fuds_cell_counts(
 
 def fuds_resample(
     dataset: LabeledDataset, targets: Mapping[tuple[int, int], int], seed: int
-) -> LabeledDataset:
-    """Resampled dataset with exact per-cell row counts, cells in fixed order.
+) -> np.ndarray:
+    """How many times a resample with exact per-cell row counts draws each row.
 
     A pure function of its arguments.  Each cell takes the first k rows of
     one seeded ordering of its source rows, from a dedicated child stream of
-    the seed: up to the cell's size, a permutation (the rows come back
-    sorted); past it, every source row followed by a with-replacement
-    stream.  So the rows drawn at a smaller count are a sub-multiset of
-    those drawn at a larger one, and counts equal to the cell sizes return
-    the training rows themselves, grouped by cell.
+    the seed: up to the cell's size, a permutation; past it, every source
+    row followed by a with-replacement stream.  So the multiplicities at a
+    smaller count are at most those at a larger one, row by row, and counts
+    equal to the cell sizes draw every row once.  Fitting with the weights
+    scaled by the multiplicities fits the resample without copying rows.
     """
-    parts = []
+    drawn = []
     for child, cell in zip(np.random.SeedSequence(seed).spawn(len(_CELLS)), _CELLS):
         target = int(targets[cell])
         if target < 0:
@@ -268,10 +269,10 @@ def fuds_resample(
             )
         rng = np.random.default_rng(child)
         if target <= source.size:
-            parts.append(np.sort(rng.permutation(source)[:target]))
+            drawn.append(rng.permutation(source)[:target])
         else:
-            parts.append(np.concatenate([source, rng.choice(source, size=target - source.size)]))
-    return dataset.subset(np.concatenate(parts))
+            drawn.append(np.concatenate([source, rng.choice(source, size=target - source.size)]))
+    return np.bincount(np.concatenate(drawn), minlength=len(dataset))
 
 
 def blind_cost_weights(kind: BlindKind, stats: GroupStats, a: int, y: int, t: float) -> float:
@@ -326,12 +327,6 @@ class _CurveState:
         self.w: np.ndarray | None = None
 
 
-def _fit_learner(state: _CurveState, data: LabeledDataset) -> ProbModel:
-    if isinstance(state.config.kind, BlindKind):
-        return fit_logistic(data)
-    return fit_group_models(data, MODE_AWARE)
-
-
 def _measure_cells(
     kind: DisparityKind, a: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,31 +355,32 @@ def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, floa
     return {f"{a}{y}": values[(a, y)] for a, y in _CELLS}
 
 
-def _fuds_eval(state: _CurveState, t: float) -> float:
+def _fuds_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
+    """Draw multiplicities at t; the cell counts go into the report and trace."""
     props = fuds_proportions(state.stats, state.config.kind, t)
     targets = fuds_cell_counts(len(state.dataset), props)
-    data = fuds_resample(state.dataset, targets, state.config.seed)
-    model = _fit_learner(state, data)
-    d = _train_disparity(state, _decision_values(model, state.dataset))
-    state.payload[t] = (model, targets)
-    state.trace.append(
-        {"call": len(state.trace), "t": t, "disparity": d, "cell_counts": _cells_json(targets)}
-    )
-    return d
+    counts = {"cell_counts": _cells_json(targets)}
+    return fuds_resample(state.dataset, targets, state.config.seed), counts, counts
 
 
-def _fcsc_eval(state: _CurveState, t: float) -> float:
+def _fcsc_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
+    """Per-row misclassification costs at t; the cost table goes into the report."""
     kind = state.config.kind
     cost = blind_cost_weights if isinstance(kind, BlindKind) else cost_weights
     table = {(a, y): cost(kind, state.stats, a, y, t) for a, y in _CELLS}
-    w = np.empty(len(state.dataset), dtype=float)
-    for (a, y), c in table.items():
-        w[state.dataset.cell_mask(a, y)] = c
-    data = state.dataset.with_weights(state.dataset.weight * w)
-    model = _fit_learner(state, data)
-    d = _train_disparity(state, _decision_values(model, state.dataset))
-    state.payload[t] = (model, table)
-    state.trace.append({"call": len(state.trace), "t": t, "disparity": d})
+    w = sum(c * state.dataset.cell_mask(*cell) for cell, c in table.items())
+    return w, {"cost_table": _cells_json(table)}, {}
+
+
+def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
+    """Refit on the training rows reweighted by row_weights at t; D at t."""
+    factor, report_extra, trace_extra = row_weights(state, t)
+    data = state.dataset.with_weights(state.dataset.weight * factor)
+    blind = isinstance(state.config.kind, BlindKind)
+    model = fit_logistic(data) if blind else fit_group_models(data, MODE_AWARE)
+    d = _train_disparity(state, fitted_decisions(model, data))
+    state.payload[t] = (model, report_extra)
+    state.trace.append({"call": len(state.trace), "t": t, "disparity": d, **trace_extra})
     return d
 
 
@@ -475,10 +471,10 @@ def _build_curve(
     state = _CurveState(dataset, config)
     dom = natural_domain(config.base_kind, state.stats)
     name = f"{method}-{config.kind.value}"
-    evaluate_at = {"fuds": _fuds_eval, "fcsc": _fcsc_eval, "fpir": _fpir_eval}[method]
+    row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}.get(method)
 
     def fn(t: float) -> float:
-        return evaluate_at(state, t)
+        return _fpir_eval(state, t) if row_weights is None else _refit_eval(state, t, row_weights)
 
     if method == "fuds":
         lo = _clamp_edge(state, dom[0])
@@ -499,8 +495,8 @@ def empirical_curve(
     """The disparity-versus-t curve a pipeline solves, for audits and plots.
 
     Every method's value depends on t alone, not on the points evaluated
-    before it: fuds redraws its resample from the configured seed at each
-    t, fcsc refits from scratch, and fpir moves thresholds on fixed scores.
+    before it: fuds redraws its row multiplicities from the configured seed
+    at each t, fcsc refits from scratch, and fpir moves thresholds on fixed scores.
     """
     return _build_curve(dataset, config, method, model=model)[0]
 
@@ -551,19 +547,24 @@ def _report(
     return report
 
 
+def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
+    curve, state = _build_curve(dataset, config, method)
+    result = solve_threshold(curve, config.delta, config.tol)
+    model, report_extra = state.payload[result.t_star]
+    report = _report(method, state, curve, result, fitted_decisions(model, dataset))
+    report.update(report_extra)
+    return model, result.t_star, report
+
+
 def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel, float, dict]:
-    """Resampling pipeline: bisect t, refitting on tilted resamples.
+    """Resampling pipeline: bisect t, refitting on tilted resamples (the
+    training rows weighted by their draw multiplicities, fuds_resample).
 
     Returns the model fitted at the solved t (decisions threshold its
     predictions at 1/2), the solved t, and a report.  When delta already
     holds at t = 0 the baseline fit is returned without bisection.
     """
-    curve, state = _build_curve(dataset, config, "fuds")
-    result = solve_threshold(curve, config.delta, config.tol)
-    model, targets = state.payload[result.t_star]
-    report = _report("fuds", state, curve, result, _decision_values(model, dataset))
-    report["cell_counts"] = _cells_json(targets)
-    return model, result.t_star, report
+    return _run_refit("fuds", dataset, config)
 
 
 def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel, float, dict]:
@@ -573,12 +574,7 @@ def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
     that includes the final cost table.  At t = 0 every cost is 1/2 and
     the fit coincides with the unconstrained one.
     """
-    curve, state = _build_curve(dataset, config, "fcsc")
-    result = solve_threshold(curve, config.delta, config.tol)
-    model, table = state.payload[result.t_star]
-    report = _report("fcsc", state, curve, result, _decision_values(model, dataset))
-    report["cost_table"] = _cells_json(table)
-    return model, result.t_star, report
+    return _run_refit("fcsc", dataset, config)
 
 
 def run_fpir(
@@ -616,7 +612,6 @@ def _decision_values(classifier, test: LabeledDataset) -> np.ndarray:
         f = np.asarray(classifier(test.x, test.a), dtype=float)
     else:
         raise DisparityError(f"cannot score classifier of type {type(classifier).__name__}")
-    f = np.asarray(f, dtype=float)
     if f.shape != (len(test),):
         raise DisparityError(f"classifier returned shape {f.shape}, expected ({len(test)},)")
     if not np.all(np.isfinite(f)) or np.any((f < 0.0) | (f > 1.0)):

@@ -22,6 +22,7 @@ from fairthresh.estimators import (
     ProbModel,
     fit_group_models,
     fit_logistic,
+    fitted_decisions,
     nll,
     nll_gradient,
     predict_proba,
@@ -248,6 +249,63 @@ class TestFitGroupModels:
         for a in (0, 1):
             assert first.group_params(a).intercept == second.group_params(a).intercept
             assert np.array_equal(first.group_params(a).coef, second.group_params(a).coef)
+
+
+class TestFrameCache:
+    """A dataset's standardized design is built once and never crosses datasets."""
+
+    def test_frames_never_cross_datasets(self, rng):
+        ds = random_dataset(rng, n=60)
+        fit_logistic(ds)
+        fit_group_models(ds, MODE_AWARE)
+        assert set(ds._frames) == {None, 0, 1}
+        reweighted = ds.with_weights(rng.uniform(0.5, 1.5, size=len(ds)))
+        assert reweighted._frames is ds._frames
+        fit_group_models(reweighted, MODE_AWARE)
+        assert set(ds._frames) == {None, 0, 1}
+        for other in (ds.subset(np.arange(30)), LabeledDataset(x=ds.x, a=ds.a, y=ds.y)):
+            assert other._frames == {} and other._frames is not ds._frames
+            params = fit_logistic(other).single_params()
+            assert set(other._frames) == {None} and set(ds._frames) == {None, 0, 1}
+            assert np.array_equal(params.mean, other.x.mean(axis=0))
+            assert params.mean is not ds._frame()[0]
+
+    def test_frame_matches_a_fresh_standardization(self, rng):
+        ds = random_dataset(rng, n=60)
+        for group, rows in ((None, ds.x), (0, ds.x[ds.a == 0]), (1, ds.x[ds.a == 1])):
+            mean, scale, design = ds._frame(group)
+            assert np.array_equal(mean, rows.mean(axis=0))
+            assert np.array_equal(scale, rows.std(axis=0))
+            assert np.array_equal(design[:, 0], np.ones(len(rows)))
+            assert np.array_equal(design[:, 1:], (rows - mean) / scale)
+            assert ds._frame(group) is ds._frame(group)
+
+    @pytest.mark.parametrize("mode", [MODE_AWARE, MODE_BLIND_Y])
+    def test_frame_scored_decisions_equal_predict_proba(self, mode):
+        train = sample(default_model(), 10_000, seed=4244)
+        w = np.random.default_rng(4245).integers(0, 4, size=len(train)).astype(float)
+        data = train.with_weights(w)
+        model = fit_logistic(data) if mode == MODE_BLIND_Y else fit_group_models(data, mode)
+        expected = (predict_proba(model, train.x, train.a) > 0.5).astype(float)
+        assert np.array_equal(fitted_decisions(model, data), expected)
+        assert np.array_equal(fitted_decisions(model, train), expected)
+
+    def test_decisions_need_the_fitting_frame(self, rng):
+        ds = random_dataset(rng, n=60)
+        foreign = fit_group_models(ds.subset(np.arange(50)), MODE_AWARE)
+        with pytest.raises(FitError, match="not fitted in this dataset's frame"):
+            fitted_decisions(foreign, ds)
+
+    def test_reweighted_copy_keeps_weight_checks(self, rng):
+        ds = random_dataset(rng, n=40)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(FitError, match="finite and nonnegative"):
+                ds.with_weights(np.full(len(ds), bad))
+        with pytest.raises(FitError, match="total sample weight must be positive"):
+            fit_group_models(ds.with_weights(np.where(ds.a == 0, 0.0, 1.0)), MODE_AWARE)
+        gutted = ds.subset(~ds.cell_mask(1, 0))
+        with pytest.raises(FitError, match=r"cell \(a=1, y=0\)"):
+            fit_group_models(gutted.with_weights(np.ones(len(gutted))), MODE_AWARE)
 
 
 class TestPredictProba:

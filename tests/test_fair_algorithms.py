@@ -2,20 +2,21 @@
 
 Layout:
 - proportion/count unit tests with hand-computed expectations, and the
-  resample draw checked row by row on a toy dataset whose feature is the
-  row id;
+  resample's per-row draw multiplicities checked on a toy dataset whose
+  feature is the row id;
 - cost-table checks tying the reweighting construction to the threshold
   rule on finite support;
 - end-to-end pipeline runs on the synthetic Gaussian model, compared
   against the closed-form oracle;
-- evaluate() against a hand-tabulated fixture.
+- evaluate() against a hand-tabulated fixture;
+- fuds and fcsc refits against fresh fits on uncached datasets and on
+  materialized resamples.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -68,6 +69,7 @@ from fairthresh.gaussian import (
     sample,
     theoretical_fair_classifier,
 )
+from fairthresh.solver import DisparityCurve, solve_threshold
 
 STATS = GroupStats(p11=0.49, p10=0.21, p01=0.12, p00=0.18)
 ALL_KINDS = (DisparityKind.DD, DisparityKind.DO, DisparityKind.PD)
@@ -258,112 +260,107 @@ class TestFudsCellCounts:
             fuds_cell_counts(10, bad)
 
 
-def drawn_rows(resampled):
-    """Source row ids of a toy-dataset resample, per cell."""
-    ids = resampled.x[:, 0].astype(int)
-    return {c: ids[resampled.cell_mask(*c)] for c in CELLS}
+def drawn_rows(dataset, counts):
+    """Row ids a resample draws, per cell, each repeated by its multiplicity."""
+    return {
+        c: np.repeat(np.flatnonzero(dataset.cell_mask(*c)), counts[dataset.cell_mask(*c)])
+        for c in CELLS
+    }
 
 
 class TestFudsResample:
+    """fuds_resample returns per-row draw multiplicities over the training rows."""
+
     def test_cold_draw_exact_counts(self):
         dataset, _ = toy_dataset()
-        sources = cell_sources(dataset)
         targets = {(1, 1): 5, (1, 0): 3, (0, 1): 7, (0, 0): 2}
-        resampled = fuds_resample(dataset, targets, seed=3)
-        assert len(resampled) == sum(targets.values())
-        for cell, drawn in drawn_rows(resampled).items():
-            assert len(drawn) == targets[cell]
-            assert set(drawn).issubset(set(sources[cell]))
-            assert np.array_equal(drawn, np.unique(drawn))  # sorted, no duplicates
+        counts = fuds_resample(dataset, targets, seed=3)
+        assert counts.shape == (len(dataset),)
+        assert counts.sum() == sum(targets.values())
+        for cell in CELLS:
+            mask = dataset.cell_mask(*cell)
+            assert counts[mask].sum() == targets[cell]
+            assert counts[mask].max() <= 1  # within the cell's size: no repeats
 
     def test_cold_full_recovers_original_rows(self):
-        # The toy rows are already in cell order, so the full-count draw
-        # (the t = 0 resample) is the dataset itself.
-        dataset, counts = toy_dataset()
-        resampled = fuds_resample(dataset, counts, seed=3)
-        assert np.array_equal(resampled.x, dataset.x)
-        assert np.array_equal(resampled.a, dataset.a)
-        assert np.array_equal(resampled.y, dataset.y)
+        # The full-count draw (the t = 0 resample) takes every row once.
+        dataset, sizes = toy_dataset()
+        counts = fuds_resample(dataset, sizes, seed=3)
+        assert np.array_equal(counts, np.ones(len(dataset), dtype=int))
 
     def test_identity_when_targets_unchanged(self):
-        dataset, counts = toy_dataset()
+        dataset, sizes = toy_dataset()
         targets = {(1, 1): 6, (1, 0): 12, (0, 1): 2, (0, 0): 9}
-        first = drawn_rows(fuds_resample(dataset, targets, seed=3))
-        fuds_resample(dataset, counts, seed=3)
+        first = fuds_resample(dataset, targets, seed=3)
+        fuds_resample(dataset, sizes, seed=3)
         fuds_resample(dataset, {c: 1 for c in CELLS}, seed=99)
-        again = drawn_rows(fuds_resample(dataset, targets, seed=3))
-        for cell in CELLS:
-            assert np.array_equal(first[cell], again[cell])
+        assert np.array_equal(fuds_resample(dataset, targets, seed=3), first)
 
     def test_grow_prefers_unseen_rows(self):
-        dataset, counts = toy_dataset()
-        small = drawn_rows(fuds_resample(dataset, {c: 3 for c in CELLS}, seed=4))
-        large = drawn_rows(fuds_resample(dataset, {c: counts[c] - 1 for c in CELLS}, seed=4))
-        for cell in CELLS:
-            # growing within the cell adds rows not drawn yet, keeping the old
-            assert set(small[cell]).issubset(set(large[cell]))
-            assert len(set(large[cell])) == len(large[cell])
+        dataset, sizes = toy_dataset()
+        small = fuds_resample(dataset, {c: 3 for c in CELLS}, seed=4)
+        large = fuds_resample(dataset, {c: sizes[c] - 1 for c in CELLS}, seed=4)
+        # growing within the cell adds rows not drawn yet, keeping the old
+        assert np.all(small <= large)
+        assert large.max() == 1
 
     def test_grow_beyond_source_resamples(self):
-        dataset, counts = toy_dataset()
-        targets = dict(counts)
+        dataset, sizes = toy_dataset()
+        targets = dict(sizes)
         targets[(0, 0)] = 20  # source holds only 9 rows
-        resampled = fuds_resample(dataset, targets, seed=3)
-        drawn = drawn_rows(resampled)[(0, 0)]
-        source = set(cell_sources(dataset)[(0, 0)])
+        counts = fuds_resample(dataset, targets, seed=3)
+        drawn = drawn_rows(dataset, counts)[(0, 0)]
         assert len(drawn) == 20
-        assert set(drawn) == source  # every source row is used before repeats
-        assert min(Counter(drawn).values()) >= 1
-        assert len(resampled) == sum(targets.values())
+        assert set(drawn) == set(cell_sources(dataset)[(0, 0)])  # all used before repeats
+        assert np.all(counts[~dataset.cell_mask(0, 0)] == 1)
+        assert counts.sum() == sum(targets.values())
 
     def test_shrink_keeps_subset(self):
-        dataset, counts = toy_dataset()
-        targets = dict(counts)
+        dataset, sizes = toy_dataset()
+        mask = dataset.cell_mask(0, 1)
+        targets = dict(sizes)
         targets[(0, 1)] = 4
-        kept = drawn_rows(fuds_resample(dataset, targets, seed=6))[(0, 1)]
-        assert len(kept) == 4
-        assert set(kept).issubset(set(cell_sources(dataset)[(0, 1)]))
+        kept = fuds_resample(dataset, targets, seed=6)
+        assert kept[mask].sum() == 4 and kept[mask].max() == 1
         targets[(0, 1)] = 8
-        assert set(kept).issubset(set(drawn_rows(fuds_resample(dataset, targets, seed=6))[(0, 1)]))
+        assert np.all(kept <= fuds_resample(dataset, targets, seed=6))
 
     def test_shrink_then_regrow_bounded_change(self):
         # Shrinking by five and regrowing by three loses exactly two rows
         # per cell against the full draw: the draw at a count does not
         # depend on the draws made before it.
-        dataset, counts = toy_dataset()
-        full = drawn_rows(fuds_resample(dataset, counts, seed=3))
-        fuds_resample(dataset, {c: counts[c] - 5 for c in CELLS}, seed=3)
-        regrown = drawn_rows(fuds_resample(dataset, {c: counts[c] - 2 for c in CELLS}, seed=3))
+        dataset, sizes = toy_dataset()
+        full = fuds_resample(dataset, sizes, seed=3)
+        fuds_resample(dataset, {c: sizes[c] - 5 for c in CELLS}, seed=3)
+        regrown = fuds_resample(dataset, {c: sizes[c] - 2 for c in CELLS}, seed=3)
+        assert np.all(regrown <= full)
         for cell in CELLS:
-            lost = Counter(full[cell]) - Counter(regrown[cell])
-            assert sum(lost.values()) == 2
-            assert not Counter(regrown[cell]) - Counter(full[cell])
+            mask = dataset.cell_mask(*cell)
+            assert (full[mask] - regrown[mask]).sum() == 2
 
     def test_empty_source_with_positive_target(self):
-        dataset, counts = toy_dataset()
-        mask = ~dataset.cell_mask(1, 0)
-        gutted = dataset.subset(np.flatnonzero(mask))
+        dataset, _ = toy_dataset()
+        gutted = dataset.subset(np.flatnonzero(~dataset.cell_mask(1, 0)))
         targets = {(1, 1): 2, (1, 0): 1, (0, 1): 2, (0, 0): 2}
         with pytest.raises(EstimationError, match="no source rows"):
             fuds_resample(gutted, targets, seed=3)
         targets[(1, 0)] = 0  # zero target tolerates the empty cell
-        resampled = fuds_resample(gutted, targets, seed=3)
-        assert not resampled.cell_mask(1, 0).any()
-        assert len(resampled) == 6
+        counts = fuds_resample(gutted, targets, seed=3)
+        assert counts.shape == (len(gutted),)
+        assert counts.sum() == 6
 
     def test_deterministic_per_seed(self):
         dataset, _ = toy_dataset()
         targets = {(1, 1): 6, (1, 0): 4, (0, 1): 5, (0, 0): 3}
-        s1 = drawn_rows(fuds_resample(dataset, targets, seed=11))
-        s2 = drawn_rows(fuds_resample(dataset, targets, seed=11))
-        s3 = drawn_rows(fuds_resample(dataset, targets, seed=12))
-        for cell in CELLS:
-            assert np.array_equal(s1[cell], s2[cell])
-        assert any(not np.array_equal(s1[c], s3[c]) for c in CELLS)
+        s1 = fuds_resample(dataset, targets, seed=11)
+        s2 = fuds_resample(dataset, targets, seed=11)
+        s3 = fuds_resample(dataset, targets, seed=12)
+        assert np.array_equal(s1, s2)
+        assert not np.array_equal(s1, s3)
 
     def test_negative_target_rejected(self):
-        dataset, counts = toy_dataset()
-        targets = dict(counts)
+        dataset, sizes = toy_dataset()
+        targets = dict(sizes)
         targets[(1, 1)] = -1
         with pytest.raises(DisparityError, match="nonnegative"):
             fuds_resample(dataset, targets, seed=3)
@@ -377,14 +374,18 @@ class TestFudsResample:
     )
     @settings(max_examples=40, deadline=None)
     def test_counts_and_membership(self, t11, t10, t01, t00, seed):
-        dataset, _ = toy_dataset()
-        sources = cell_sources(dataset)
+        dataset, sizes = toy_dataset()
         targets = {(1, 1): t11, (1, 0): t10, (0, 1): t01, (0, 0): t00}
-        resampled = fuds_resample(dataset, targets, seed=seed)
-        assert len(resampled) == sum(targets.values())
-        for cell, drawn in drawn_rows(resampled).items():
-            assert len(drawn) == targets[cell]
-            assert set(drawn).issubset(set(sources[cell]))
+        counts = fuds_resample(dataset, targets, seed=seed)
+        assert counts.min() >= 0
+        for cell in CELLS:
+            drawn = counts[dataset.cell_mask(*cell)]
+            assert drawn.sum() == targets[cell]
+            # Every source row is drawn before any row is drawn twice.
+            if targets[cell] <= sizes[cell]:
+                assert drawn.max() <= 1
+            else:
+                assert drawn.min() >= 1
 
     @given(
         pairs=st.lists(
@@ -400,11 +401,10 @@ class TestFudsResample:
         dataset, _ = toy_dataset()
         small_targets = {c: min(pair) for c, pair in zip(CELLS, pairs)}
         large_targets = {c: max(pair) for c, pair in zip(CELLS, pairs)}
-        large = drawn_rows(fuds_resample(dataset, large_targets, seed=seed))
+        large = fuds_resample(dataset, large_targets, seed=seed)
         fuds_resample(dataset, dict(zip(CELLS, before)), seed=seed)
-        small = drawn_rows(fuds_resample(dataset, small_targets, seed=seed))
-        for cell in CELLS:
-            assert not Counter(small[cell]) - Counter(large[cell])
+        small = fuds_resample(dataset, small_targets, seed=seed)
+        assert np.all(small <= large)
 
 
 class TestCostTables:
@@ -825,6 +825,54 @@ class TestPipelineFamilies:
         cfg = make_config(DisparityKind.DD, 0.1)
         with pytest.raises(DisparityError, match="method"):
             empirical_curve(train, cfg, "grid-search")
+
+
+def materialized_fuds(train, cfg):
+    """The resampling pipeline with every resample copied into a dataset of
+    its own, as np.repeat of the drawn rows: the reference for run_fuds."""
+    stats = GroupStats.from_labels(train.a, train.y)
+    fits = {}
+
+    def disparity(t):
+        targets = fuds_cell_counts(len(train), fuds_proportions(stats, cfg.kind, t))
+        rows = np.repeat(np.arange(len(train)), fuds_resample(train, targets, cfg.seed))
+        data = train.subset(rows)
+        fits[t] = fit_logistic(data) if cfg.mode == "blind" else fit_group_models(data, MODE_AWARE)
+        return evaluate(fits[t], train)[cfg.base_kind.value]
+
+    bracket = empirical_curve(train, cfg, "fuds")
+    curve = DisparityCurve(fn=disparity, t_lo=bracket.t_lo, t_hi=bracket.t_hi)
+    result = solve_threshold(curve, cfg.delta, cfg.tol)
+    return fits[result.t_star], result.t_star
+
+
+def fitted_params(model):
+    groups = [model.single_params()] if model.mode != MODE_AWARE else list(model.params.values())
+    return [(p.intercept, p.coef.tolist(), p.mean.tolist(), p.scale.tolist()) for p in groups]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ALL_KINDS + BLIND_KINDS, ids=lambda k: k.value)
+class TestRefitDifferential:
+    """fuds and fcsc refit the cached training frame with reweighted rows;
+    a fresh dataset built from the same rows and weights gives the same run."""
+
+    def test_fcsc_fit_equals_a_fresh_fit(self, train, kind, delta):
+        model_out, _, report = run_fcsc(train, make_config(kind, delta))
+        cost = np.empty(len(train))
+        for a, y in CELLS:
+            cost[train.cell_mask(a, y)] = report["cost_table"][f"{a}{y}"]
+        fresh = LabeledDataset(x=train.x, a=train.a, y=train.y, weight=train.weight * cost)
+        blind = isinstance(kind, BlindKind)
+        reference = fit_logistic(fresh) if blind else fit_group_models(fresh, MODE_AWARE)
+        assert fitted_params(model_out) == fitted_params(reference)
+
+    def test_fuds_matches_a_materialized_resample(self, train, test_set, kind, delta):
+        cfg = make_config(kind, delta)
+        model_out, t_hat, _ = run_fuds(train, cfg)
+        reference, reference_t = materialized_fuds(train, cfg)
+        assert t_hat == reference_t
+        assert evaluate(model_out, test_set) == evaluate(reference, test_set)
 
 
 class TestFairClassifierRule:
