@@ -10,9 +10,9 @@ all signed group 1 minus group 0:
 - PD: difference of false-positive rates (predictive equality)
 
 Attribute-blind counterparts (DD_X, DO_X, PD_X) describe the same targets
-for predictors without access to the group at decision time; their weights
-depend on feature-level group posteriors and are handled by the pipeline
-layer, so the bilinear operations below reject them.
+for predictors without access to the group at decision time.  Their
+formulas are written over the base measure's weight; the threshold map,
+which reads the group, rejects them.
 """
 from __future__ import annotations
 
@@ -192,12 +192,18 @@ def threshold(kind: DisparityKind, stats: GroupStats, a: int, t: float) -> float
     return (1.0 + t * spec.b[a]) / denom
 
 
-def cost_weights(kind: DisparityKind, stats: GroupStats, a: int, y: int, t: float) -> float:
-    """Misclassification cost c_{a,y}(t) = (1 - 2y) * H_a(t) + y.
+def cost_weights(
+    kind: DisparityKind | BlindKind, stats: GroupStats, a: int, y: int, t: float
+) -> float:
+    """Misclassification cost c_{a,y}(t) of cell (a, y).
 
-    The label-0 and label-1 costs of a group sum to 1, so thresholding the
-    regression value at H_a(t) minimizes the expected cost.
+    Aware kinds: (1 - 2y) * H_a(t) + y.  A group's two costs sum to 1, so
+    thresholding the regression value at H_a(t) minimizes the expected cost.
+    Blind kinds: (1 + (1 - 2y) * t * w(y, a)) / 2, w the base measure's
+    weight; every cost is 1/2 at t = 0.
     """
+    if isinstance(kind, BlindKind):
+        return 0.5 * (1.0 + (1 - 2 * y) * t * bilinear_coeffs(kind.base, stats).weight(y, a))
     h = threshold(kind, stats, a, t)
     return (1 - 2 * y) * h + y
 

@@ -31,6 +31,11 @@ __all__ = [
 # solve float noise and far below any meaningful disparity difference.
 _DISPATCH_SLACK = 1e-9
 
+# Slack over delta allowed to the final equalized-odds pair.
+_FEASIBLE_SLACK = 10.0 * DEFAULT_TOL
+# Acceptance gap beyond which the multi-group solve calls a group degenerate.
+_ACCEPTANCE_TOL = 1e-6
+
 
 class GroupLabelSurvival(Protocol):
     """Provider of cell-conditional survival values of the regression score."""
@@ -120,15 +125,19 @@ def eqodds_disparities(
     return do, pd
 
 
+def _threshold_risk(dists: GroupLabelSurvival, stats: GroupStats, thresholds) -> float:
+    """Misclassification rate of the rule accepting group a when eta_a > thresholds[a]."""
+    risk = 0.0
+    for a in (0, 1):
+        risk += stats.p(a, 1) * (1.0 - dists.survival(a, 1, thresholds[a]))
+        risk += stats.p(a, 0) * dists.survival(a, 0, thresholds[a])
+    return risk
+
+
 def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: float) -> float:
     """Misclassification rate of the two-threshold rule."""
     _check_eqodds_point(stats, t1, t2)
-    risk = 0.0
-    for a in (0, 1):
-        thr = _group_threshold(stats, a, t1, t2)
-        risk += stats.p(a, 1) * (1.0 - dists.survival(a, 1, thr))
-        risk += stats.p(a, 0) * dists.survival(a, 0, thr)
-    return risk
+    return _threshold_risk(dists, stats, [_group_threshold(stats, a, t1, t2) for a in (0, 1)])
 
 
 class _ExactRoot(Exception):
@@ -146,9 +155,7 @@ def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: 
     return 0.5 * (lo + hi)
 
 
-def solve_eqodds(
-    dists: GroupLabelSurvival, stats: GroupStats, delta: float, tol: float = DEFAULT_TOL
-) -> EqOddsThresholds:
+def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> EqOddsThresholds:
     """Joint thresholds controlling both error-rate differences at level delta.
 
     Dispatcher: solve each single constraint alone (acute parameters); if the
@@ -188,7 +195,7 @@ def solve_eqodds(
 
     def finish(t1: float, t2: float, case: int) -> EqOddsThresholds:
         do, pd = eqodds_disparities(dists, stats, t1, t2)
-        if max(abs(do), abs(pd)) > delta + 10.0 * tol:
+        if max(abs(do), abs(pd)) > delta + _FEASIBLE_SLACK:
             raise SolverError(
                 f"no feasible pair found: best candidate ({t1!r}, {t2!r}) reaches "
                 f"disparities ({do!r}, {pd!r}) at level {delta!r}"
@@ -308,7 +315,6 @@ def solve_eqodds(
 def solve_multiclass_dp(
     group_curves: Sequence[Callable[[float], float]],
     p_groups: Sequence[float],
-    acceptance_tol: float = 1e-9,
 ) -> MulticlassThresholds:
     """Thresholds equalizing acceptance rates across K groups exactly.
 
@@ -352,7 +358,7 @@ def solve_multiclass_dp(
     for a in range(k):
         tau = 0.5 + t[a] / (2.0 * p_groups[a])
         achieved = group_curves[a](tau)
-        if abs(achieved - s_star) > max(acceptance_tol, 1e-6):
+        if abs(achieved - s_star) > _ACCEPTANCE_TOL:
             raise SolverError(
                 f"group {a} cannot attain the common acceptance rate {s_star!r} "
                 f"(achieved {achieved!r}); its score distribution is degenerate"

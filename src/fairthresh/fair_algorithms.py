@@ -59,7 +59,6 @@ __all__ = [
     "fuds_proportions",
     "fuds_cell_counts",
     "fuds_resample",
-    "blind_cost_weights",
     "empirical_curve",
     "run_fuds",
     "run_fcsc",
@@ -173,60 +172,33 @@ def _plug_in_decisions(
     return np.where(w == 0, score > 0.5, f).astype(float)
 
 
-def _blind_tilt(kind: BlindKind, stats: GroupStats, a: int, y: int, t: float) -> float:
-    """Relative mass change of cell (a, y) under the blind tilt at t."""
-    sign = 2 * a - 1
-    if kind is BlindKind.DD_X:
-        return sign * (1 - 2 * y) * t / stats.p_group(a)
-    if kind is BlindKind.DO_X:
-        return -sign * y * t / stats.p(a, y)
-    if kind is BlindKind.PD_X:
-        return sign * (1 - y) * t / stats.p(a, y)
-    raise DisparityError(f"unknown blind kind: {kind!r}")
-
-
 def fuds_proportions(
     stats: GroupStats, kind: DisparityKind | BlindKind, t: float
 ) -> dict[tuple[int, int], float]:
     """Tilted cell proportions whose unconstrained Bayes rule is fair at t.
 
-    Aware kinds rescale the two cells of each group by the acceptance
-    threshold split and renormalize within the group, preserving group
-    marginals.  Blind kinds tilt every cell and renormalize globally.
-    Keys are (group, label) pairs; values sum to 1.
+    Each cell's mass is scaled by its cost at t (cost_weights, the costs
+    fcsc fits with), then renormalized within each group for aware kinds,
+    keeping the group marginals, and over all cells for blind kinds.  Keys
+    are (group, label) pairs; values sum to 1.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if t == 0.0:
         return {cell: stats.p(*cell) for cell in _CELLS}
-    if isinstance(kind, BlindKind):
-        raw = {}
-        for a, y in _CELLS:
-            mass = (1.0 + _blind_tilt(kind, stats, a, y, t)) * stats.p(a, y)
-            if mass < 0.0:
-                lo, hi = natural_domain(kind, stats)
-                raise DomainError(
-                    f"cell (a={a}, y={y}) mass {mass!r} < 0 for {kind.name} at t={t!r}; "
-                    f"valid bracket is [{lo!r}, {hi!r}]"
-                )
-            raw[(a, y)] = mass
-        total = math.fsum(raw.values())
-        return {cell: raw[cell] / total for cell in _CELLS}
-    out: dict[tuple[int, int], float] = {}
-    for a in (1, 0):
-        h = threshold(kind, stats, a, t)
-        if not 0.0 <= h <= 1.0:
+    mass = {cell: cost_weights(kind, stats, *cell, t) * stats.p(*cell) for cell in _CELLS}
+    for (a, y), m in mass.items():
+        if m < 0.0:
             lo, hi = natural_domain(kind, stats)
             raise DomainError(
-                f"group-{a} threshold {h!r} outside [0, 1] for {kind.name} at t={t!r}; "
-                f"valid bracket is [{lo!r}, {hi!r}]"
+                f"cell (a={a}, y={y}) mass {m!r} < 0 for {kind.name}: t={t!r} is outside "
+                f"the valid bracket [{lo!r}, {hi!r}]"
             )
-        keep1 = (1.0 - h) * stats.p(a, 1)
-        keep0 = h * stats.p(a, 0)
-        scale = stats.p_group(a) / (keep1 + keep0)
-        out[(a, 1)] = keep1 * scale
-        out[(a, 0)] = keep0 * scale
-    return out
+    if isinstance(kind, BlindKind):
+        total = math.fsum(mass.values())
+        return {cell: m / total for cell, m in mass.items()}
+    scale = {a: stats.p_group(a) / (mass[a, 1] + mass[a, 0]) for a in (1, 0)}
+    return {(a, y): m * scale[a] for (a, y), m in mass.items()}
 
 
 def fuds_cell_counts(
@@ -275,18 +247,6 @@ def fuds_resample(
     return np.bincount(np.concatenate(drawn), minlength=len(dataset))
 
 
-def blind_cost_weights(kind: BlindKind, stats: GroupStats, a: int, y: int, t: float) -> float:
-    """Misclassification cost of cell (a, y) for blind cost-sensitive fits.
-
-    Every cost is 1/2 at t = 0; tilted cells move in opposite directions
-    across groups, shifting the minimizer's acceptance boundary without
-    using the group id as a predictor.
-    """
-    if not isinstance(kind, BlindKind):
-        raise DisparityError(f"expected a blind kind, got {kind!r}")
-    return 0.5 + 0.5 * _blind_tilt(kind, stats, a, y, t)
-
-
 def _blind_weight_values(
     kind: BlindKind,
     stats: GroupStats,
@@ -294,18 +254,16 @@ def _blind_weight_values(
     eta_a: ProbModel,
     eta_groups: ProbModel | None,
 ) -> np.ndarray:
-    """Feature-level disparity weights for blind threshold rules."""
+    """Feature-level disparity weights of blind threshold rules:
+    sum_a P(A=a|x) * w(P(Y=1|x, A=a), a), w the base measure's weight.  A
+    group regression is read only where the weight scales it (s_a != 0)."""
+    spec = bilinear_coeffs(kind.base, stats)
     ga = np.asarray(predict_proba(eta_a, x), dtype=float)
-    if kind is BlindKind.DD_X:
-        return ga / stats.p_group(1) - (1.0 - ga) / stats.p_group(0)
-    n = len(np.atleast_2d(x))
-    e1 = np.asarray(predict_proba(eta_groups, x, np.ones(n, dtype=int)), dtype=float)
-    e0 = np.asarray(predict_proba(eta_groups, x, np.zeros(n, dtype=int)), dtype=float)
-    if kind is BlindKind.DO_X:
-        return e1 * ga / stats.p(1, 1) - e0 * (1.0 - ga) / stats.p(0, 1)
-    if kind is BlindKind.PD_X:
-        return (1.0 - e1) * ga / stats.p(1, 0) - (1.0 - e0) * (1.0 - ga) / stats.p(0, 0)
-    raise DisparityError(f"unknown blind kind: {kind!r}")
+    values = 0.0
+    for a, pa in ((1, ga), (0, 1.0 - ga)):
+        eta = predict_proba(eta_groups, x, np.full(len(ga), a)) if spec.s[a] else 0.0
+        values = values + pa * (spec.s[a] * eta + spec.b[a])
+    return values
 
 
 class _CurveState:
@@ -365,9 +323,7 @@ def _fuds_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]
 
 def _fcsc_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
     """Per-row misclassification costs at t; the cost table goes into the report."""
-    kind = state.config.kind
-    cost = blind_cost_weights if isinstance(kind, BlindKind) else cost_weights
-    table = {(a, y): cost(kind, state.stats, a, y, t) for a, y in _CELLS}
+    table = {cell: cost_weights(state.config.kind, state.stats, *cell, t) for cell in _CELLS}
     w = sum(c * state.dataset.cell_mask(*cell) for cell, c in table.items())
     return w, {"cost_table": _cells_json(table)}, {}
 
@@ -390,10 +346,11 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     if isinstance(cfg.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
+        slopes = bilinear_coeffs(cfg.base_kind, state.stats).s
         models = {
             "eta_y": fit_logistic(ds),
             "eta_a": fit_group_models(ds, MODE_BLIND_A),
-            "eta_groups": None if cfg.kind is BlindKind.DD_X else fit_group_models(ds, MODE_AWARE),
+            "eta_groups": fit_group_models(ds, MODE_AWARE) if any(slopes) else None,
         }
     elif model is None:
         models = {"eta_groups": fit_group_models(ds, MODE_AWARE)}
@@ -470,7 +427,6 @@ def _build_curve(
         raise DisparityError(f"method {method!r} refits per evaluation; pass model=None")
     state = _CurveState(dataset, config)
     dom = natural_domain(config.base_kind, state.stats)
-    name = f"{method}-{config.kind.value}"
     row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}.get(method)
 
     def fn(t: float) -> float:
@@ -480,10 +436,10 @@ def _build_curve(
         lo = _clamp_edge(state, dom[0])
         hi = _clamp_edge(state, dom[1])
         state.clamped = lo > dom[0] or hi < dom[1]
-        return DisparityCurve(fn=fn, t_lo=lo, t_hi=hi, name=name), state
+        return DisparityCurve(fn=fn, t_lo=lo, t_hi=hi), state
     if method == "fpir":
         _fpir_prepare(state, model)
-    return DisparityCurve.from_domain(fn, dom, name=name), state
+    return DisparityCurve.from_domain(fn, dom), state
 
 
 def empirical_curve(

@@ -27,6 +27,7 @@ from .core import (
     DisparityKind,
     DomainError,
     GroupStats,
+    bilinear_coeffs,
     natural_domain,
     threshold,
 )
@@ -38,6 +39,7 @@ from .estimators import (
     ProbModel,
     _sigmoid,
 )
+from .extensions import _threshold_risk
 from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, solve_threshold
 
 __all__ = [
@@ -143,6 +145,8 @@ class GaussianModel:
             mus = {key: tuple(float(v) for v in data["mu"][key]) for key in cells}
             sigma = float(data["sigma"])
             seed = None if data.get("seed") is None else int(data["seed"])
+            if seed is not None and type(data["seed"]) is not int:  # 1.5, "2", true
+                raise TypeError(f"seed must be null or an integer, got {data['seed']!r}")
         except KeyError as exc:
             raise DomainError(f"malformed model document: missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -243,28 +247,23 @@ def _require_aware(kind: DisparityKind) -> DisparityKind:
 def disparity_curve_closed(model: GaussianModel, kind: DisparityKind) -> DisparityCurve:
     """Exact disparity of the group-threshold rule as a function of t.
 
-    Group thresholds come from the shared bilinear reduction; conditioning on
-    the relevant cells turns acceptance probabilities into survival values:
-    DD compares group acceptance rates, DO the y=1 cells, PD the y=0 cells.
+    D(t) = sum_a sum_y p(a, y) * w(y, a) * S_ay(H_a(t)), the survival values
+    taken at the group thresholds.  Cells of weight zero are skipped; each
+    group's terms are summed before the two groups are added.
     """
     _require_aware(kind)
     stats = model.stats
+    spec = bilinear_coeffs(kind, stats)
+    weights = {a: [(y, stats.p(a, y) * spec.weight(y, a)) for y in (0, 1)] for a in (1, 0)}
 
     def fn(t: float) -> float:
-        thr1 = threshold(kind, stats, 1, t)
-        thr0 = threshold(kind, stats, 0, t)
-        if kind is DisparityKind.DD:
-            rate1 = sum(
-                stats.p(1, y) / stats.p_group(1) * model.survival(1, y, thr1) for y in (0, 1)
-            )
-            rate0 = sum(
-                stats.p(0, y) / stats.p_group(0) * model.survival(0, y, thr0) for y in (0, 1)
-            )
-            return rate1 - rate0
-        y = 1 if kind is DisparityKind.DO else 0
-        return model.survival(1, y, thr1) - model.survival(0, y, thr0)
+        total = 0.0
+        for a, cells in weights.items():
+            thr = threshold(kind, stats, a, t)
+            total += sum(c * model.survival(a, y, thr) for y, c in cells if c != 0.0)
+        return total
 
-    return DisparityCurve.from_domain(fn, natural_domain(kind, stats), name=f"gaussian-{kind.value}")
+    return DisparityCurve.from_domain(fn, natural_domain(kind, stats))
 
 
 def risk_closed(model: GaussianModel, kind: DisparityKind, t: float) -> float:
@@ -274,12 +273,7 @@ def risk_closed(model: GaussianModel, kind: DisparityKind, t: float) -> float:
     lo, hi = natural_domain(kind, stats)
     if not lo <= t <= hi:
         raise DomainError(f"t={t!r} outside the {kind.name} bracket [{lo!r}, {hi!r}]")
-    risk = 0.0
-    for a in (0, 1):
-        thr = threshold(kind, stats, a, t)
-        risk += stats.p(a, 1) * (1.0 - model.survival(a, 1, thr))
-        risk += stats.p(a, 0) * model.survival(a, 0, thr)
-    return risk
+    return _threshold_risk(model, stats, [threshold(kind, stats, a, t) for a in (0, 1)])
 
 
 def sample(model: GaussianModel, n: int, seed: int) -> LabeledDataset:

@@ -59,7 +59,6 @@ class DisparityCurve:
     fn: Callable[[float], float]
     t_lo: float
     t_hi: float
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not self.t_lo < self.t_hi:
@@ -70,7 +69,7 @@ class DisparityCurve:
 
     @classmethod
     def from_domain(
-        cls, fn: Callable[[float], float], domain: tuple[float, float], name: str = ""
+        cls, fn: Callable[[float], float], domain: tuple[float, float]
     ) -> "DisparityCurve":
         """Intersect the default bracket with a natural domain, edges shrunk.
 
@@ -79,7 +78,7 @@ class DisparityCurve:
         """
         lo = max(_DEFAULT_BRACKET[0], domain[0] + _DOMAIN_SHRINK)
         hi = min(_DEFAULT_BRACKET[1], domain[1] - _DOMAIN_SHRINK)
-        return cls(fn=fn, t_lo=lo, t_hi=hi, name=name)
+        return cls(fn=fn, t_lo=lo, t_hi=hi)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def solve_threshold(
         iterations=iterations,
         evaluations=iterations + 2,
         converged=abs(t_star - t_out) <= tol,
-        exact=abs(values[t_star] - target) <= max(_EXACT_SLACK, 100.0 * tol),
+        exact=abs(values[t_star] - target) <= _EXACT_SLACK,
     )
 
 

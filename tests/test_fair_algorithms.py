@@ -53,7 +53,6 @@ from fairthresh.estimators import (
 from fairthresh.fair_algorithms import (
     FairClassifier,
     FairFitConfig,
-    blind_cost_weights,
     empirical_curve,
     evaluate,
     fuds_cell_counts,
@@ -411,29 +410,25 @@ class TestCostTables:
     def test_blind_costs_half_at_zero(self):
         for kind in BLIND_KINDS:
             for a, y in CELLS:
-                assert blind_cost_weights(kind, STATS, a, y, 0.0) == 0.5
+                assert cost_weights(kind, STATS, a, y, 0.0) == 0.5
 
     def test_blind_frozen_values(self):
         # tilt t/p of the affected cells, halved into the cost scale
         t = 0.1
-        assert blind_cost_weights(BlindKind.DO_X, STATS, 1, 1, t) == pytest.approx(
+        assert cost_weights(BlindKind.DO_X, STATS, 1, 1, t) == pytest.approx(
             0.5 - t / (2 * 0.49), abs=1e-12
         )
-        assert blind_cost_weights(BlindKind.DO_X, STATS, 0, 1, t) == pytest.approx(
+        assert cost_weights(BlindKind.DO_X, STATS, 0, 1, t) == pytest.approx(
             0.5 + t / (2 * 0.12), abs=1e-12
         )
-        assert blind_cost_weights(BlindKind.DO_X, STATS, 1, 0, t) == 0.5
-        assert blind_cost_weights(BlindKind.DO_X, STATS, 0, 0, t) == 0.5
-        assert blind_cost_weights(BlindKind.DD_X, STATS, 1, 1, t) == pytest.approx(
+        assert cost_weights(BlindKind.DO_X, STATS, 1, 0, t) == 0.5
+        assert cost_weights(BlindKind.DO_X, STATS, 0, 0, t) == 0.5
+        assert cost_weights(BlindKind.DD_X, STATS, 1, 1, t) == pytest.approx(
             0.5 - t / (2 * 0.7), abs=1e-12
         )
-        assert blind_cost_weights(BlindKind.PD_X, STATS, 1, 0, t) == pytest.approx(
+        assert cost_weights(BlindKind.PD_X, STATS, 1, 0, t) == pytest.approx(
             0.5 + t / (2 * 0.21), abs=1e-12
         )
-
-    def test_blind_costs_reject_aware_kind(self):
-        with pytest.raises(DisparityError, match="blind"):
-            blind_cost_weights(DisparityKind.DD, STATS, 1, 1, 0.1)
 
     def test_blind_costs_match_proportion_tilts(self):
         rng = np.random.default_rng(4241)
@@ -443,11 +438,11 @@ class TestCostTables:
                 t = interior_t(stats, kind, rng.uniform(-0.95, 0.95))
                 props = fuds_proportions(stats, kind, t)
                 for a, y in CELLS:
-                    cost = blind_cost_weights(kind, stats, a, y, t)
+                    cost = cost_weights(kind, stats, a, y, t)
                     tilt = 2.0 * cost - 1.0
                     tilted_mass = (1.0 + tilt) * stats.p(a, y)
                     total = math.fsum(
-                        (2.0 * blind_cost_weights(kind, stats, aa, yy, t)) * stats.p(aa, yy)
+                        (2.0 * cost_weights(kind, stats, aa, yy, t)) * stats.p(aa, yy)
                         for aa, yy in CELLS
                     )
                     assert props[(a, y)] == pytest.approx(tilted_mass / total, rel=1e-9)

@@ -160,6 +160,16 @@ class TestModelValidation:
         with pytest.raises(DomainError, match="malformed"):
             GaussianModel.from_dict({"p": {"11": 0.5}})
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "2", True, False, [3]])
+    def test_from_dict_rejects_non_integer_seed(self, model, seed):
+        doc = {**model.to_dict(), "seed": seed}
+        with pytest.raises(DomainError, match="malformed model document"):
+            GaussianModel.from_dict(doc)
+
+    @pytest.mark.parametrize("seed", [None, 0, 22, 2**70])
+    def test_from_dict_keeps_integer_seed(self, model, seed):
+        assert GaussianModel.from_dict({**model.to_dict(), "seed": seed}).seed == seed
+
     def test_default_model_provenance(self):
         assert model_from_seed(22) == default_model()
 

@@ -100,8 +100,17 @@ class TestSolveThreshold:
         def step(t):
             return 0.8 if t < 0.5 else -0.6
 
-        res = solve_threshold(DisparityCurve(fn=step, t_lo=-1.0, t_hi=1.0), delta=0.3)
+        curve = DisparityCurve(fn=step, t_lo=-1.0, t_hi=1.0)
+        res = solve_threshold(curve, delta=0.3)
         assert res.t_star == pytest.approx(0.5, abs=2.0 ** -15)
+        assert res.d_at_t == -0.6
+        assert not res.exact
+        # A coarse tolerance stops at the bracket edge without a midpoint;
+        # the jump past the target is still not exact.
+        res = solve_threshold(curve, delta=0.3, tol=10.0)
+        assert (res.t_star, res.d_at_t, res.iterations) == (1.0, -0.6, 0)
+        assert not res.exact
+        res = solve_threshold(curve, delta=0.3, tol=0.01)
         assert res.d_at_t == -0.6
         assert not res.exact
 
