@@ -56,6 +56,7 @@ from .gaussian import (
     risk_closed,
     sample,
     theoretical_fair_classifier,
+    threshold_disparity,
 )
 from .solver import DEFAULT_TOL, SolverError, trace_pareto
 
@@ -408,6 +409,7 @@ def _frontier_child_seed(base_seed: int, index: int) -> int:
 
 
 def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
+    """Closed-form rows; each row's three gaps are those of its own rule."""
     if spec.blind:
         raise IngestError("closed-form frontiers cover the group-aware measures only")
     model = load_model(spec.data)
@@ -416,14 +418,11 @@ def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     rows = trace_pareto(
         curve, lambda t: risk_closed(model, kind, t), list(spec.delta_grid), tol=spec.tol
     )
-    curves = {name: disparity_curve_closed(model, k) for name, k in _KIND_NAMES.items()}
+    gaps = [threshold_disparity(model, k) for k in _KIND_NAMES.values()]
     out_rows = []
     for row in rows:
-        values = {name: curves[name](row.t) for name in _KIND_NAMES}
-        values[spec.kind_name] = row.disparity
-        out_rows.append(
-            [row.delta, row.t, 1.0 - row.risk, values["dd"], values["do"], values["pd"]]
-        )
+        thr = [core.threshold(kind, model.stats, a, row.t) for a in (0, 1)]
+        out_rows.append([row.delta, row.t, 1.0 - row.risk, *(gap(thr) for gap in gaps)])
     return out_rows
 
 
@@ -795,7 +794,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_method(p: argparse.ArgumentParser) -> None:
         p.add_argument("--method", choices=tuple(_METHOD_RUNNERS), default="fpir")
-        p.add_argument("--disparity", choices=tuple(_KIND_NAMES), default="dd")
+        p.add_argument(
+            "--disparity", dest="kind_name", choices=tuple(_KIND_NAMES), default="dd"
+        )
         p.add_argument(
             "--blind",
             action="store_true",
@@ -839,29 +840,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     seed = args.seed if args.seed is not None else _env_seed()
-    fields = {
-        "command": args.command,
-        "seed": seed,
-        "tol": getattr(args, "tol", DEFAULT_TOL),
-        "out": getattr(args, "out", None),
-    }
-    if args.command in ("fit", "frontier"):
-        fields.update(
-            data=args.data,
-            label_col=args.label_col,
-            protected_col=args.protected_col,
-            split=args.split,
-            method=args.method,
-            kind_name=args.disparity,
-            blind=args.blind,
-        )
-    if args.command == "fit":
-        fields.update(delta=args.delta)
-    if args.command == "frontier":
-        fields.update(delta_grid=args.delta_grid)
-    if args.command == "synthetic":
-        fields.update(data=args.data, delta_grid=args.delta_grid)
-    return ExperimentSpec(**fields)
+    return ExperimentSpec(**{**vars(args), "seed": seed})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -869,16 +848,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        if spec.command == "fit":
-            cmd_fit(spec)
-            return 0
-        if spec.command == "frontier":
-            cmd_frontier(spec)
-            return 0
-        if spec.command == "synthetic":
-            cmd_synthetic(spec)
-            return 0
-        return cmd_oracle_check(spec)
+        if spec.command == "oracle-check":
+            return cmd_oracle_check(spec)
+        {"fit": cmd_fit, "frontier": cmd_frontier, "synthetic": cmd_synthetic}[spec.command](spec)
+        return 0
     except (DisparityError, SolverError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

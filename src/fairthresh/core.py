@@ -151,18 +151,21 @@ def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> BilinearSpec:
     """
     if isinstance(kind, BlindKind):
         raise DisparityError(f"{kind} weights are feature-dependent, not bilinear in (eta, a)")
-    if kind is DisparityKind.DD:
-        s = (0.0, 0.0)
-        b = (-1.0 / stats.p_group(0), 1.0 / stats.p_group(1))
-    elif kind is DisparityKind.DO:
-        s = (-1.0 / stats.p(0, 1), 1.0 / stats.p(1, 1))
-        b = (0.0, 0.0)
-    elif kind is DisparityKind.PD:
-        s = (1.0 / stats.p(0, 0), -1.0 / stats.p(1, 0))
-        b = (-1.0 / stats.p(0, 0), 1.0 / stats.p(1, 0))
-    else:
-        raise DisparityError(f"unknown disparity kind: {kind!r}")
+    s, b = _coeff_table(kind, stats.p11, stats.p10, stats.p01, stats.p00)
     return BilinearSpec(s=s, b=b)
+
+
+def _coeff_table(kind: DisparityKind, p11, p10, p01, p00) -> tuple[tuple, tuple]:
+    """((s_0, s_1), (b_0, b_1)) of the measure, by plain arithmetic on the four
+    cell values: floats give floats and Fractions give exact rationals."""
+    zero = 0 * p11
+    if kind is DisparityKind.DD:
+        return (zero, zero), (-1 / (p01 + p00), 1 / (p11 + p10))
+    if kind is DisparityKind.DO:
+        return (-1 / p01, 1 / p11), (zero, zero)
+    if kind is DisparityKind.PD:
+        return (1 / p00, -1 / p10), (-1 / p00, 1 / p10)
+    raise DisparityError(f"unknown disparity kind: {kind!r}")
 
 
 def natural_domain(kind: DisparityKind, stats: GroupStats) -> tuple[float, float]:
@@ -182,14 +185,22 @@ def natural_domain(kind: DisparityKind, stats: GroupStats) -> tuple[float, float
 def threshold(kind: DisparityKind, stats: GroupStats, a: int, t: float) -> float:
     """Group-a acceptance threshold H_a(t) = (1 + t*b_a) / (2 - t*s_a)."""
     spec = bilinear_coeffs(kind, stats)
-    denom = 2.0 - t * spec.s[a]
-    if denom <= 0.0:
+    try:
+        return _affine_threshold(spec.s[a], spec.b[a], t)
+    except DomainError as exc:
         lo, hi = natural_domain(kind, stats)
         raise DomainError(
-            f"threshold denominator {denom!r} <= 0 for {kind.name} group {a} at t={t!r}; "
-            f"valid bracket is [{lo!r}, {hi!r}]"
-        )
-    return (1.0 + t * spec.b[a]) / denom
+            f"{exc} for {kind.name} group {a} at t={t!r}; valid bracket is [{lo!r}, {hi!r}]"
+        ) from None
+
+
+def _affine_threshold(s: float, b: float, t: float) -> float:
+    """The threshold of the weight w(eta) = s*eta + b at parameter t; the
+    caller names the rule in the error."""
+    denom = 2.0 - t * s
+    if denom <= 0.0:
+        raise DomainError(f"threshold denominator {denom!r} <= 0")
+    return (1.0 + t * b) / denom
 
 
 def cost_weights(

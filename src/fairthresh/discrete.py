@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DisparityKind, DomainError, GroupStats
+from .core import DisparityKind, DomainError, GroupStats, _coeff_table
 from .solver import SolverError
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
 _ORACLE_ATOM_CAP = 12
 
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
-_UNIT_ENDS = (_ZERO, _ONE)
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -116,28 +113,15 @@ class RandomizedClassifier:
     """Per-atom acceptance probabilities, with the threshold parameter and
     boundary fractions that produced them (when built by a solver)."""
 
-    accept: tuple[Rational, ...]
-    t_star: Rational | None = None
-    tau_plus: Rational = field(default=Fraction(0))
-    tau_minus: Rational = field(default=Fraction(0))
+    accept: tuple[Fraction, ...]
+    t_star: Fraction | None = None
+    tau_plus: Fraction = field(default=Fraction(0))
+    tau_minus: Fraction = field(default=Fraction(0))
 
     def __post_init__(self) -> None:
         for f in self.accept:
             if not 0 <= f <= 1:
                 raise DomainError(f"acceptance probability {f!r} outside [0, 1]")
-
-
-def _exact_coeffs(kind: DisparityKind, stats: GroupStats) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Bilinear weight coefficients (s, b) per group as exact rationals."""
-    p11, p10 = Fraction(stats.p11), Fraction(stats.p10)
-    p01, p00 = Fraction(stats.p01), Fraction(stats.p00)
-    zero = Fraction(0)
-    if kind is DisparityKind.DD:
-        b1, b0 = 1 / (p11 + p10), -1 / (p01 + p00)
-        return (zero, zero), (b0, b1)
-    if kind is DisparityKind.DO:
-        return (-1 / p01, 1 / p11), (zero, zero)
-    return (1 / p00, -1 / p10), (-1 / p00, 1 / p10)
 
 
 @dataclass(frozen=True)
@@ -155,7 +139,8 @@ def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -
     key = (kind, stats)
     atoms = dist._prepared.get(key)
     if atoms is None:
-        (s0, s1), (b0, b1) = _exact_coeffs(kind, stats)
+        cells = (stats.p11, stats.p10, stats.p01, stats.p00)
+        (s0, s1), (b0, b1) = _coeff_table(kind, *map(Fraction, cells))
         out = []
         for (a, _, _), t in zip(dist.atoms, dist._terms):
             w = (s1 * t.eta + b1) if a == 1 else (s0 * t.eta + b0)

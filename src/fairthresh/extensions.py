@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .core import DomainError, GroupStats
+from .core import DisparityKind, DomainError, GroupStats, bilinear_coeffs, natural_domain
+from .core import _affine_threshold
 from .solver import DEFAULT_TOL, BracketError, SolverError, bisect
 
 __all__ = [
@@ -72,14 +73,14 @@ class MulticlassThresholds:
 
 
 def _eqodds_domain(stats: GroupStats) -> tuple[tuple[float, float], tuple[float, float]]:
-    return ((-stats.p(0, 1), stats.p(1, 1)), (-stats.p(1, 0), stats.p(0, 0)))
+    return natural_domain(DisparityKind.DO, stats), natural_domain(DisparityKind.PD, stats)
 
 
 def eqodds_group_threshold(stats: GroupStats, a: int, t1: float, t2: float) -> float:
     """Group-a threshold of the two-parameter equalized-odds family.
 
-    T_a = (p_a1*p_a0 + (2a-1)*t2*p_a1) / (2*p_a1*p_a0 + (2a-1)*(t2*p_a1 - t1*p_a0)).
-    Reduces to the opportunity-only threshold at t2=0 and the
+    The threshold of the combined weight t1*w_DO + t2*w_PD at parameter 1,
+    so it equals the opportunity-only threshold at t2=0 and the
     predictive-equality-only threshold at t1=0.
     """
     _check_eqodds_point(stats, t1, t2)
@@ -99,14 +100,14 @@ def _check_eqodds_point(stats: GroupStats, t1: float, t2: float) -> None:
 
 def _group_threshold(stats: GroupStats, a: int, t1: float, t2: float) -> float:
     """eqodds_group_threshold at a point already checked by _check_eqodds_point."""
-    sign = 2 * a - 1
-    pa1, pa0 = stats.p(a, 1), stats.p(a, 0)
-    denom = 2.0 * pa1 * pa0 + sign * (t2 * pa1 - t1 * pa0)
-    if denom <= 0.0:
-        raise DomainError(f"threshold denominator {denom!r} <= 0 for group {a} at ({t1!r}, {t2!r})")
+    do, pd = bilinear_coeffs(DisparityKind.DO, stats), bilinear_coeffs(DisparityKind.PD, stats)
+    try:
+        h = _affine_threshold(t1 * do.s[a] + t2 * pd.s[a], t1 * do.b[a] + t2 * pd.b[a], 1.0)
+    except DomainError as exc:
+        raise DomainError(f"{exc} for group {a} at ({t1!r}, {t2!r})") from None
     # Mathematically the ratio lies in [0, 1] on the admissible rectangle;
     # clamp away boundary rounding spill of a few ulps.
-    return min(1.0, max(0.0, (pa1 * pa0 + sign * t2 * pa1) / denom))
+    return min(1.0, max(0.0, h))
 
 
 def eqodds_disparities(
@@ -144,15 +145,17 @@ class _ExactRoot(Exception):
     """Raised with the parameter at which a system residual is exactly zero."""
 
 
-def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
-    """Root of the monotone non-increasing fn(t) = target, clamped to [lo, hi]."""
-    d_lo, d_hi = fn(lo), fn(hi)
+def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: float):
+    """Root of the monotone non-increasing fn(t) = target, clamped to [lo, hi], and
+    whether target lies strictly outside fn's range there (the end is then no root)."""
+    d_lo = fn(lo)
     if target >= d_lo:
-        return lo
+        return lo, target > d_lo
+    d_hi = fn(hi)
     if target <= d_hi:
-        return hi
+        return hi, target < d_hi
     lo, hi = bisect(lambda t: fn(t) > target, lo, hi, steps=80)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), False
 
 
 def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> EqOddsThresholds:
@@ -185,7 +188,7 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     def acute(axis_fn: Callable[[float], float], d0: float, lo: float, hi: float) -> float:
         if abs(d0) <= delta:
             return 0.0
-        return _solve_equality(axis_fn, lo, hi, delta if d0 > delta else -delta)
+        return _solve_equality(axis_fn, lo, hi, delta if d0 > delta else -delta)[0]
 
     acute_do = acute(lambda t: d_do(t, 0.0), do00, lo1, hi1)
     acute_pd = acute(lambda t: d_pd(0.0, t), pd00, lo2, hi2)
@@ -231,17 +234,11 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     case = {(1, 1): 4, (1, -1): 5, (-1, 1): 6, (-1, -1): 7}[(sign_do, sign_pd)]
 
     def inner_t1(t2: float) -> tuple[float, bool]:
-        # Solve D_DO(t1, t2) = target_do over the t1 range.  The second
-        # element flags an out-of-reach target (endpoint returned); near the
-        # excluded rectangle corners the inner equation becomes unreachable
-        # and crossings involving clamped points are artifacts.
-        d_at_lo = d_do(lo1, t2)
-        if target_do >= d_at_lo:
-            return lo1, target_do > d_at_lo
-        d_at_hi = d_do(hi1, t2)
-        if target_do <= d_at_hi:
-            return hi1, target_do < d_at_hi
-        return _solve_equality(lambda t1: d_do(t1, t2), lo1, hi1, target_do), False
+        # Solve D_DO(t1, t2) = target_do over the t1 range, flagging an
+        # out-of-reach target (endpoint returned): near the excluded
+        # rectangle corners the inner equation becomes unreachable and
+        # crossings involving clamped points are artifacts.
+        return _solve_equality(lambda t1: d_do(t1, t2), lo1, hi1, target_do)
 
     def outer_residual(t2: float) -> tuple[float, bool]:
         t1, clamped = inner_t1(t2)

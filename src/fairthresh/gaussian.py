@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "psi",
     "norm_cdf",
     "disparity_curve_closed",
+    "threshold_disparity",
     "risk_closed",
     "sample",
     "theoretical_fair_classifier",
@@ -244,26 +246,38 @@ def _require_aware(kind: DisparityKind) -> DisparityKind:
     return kind
 
 
-def disparity_curve_closed(model: GaussianModel, kind: DisparityKind) -> DisparityCurve:
-    """Exact disparity of the group-threshold rule as a function of t.
+def threshold_disparity(
+    model: GaussianModel, kind: DisparityKind
+) -> Callable[[Sequence[float]], float]:
+    """Exact disparity of any group-threshold rule, as a function of [T_0, T_1].
 
-    D(t) = sum_a sum_y p(a, y) * w(y, a) * S_ay(H_a(t)), the survival values
-    taken at the group thresholds.  Cells of weight zero are skipped; each
-    group's terms are summed before the two groups are added.
+    D = sum_a sum_y p(a, y) * w(y, a) * S_ay(T_a), the rule accepting group a
+    where eta_a > T_a.  Cells of weight zero are skipped; each group's terms
+    are summed before the two groups are added.
     """
     _require_aware(kind)
     stats = model.stats
     spec = bilinear_coeffs(kind, stats)
     weights = {a: [(y, stats.p(a, y) * spec.weight(y, a)) for y in (0, 1)] for a in (1, 0)}
 
-    def fn(t: float) -> float:
+    def fn(thresholds: Sequence[float]) -> float:
         total = 0.0
         for a, cells in weights.items():
-            thr = threshold(kind, stats, a, t)
-            total += sum(c * model.survival(a, y, thr) for y, c in cells if c != 0.0)
+            total += sum(c * model.survival(a, y, thresholds[a]) for y, c in cells if c != 0.0)
         return total
 
-    return DisparityCurve.from_domain(fn, natural_domain(kind, stats))
+    return fn
+
+
+def disparity_curve_closed(model: GaussianModel, kind: DisparityKind) -> DisparityCurve:
+    """Exact disparity of the group-threshold rule as a function of t: the
+    threshold_disparity of the group thresholds (H_0(t), H_1(t))."""
+    at = threshold_disparity(model, kind)
+    stats = model.stats
+    return DisparityCurve.from_domain(
+        lambda t: at([threshold(kind, stats, a, t) for a in (0, 1)]),
+        natural_domain(kind, stats),
+    )
 
 
 def risk_closed(model: GaussianModel, kind: DisparityKind, t: float) -> float:

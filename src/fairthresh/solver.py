@@ -147,8 +147,9 @@ def solve_threshold(
     Shortcut at t=0 when already feasible; otherwise bisect from 0 toward the
     bracket edge on the side where the constraint binds, sign * D(t) > delta
     marking the infeasible points (sign = +1 when D(0) > delta, else -1).  The
-    returned end always satisfies the constraint: it is the last feasible
-    midpoint or the checked bracket edge.
+    returned end, the last feasible midpoint or the checked bracket edge,
+    satisfies sign * D <= delta only: with a tol wider than the distance to
+    the crossing, the edge can come back with D past -sign * delta.
     """
     if delta < 0.0:
         raise SolverError(f"delta must be nonnegative, got {delta!r}")

@@ -45,7 +45,7 @@ from fairthresh.cli import (
     _check_grid_suite,
     _eqodds_grid_oracle,
 )
-from fairthresh.core import BlindKind, DisparityKind
+from fairthresh.core import BlindKind, DisparityKind, threshold
 from fairthresh.discrete import RandomizedClassifier
 from fairthresh.estimators import FitError, LabeledDataset, fit_group_models
 from fairthresh.extensions import eqodds_risk, solve_eqodds
@@ -510,6 +510,28 @@ class TestCmdFrontier:
             assert float(row[1]) == ref.t
             assert float(row[2]) == 1.0 - ref.risk
             assert float(row[4]) == ref.disparity  # the do column
+
+    @pytest.mark.parametrize("kind", list(DisparityKind))
+    def test_every_gap_column_scores_the_rule_on_its_row(self, data_dir, tmp_path, model, kind):
+        # The rule on a row accepts group a where eta_a > H_a(t) at the
+        # row's t; all three gaps are that rule's, from direct survival rates.
+        out = tmp_path / "gaps.csv"
+        argv = ["frontier", "--data", str(data_dir / "model.json"), "--disparity", kind.value]
+        assert main(argv + ["--delta-grid", "0,0.1,0.2", "--out", str(out)]) == 0
+        stats = model.stats
+        curve = disparity_curve_closed(model, kind)
+        expected = trace_pareto(curve, lambda t: risk_closed(model, kind, t), [0.0, 0.1, 0.2])
+        rows = read_rows(out)[1:]
+        assert len(rows) == len(expected)
+        for row, ref in zip(rows, expected):
+            delta, t, accuracy, *gaps = map(float, row)
+            assert (delta, t, accuracy) == (ref.delta, ref.t, 1.0 - ref.risk)
+            assert gaps[list(DisparityKind).index(kind)] == ref.disparity
+            thr = [threshold(kind, stats, a, t) for a in (0, 1)]
+            s = {(a, y): model.survival(a, y, thr[a]) for a in (0, 1) for y in (0, 1)}
+            rate = [sum(stats.p(a, y) / stats.p_group(a) * s[a, y] for y in (0, 1)) for a in (0, 1)]
+            want = [rate[1] - rate[0], s[1, 1] - s[0, 1], s[1, 0] - s[0, 0]]
+            assert gaps == pytest.approx(want, abs=1e-12, rel=0)
 
     def test_zero_and_baseline_budgets_bracket_the_frontier(self, data_dir, tmp_path, model):
         baseline = disparity_curve_closed(model, DisparityKind.DD)(0.0)

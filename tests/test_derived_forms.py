@@ -1,17 +1,20 @@
 """Differential tests: formulas derived from the bilinear weight against the
 per-measure formulas they replaced.
 
-Blind costs, fuds proportions, blind plug-in weights and the closed-form
-disparity curve are each written once over w(y, a) = s_a*y + b_a from
-core.bilinear_coeffs.  The references below are the earlier hand-written
-versions, one branch per measure, kept here as independent derivations:
-the derived forms must agree with them to within 1e-15 in the scale of the
-quantity (its magnitude, or the largest inverse cell probability for the
-plug-in weights), and aware fuds proportions must agree exactly.
+Blind costs, fuds proportions, blind plug-in weights, the closed-form
+disparity curve and the equalized-odds group threshold are each written
+once over w(y, a) = s_a*y + b_a from core's coefficient table, which the
+exact solver also reads in Fractions.  The references below are the
+earlier hand-written versions, one branch per measure, kept here as
+independent derivations: the derived forms must agree with them to within
+1e-15 in the scale of the quantity (its magnitude, or the largest inverse
+cell probability for the plug-in weights), and the coefficient tables and
+aware fuds proportions must agree exactly.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +25,14 @@ from fairthresh.core import (
     BlindKind,
     DisparityKind,
     GroupStats,
+    _coeff_table,
+    bilinear_coeffs,
     cost_weights,
     natural_domain,
     threshold,
 )
 from fairthresh.estimators import MODE_AWARE, MODE_BLIND_A, LogisticParams, ProbModel, predict_proba
+from fairthresh.extensions import eqodds_group_threshold
 from fairthresh.fair_algorithms import _blind_weight_values, fuds_proportions
 from fairthresh.gaussian import disparity_curve_closed, model_from_seed
 
@@ -106,6 +112,34 @@ def reference_closed_disparity(model, kind, t):
         return rate1 - rate0
     y = 1 if kind is DisparityKind.DO else 0
     return model.survival(1, y, thr1) - model.survival(0, y, thr0)
+
+
+def reference_exact_coeffs(kind, p11, p10, p01, p00):
+    """((s_0, s_1), (b_0, b_1)) per measure, over exact rational cells."""
+    zero = Fraction(0)
+    if kind is DisparityKind.DD:
+        b1, b0 = 1 / (p11 + p10), -1 / (p01 + p00)
+        return (zero, zero), (b0, b1)
+    if kind is DisparityKind.DO:
+        return (-1 / p01, 1 / p11), (zero, zero)
+    return (1 / p00, -1 / p10), (-1 / p00, 1 / p10)
+
+
+def reference_float_coeffs(kind, stats):
+    """The float coefficients as first written, from the group and cell masses."""
+    if kind is DisparityKind.DD:
+        return (0.0, 0.0), (-1.0 / stats.p_group(0), 1.0 / stats.p_group(1))
+    if kind is DisparityKind.DO:
+        return (-1.0 / stats.p(0, 1), 1.0 / stats.p(1, 1)), (0.0, 0.0)
+    return (1.0 / stats.p(0, 0), -1.0 / stats.p(1, 0)), (-1.0 / stats.p(0, 0), 1.0 / stats.p(1, 0))
+
+
+def reference_eqodds_threshold(stats, a, t1, t2):
+    """T_a = (p_a1*p_a0 + (2a-1)*t2*p_a1) / (2*p_a1*p_a0 + (2a-1)*(t2*p_a1 - t1*p_a0))."""
+    sign = 2 * a - 1
+    pa1, pa0 = stats.p(a, 1), stats.p(a, 0)
+    denom = 2.0 * pa1 * pa0 + sign * (t2 * pa1 - t1 * pa0)
+    return min(1.0, max(0.0, (pa1 * pa0 + sign * t2 * pa1) / denom))
 
 
 REFERENCE_SURVIVAL_CELLS = {
@@ -214,3 +248,34 @@ def test_closed_curve_reads_the_same_cells(kind):
     assert len(log.cells) == len(REFERENCE_SURVIVAL_CELLS[kind])
     assert set(log.cells) == REFERENCE_SURVIVAL_CELLS[kind]
 
+
+
+# --- coefficient tables and the equalized-odds threshold -----------------
+
+
+@given(cells=st.lists(st.fractions(Fraction(1, 10**6), 1), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_exact_table_equals_per_kind_rationals(cells):
+    for kind in AWARE_KINDS:
+        got = _coeff_table(kind, *cells)
+        assert got == reference_exact_coeffs(kind, *cells)
+        assert all(type(c) is Fraction for pair in got for c in pair)
+
+
+@given(stats=stats_strategy)
+@settings(max_examples=300, deadline=None)
+def test_float_table_equals_first_written_coefficients(stats):
+    for kind in AWARE_KINDS:
+        spec = bilinear_coeffs(kind, stats)
+        assert (spec.s, spec.b) == reference_float_coeffs(kind, stats)
+
+
+@given(stats=stats_strategy, u1=st.floats(0.08, 0.92), u2=st.floats(0.08, 0.92))
+@settings(max_examples=300, deadline=None)
+def test_eqodds_threshold_matches_product_form(stats, u1, u2):
+    (l1, h1), (l2, h2) = (natural_domain(kind, stats) for kind in AWARE_KINDS[1:])
+    t1, t2 = l1 + u1 * (h1 - l1), l2 + u2 * (h2 - l2)
+    for a in (0, 1):
+        want = reference_eqodds_threshold(stats, a, t1, t2)
+        got = eqodds_group_threshold(stats, a, t1, t2)
+        assert abs(got - want) <= TOL * max(1.0, abs(want))

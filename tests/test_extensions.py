@@ -24,6 +24,7 @@ from fairthresh.core import (
 )
 from fairthresh.extensions import (
     EqOddsThresholds,
+    _solve_equality,
     eqodds_disparities,
     eqodds_group_threshold,
     eqodds_risk,
@@ -201,11 +202,11 @@ class TestEqOddsGroupThreshold:
             t1 = u * (stats.p(1, 1) if u >= 0 else stats.p(0, 1))
             t2 = u * (stats.p(0, 0) if u >= 0 else stats.p(1, 0))
             for a in (0, 1):
-                assert eqodds_group_threshold(stats, a, t1, 0.0) == pytest.approx(
-                    threshold(DisparityKind.DO, stats, a, t1), abs=1e-12
+                assert eqodds_group_threshold(stats, a, t1, 0.0) == threshold(
+                    DisparityKind.DO, stats, a, t1
                 )
-                assert eqodds_group_threshold(stats, a, 0.0, t2) == pytest.approx(
-                    threshold(DisparityKind.PD, stats, a, t2), abs=1e-12
+                assert eqodds_group_threshold(stats, a, 0.0, t2) == threshold(
+                    DisparityKind.PD, stats, a, t2
                 )
 
     def test_group1_saturates_at_its_boundary(self, table_stats):
@@ -307,6 +308,22 @@ class TestEqOddsDisparities:
 
 
 class TestSolveEqOdds:
+    def test_equality_solve_flags_unreachable_targets(self):
+        # fn(t) = -t on [-1, 1]: a target at an end's value is met there; one
+        # beyond it returns that end, flagged as no root.
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return -t
+
+        cases = {2.0: (-1.0, True), 1.0: (-1.0, False), -1.0: (1.0, False), -2.0: (1.0, True)}
+        for target, want in cases.items():
+            assert _solve_equality(fn, -1.0, 1.0, target) == want
+        assert calls == [-1.0, -1.0, -1.0, 1.0, -1.0, 1.0]  # the far end only when needed
+        t, clamped = _solve_equality(fn, -1.0, 1.0, 0.25)
+        assert t == pytest.approx(-0.25, abs=1e-15) and not clamped
+
     def test_slack_constraint_returns_origin(self):
         dists = BetaGroupModel(SEP_PARAMS)
         res = solve_eqodds(dists, SEP_STATS, 0.5)
