@@ -547,15 +547,12 @@ def _check_discrete_suite(seed: int, failures: list[str]) -> str:
     worst_excess = 0.0
     for index in range(_DISCRETE_INSTANCES):
         dist = _random_finite_instance(rng)
-        stats = dist.implied_stats()
         for kind in _KIND_NAMES.values():
             for delta in _DISCRETE_DELTAS:
-                solution = solve_randomized(dist, kind, stats, delta)
-                oracle_risk, _ = brute_force_oracle(dist, kind, stats, delta)
+                solution = solve_randomized(dist, kind, delta)
+                oracle_risk, _ = brute_force_oracle(dist, kind, delta)
                 gap = abs(float(risk_exact(dist, solution) - oracle_risk))
-                excess = float(
-                    abs(disparity_exact(dist, kind, stats, solution)) - Fraction(delta)
-                )
+                excess = float(abs(disparity_exact(dist, kind, solution)) - Fraction(delta))
                 checks += 1
                 worst_gap = max(worst_gap, gap)
                 worst_excess = max(worst_excess, excess)

@@ -3,12 +3,15 @@
 When the score distribution has atoms, group-fair classification may place
 positive mass exactly on the decision boundary, and deterministic
 thresholding cannot hit the disparity budget. The optimum then randomizes
-on the boundary set. This module solves that problem exactly: every float
-input is a binary rational, so all decisions (boundary membership, step
-levels of the disparity envelope, the interpolated acceptance fractions)
-are carried out in ``fractions.Fraction`` arithmetic, or in integers over
-a common denominator, with zero rounding error, and reported risks and
-disparities are exact rationals.
+on the boundary set. This module solves that problem exactly. The solvers
+read only the distribution: the disparity weights come from its four cell
+masses, summed once from the atoms as exact rationals (``implied_stats``
+is a float view of them, not an input). Every float input is a binary
+rational, so all decisions (boundary membership, step levels of the
+disparity envelope, the interpolated acceptance fractions) are carried out
+in ``fractions.Fraction`` arithmetic, or in integers over a common
+denominator, with zero rounding error, and reported risks and disparities
+are exact rationals.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DisparityKind, DomainError, GroupStats, _coeff_table
+from .core import DisparityError, DisparityKind, DomainError, GroupStats, _coeff_table
 from .solver import SolverError
 
 __all__ = [
@@ -62,11 +65,12 @@ class FiniteDistribution:
     """
 
     atoms: tuple[tuple[int, float, float], ...]
-    # Exact terms per atom and the risk of rejecting every atom, built once
-    # here, and the exact atoms per (kind, stats), built once by _prepare;
-    # all kept out of eq, hash and repr.
+    # Exact terms per atom, the risk of rejecting every atom and the cell
+    # masses (p11, p10, p01, p00), built once here, and the exact atoms per
+    # kind, built once by _prepare; all kept out of eq, hash and repr.
     _terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
     _reject_risk: Fraction = field(init=False, repr=False, compare=False)
+    _cells: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _prepared: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms) -> None:
@@ -89,23 +93,19 @@ class FiniteDistribution:
         total = sum((t.mass for t in terms), _ZERO)
         if abs(total - 1) > Fraction(1, 10**9):
             raise DomainError(f"atom masses sum to {float(total)!r}, expected 1")
+        cells = {(a, y): _ZERO for a in (1, 0) for y in (1, 0)}
+        for (a, _, _), t in zip(self.atoms, terms):
+            cells[a, 1] += t.held
+            cells[a, 0] += t.mass - t.held
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_reject_risk", sum((t.held for t in terms), _ZERO))
+        object.__setattr__(self, "_cells", tuple(cells.values()))
         object.__setattr__(self, "_prepared", {})
 
     def implied_stats(self) -> GroupStats:
-        """Cell probabilities induced by the atoms: p_{a,1} = sum of m*eta
-        over group a. Raises when a cell is empty (degenerate scores)."""
-        cells = {(a, y): Fraction(0) for a in (0, 1) for y in (0, 1)}
-        for (a, _, _), t in zip(self.atoms, self._terms):
-            cells[(a, 1)] += t.held
-            cells[(a, 0)] += t.mass - t.held
-        return GroupStats(
-            p11=float(cells[(1, 1)]),
-            p10=float(cells[(1, 0)]),
-            p01=float(cells[(0, 1)]),
-            p00=float(cells[(0, 0)]),
-        )
+        """Float view of the exact cell masses: p_{a,1} = sum of m*eta over
+        group a. Raises when a cell is empty (degenerate scores)."""
+        return GroupStats(*map(float, self._cells))
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ class RandomizedClassifier:
 
 @dataclass(frozen=True)
 class _Atom:
-    mass: Fraction
     eta: Fraction
     w: Fraction
     mw: Fraction  # mass * w, the atom's disparity contribution when accepted
@@ -134,19 +133,19 @@ class _Atom:
     ratio: Fraction | None  # (2*eta - 1) / w, None when w == 0
 
 
-def _prepare(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats) -> tuple[_Atom, ...]:
-    """The exact atoms of dist under (kind, stats), built once per triple."""
-    key = (kind, stats)
-    atoms = dist._prepared.get(key)
+def _prepare(dist: FiniteDistribution, kind: DisparityKind) -> tuple[_Atom, ...]:
+    """The exact atoms of dist under kind, built once per kind."""
+    atoms = dist._prepared.get(kind)
     if atoms is None:
-        cells = (stats.p11, stats.p10, stats.p01, stats.p00)
-        (s0, s1), (b0, b1) = _coeff_table(kind, *map(Fraction, cells))
+        if not all(dist._cells):
+            raise DisparityError(f"all four cell masses must be positive, got {dist._cells}")
+        (s0, s1), (b0, b1) = _coeff_table(kind, *dist._cells)
         out = []
         for (a, _, _), t in zip(dist.atoms, dist._terms):
             w = (s1 * t.eta + b1) if a == 1 else (s0 * t.eta + b0)
             ratio = (2 * t.eta - 1) / w if w != 0 else None
-            out.append(_Atom(t.mass, t.eta, w, mw=t.mass * w, slope=t.slope, ratio=ratio))
-        atoms = dist._prepared[key] = tuple(out)
+            out.append(_Atom(t.eta, w, mw=t.mass * w, slope=t.slope, ratio=ratio))
+        atoms = dist._prepared[kind] = tuple(out)
     return atoms
 
 
@@ -164,14 +163,14 @@ def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fr
 
 
 def disparity_exact(
-    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, classifier: RandomizedClassifier
+    dist: FiniteDistribution, kind: DisparityKind, classifier: RandomizedClassifier
 ) -> Fraction:
     """Signed disparity sum of m*w*f of a randomized classifier, exactly."""
     if len(classifier.accept) != len(dist.atoms):
         raise DomainError(
             f"classifier covers {len(classifier.accept)} atoms, distribution has {len(dist.atoms)}"
         )
-    atoms = _prepare(dist, kind, stats)
+    atoms = _prepare(dist, kind)
     return sum((at.mw * Fraction(f) for at, f in zip(atoms, classifier.accept)), Fraction(0))
 
 
@@ -188,7 +187,7 @@ def _accepts(atoms: tuple[_Atom, ...], t: Fraction, tau_plus: Fraction, tau_minu
 
 
 def solve_randomized(
-    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float
+    dist: FiniteDistribution, kind: DisparityKind, delta: float
 ) -> RandomizedClassifier:
     """Risk-minimal classifier with |disparity| <= delta, exactly.
 
@@ -201,7 +200,7 @@ def solve_randomized(
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
-    atoms = _prepare(dist, kind, stats)
+    atoms = _prepare(dist, kind)
     live = [at for at in atoms if at.ratio is not None]
     # Integer contributions in units of 1/scale keep the sums cheap and exact.
     scale = math.lcm(*(at.mw.denominator for at in live))
@@ -282,7 +281,7 @@ def solve_breakpoints(
 
 
 def brute_force_oracle(
-    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float
+    dist: FiniteDistribution, kind: DisparityKind, delta: float
 ) -> tuple[Fraction, RandomizedClassifier]:
     """Exhaustive reference optimum over the randomized threshold family.
 
@@ -302,7 +301,7 @@ def brute_force_oracle(
             f"oracle capped at {_ORACLE_ATOM_CAP} atoms, got {len(dist.atoms)}"
         )
     deltaf = Fraction(delta)
-    atoms = _prepare(dist, kind, stats)
+    atoms = _prepare(dist, kind)
     # Live atoms in ratio order, each with the position of its ratio (see
     # _candidate_positions).
     live = sorted((at for at in atoms if at.ratio is not None), key=lambda at: at.ratio)

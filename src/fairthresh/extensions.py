@@ -141,10 +141,6 @@ def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: flo
     return _threshold_risk(dists, stats, [_group_threshold(stats, a, t1, t2) for a in (0, 1)])
 
 
-class _ExactRoot(Exception):
-    """Raised with the parameter at which a system residual is exactly zero."""
-
-
 def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: float):
     """Root of the monotone non-increasing fn(t) = target, clamped to [lo, hi], and
     whether target lies strictly outside fn's range there (the end is then no root)."""
@@ -294,17 +290,10 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     b_lo, b_hi = bracket
     lo_positive = outer_residual(b_lo)[0] > 0.0
 
-    def on_lo_side(t2: float) -> bool:
-        residual, _ = outer_residual(t2)
-        if residual == 0.0:
-            raise _ExactRoot(t2)
-        return (residual > 0.0) == lo_positive
-
-    try:
-        b_lo, b_hi = bisect(on_lo_side, b_lo, b_hi, steps=80)
-        t2 = 0.5 * (b_lo + b_hi)
-    except _ExactRoot as root:
-        (t2,) = root.args
+    b_lo, b_hi = bisect(
+        lambda t2: (outer_residual(t2)[0] > 0.0) == lo_positive, b_lo, b_hi, steps=80
+    )
+    t2 = 0.5 * (b_lo + b_hi)
     t1, _ = inner_t1(t2)
     return finish(t1, t2, case=case)
 
@@ -315,9 +304,10 @@ def solve_multiclass_dp(
 ) -> MulticlassThresholds:
     """Thresholds equalizing acceptance rates across K groups exactly.
 
-    Each group accepts at threshold 1/2 + t_a / (2 p_a); the offsets are
-    parametrized by a common acceptance rate s (per-group quantile of the
-    score distribution), and s is solved so the offsets sum to zero.
+    Group a accepts above core's threshold at its offset t_a, for the
+    constant weight 1/p_a; the offsets are parametrized by a common
+    acceptance rate s (per-group quantile of the score distribution), and
+    s is solved so the offsets sum to zero.
     group_curves[a](tau) must return P(eta_a > tau | A=a), non-increasing
     in tau.
     """
@@ -353,7 +343,7 @@ def solve_multiclass_dp(
 
     t = offsets(s_star)
     for a in range(k):
-        tau = 0.5 + t[a] / (2.0 * p_groups[a])
+        tau = _affine_threshold(0.0, 1.0 / p_groups[a], t[a])
         achieved = group_curves[a](tau)
         if abs(achieved - s_star) > _ACCEPTANCE_TOL:
             raise SolverError(
@@ -364,7 +354,7 @@ def solve_multiclass_dp(
     # exactly; each group threshold moves by residual/2, far below tolerance.
     residual = math.fsum(t)
     t = [t_a - residual * p_a for t_a, p_a in zip(t, p_groups)]
-    thresholds = tuple(0.5 + t_a / (2.0 * p_a) for t_a, p_a in zip(t, p_groups))
+    thresholds = tuple(_affine_threshold(0.0, 1.0 / p_a, t_a) for t_a, p_a in zip(t, p_groups))
     acceptance = tuple(group_curves[a](thresholds[a]) for a in range(k))
     return MulticlassThresholds(
         t=tuple(t), thresholds=thresholds, acceptance=acceptance, s_star=s_star

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -45,7 +46,7 @@ from fairthresh.cli import (
     _check_grid_suite,
     _eqodds_grid_oracle,
 )
-from fairthresh.core import BlindKind, DisparityKind, threshold
+from fairthresh.core import BlindKind, DisparityKind, GroupStats, threshold
 from fairthresh.discrete import RandomizedClassifier
 from fairthresh.estimators import FitError, LabeledDataset, fit_group_models
 from fairthresh.extensions import eqodds_risk, solve_eqodds
@@ -753,8 +754,8 @@ class TestCmdOracleCheck:
         # them misses budgets and optima that the oracle reaches.
         true_solve = fairthresh.cli.solve_randomized
 
-        def unrandomized(dist, kind, stats, delta):
-            f = true_solve(dist, kind, stats, delta)
+        def unrandomized(dist, kind, delta):
+            f = true_solve(dist, kind, delta)
             accept = tuple(Fraction(0) if 0 < a < 1 else a for a in f.accept)
             return RandomizedClassifier(accept=accept, t_star=f.t_star)
 
@@ -771,6 +772,29 @@ class TestCmdOracleCheck:
             ), line
         assert any("risk gap" in line for line in failures)
         assert any("constraint excess" in line for line in failures)
+
+    @pytest.mark.parametrize("kind", list(DisparityKind), ids=lambda k: k.value)
+    def test_grid_oracle_searches_negative_t(self, model, kind):
+        # With the groups swapped every gap starts below zero (D(0) is
+        # -0.48, -0.39 and -0.37 for dd, do and pd), so the oracle walks
+        # its grid toward negative t, which no suite curve does.
+        s = model.stats
+        swapped = dataclasses.replace(
+            model,
+            stats=GroupStats(p11=s.p01, p10=s.p00, p01=s.p11, p00=s.p10),
+            mu_11=model.mu_01,
+            mu_10=model.mu_00,
+            mu_01=model.mu_11,
+            mu_00=model.mu_10,
+        )
+        for delta in (0.0, 0.05, 0.1):
+            assert fairthresh.cli._suite_disparity(swapped, kind, 0.0) < -delta
+            t_grid = fairthresh.cli._grid_threshold_oracle(
+                swapped, kind, delta, fairthresh.cli._GRID_STEP
+            )
+            t_bisect = theoretical_fair_classifier(swapped, kind, delta, tol=1e-6).t_star
+            assert t_grid < 0.0
+            assert abs(t_grid - t_bisect) <= fairthresh.cli._GRID_T_TOL
 
     def test_eqodds_oracle_agrees_with_the_solver(self, model):
         stats = model.stats

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairthresh import cli
-from fairthresh.core import DisparityError, DisparityKind, DomainError, GroupStats
+from fairthresh.core import DisparityError, DisparityKind, DomainError
 from fairthresh.discrete import (
     FiniteDistribution,
     RandomizedClassifier,
@@ -38,18 +38,37 @@ from fairthresh.solver import SolverError
 # Oracles
 
 
-def oracle_coeffs(kind: DisparityKind, stats: GroupStats) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+def exact_cells(dist: FiniteDistribution) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(p11, p10, p01, p00): sums of m*eta and m*(1 - eta) over each group's
+    atoms, in rationals."""
+    cells = {(a, y): Fraction(0) for a in (1, 0) for y in (1, 0)}
+    for a, m, e in dist.atoms:
+        cells[a, 1] += Fraction(m) * Fraction(e)
+        cells[a, 0] += Fraction(m) * (1 - Fraction(e))
+    return tuple(cells.values())
+
+
+def oracle_coeffs(kind: DisparityKind, dist: FiniteDistribution) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """(s, b) per group, re-derived from the weight definitions: the
     demographic measure weighs by signed inverse group mass, the
     opportunity measure by eta over the positive cell, the predictive
     measure by (1 - eta) over the negative cell."""
-    p11, p10 = Fraction(stats.p11), Fraction(stats.p10)
-    p01, p00 = Fraction(stats.p01), Fraction(stats.p00)
+    p11, p10, p01, p00 = exact_cells(dist)
     if kind is DisparityKind.DD:
         return (Fraction(0), Fraction(0)), (-1 / (p01 + p00), 1 / (p11 + p10))
     if kind is DisparityKind.DO:
         return (-1 / p01, 1 / p11), (Fraction(0), Fraction(0))
     return (1 / p00, -1 / p10), (-1 / p00, 1 / p10)
+
+
+def hand_disparity(dist: FiniteDistribution, kind: DisparityKind, accept) -> Fraction:
+    """Sum of m*w*f over the atoms, with w from oracle_coeffs."""
+    (s0, s1), (b0, b1) = oracle_coeffs(kind, dist)
+    return sum(
+        (Fraction(m) * ((s1 if a else s0) * Fraction(e) + (b1 if a else b0)) * fa
+         for (a, m, e), fa in zip(dist.atoms, accept)),
+        Fraction(0),
+    )
 
 
 def bayes_risk(dist: FiniteDistribution) -> Fraction:
@@ -90,7 +109,7 @@ def _reference_candidates(ratios: list[Fraction]) -> list[Fraction]:
 
 
 def _reference_brute_force_oracle(
-    dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float
+    dist: FiniteDistribution, kind: DisparityKind, delta: float
 ) -> tuple[Fraction, tuple[Fraction, ...], Fraction, Fraction, Fraction]:
     """The exhaustive oracle in Fraction arithmetic alone, as it stood
     before its sums moved to integers: same candidates, vertices and strict
@@ -98,7 +117,7 @@ def _reference_brute_force_oracle(
     (risk, accept, t, tau_plus, tau_minus)."""
     deltaf = Fraction(delta)
     half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
-    (s0, s1), (b0, b1) = oracle_coeffs(kind, stats)
+    (s0, s1), (b0, b1) = oracle_coeffs(kind, dist)
     atoms = []  # mass, eta, w, ratio
     for a, m, e in dist.atoms:
         mf, ef = Fraction(m), Fraction(e)
@@ -168,10 +187,10 @@ def _reference_brute_force_oracle(
     return risk, accept, t, u, v
 
 
-def assert_oracle_matches_reference(dist: FiniteDistribution, kind: DisparityKind, stats: GroupStats, delta: float) -> None:
-    risk, f = brute_force_oracle(dist, kind, stats, delta)
+def assert_oracle_matches_reference(dist: FiniteDistribution, kind: DisparityKind, delta: float) -> None:
+    risk, f = brute_force_oracle(dist, kind, delta)
     got = (risk, f.accept, f.t_star, f.tau_plus, f.tau_minus)
-    assert got == _reference_brute_force_oracle(dist, kind, stats, delta), (dist, kind, delta)
+    assert got == _reference_brute_force_oracle(dist, kind, delta), (dist, kind, delta)
     assert all(type(q) is Fraction for q in (risk, *f.accept, f.t_star, f.tau_plus, f.tau_minus))
 
 
@@ -251,32 +270,21 @@ class TestFiniteDistribution:
     def test_prepared_atoms_out_of_eq_hash_repr(self):
         dist = FiniteDistribution([(1, 0.5, 0.8), (0, 0.5, 0.4)])
         before = (hash(dist), repr(dist))
-        stats = dist.implied_stats()
-        solve_randomized(dist, DisparityKind.DD, stats, 0.1)
-        brute_force_oracle(dist, DisparityKind.PD, stats, 0.1)
+        solve_randomized(dist, DisparityKind.DD, 0.1)
+        brute_force_oracle(dist, DisparityKind.PD, 0.1)
         assert dist._prepared
         assert dist == TWO_ATOM and (hash(dist), repr(dist)) == before == (hash(TWO_ATOM), repr(TWO_ATOM))
 
     def test_prepare_runs_once_per_kind_and_stats(self):
         dist = random_instance(random.Random(5))
-        stats = dist.implied_stats()
-        other = GroupStats(p11=0.3, p10=0.2, p01=0.25, p00=0.25)
-        atoms = _prepare(dist, DisparityKind.DO, stats)
-        assert _prepare(dist, DisparityKind.DO, dist.implied_stats()) is atoms
-        assert _prepare(dist, DisparityKind.DD, stats) is not atoms
-        assert _prepare(dist, DisparityKind.DO, other) is not atoms
-        # Each memo entry answers for its own (kind, stats).
+        atoms = _prepare(dist, DisparityKind.DO)
+        assert _prepare(dist, DisparityKind.DO) is atoms
+        assert _prepare(dist, DisparityKind.DD) is not atoms
+        # Each memo entry answers for its own kind.
         for kind in DisparityKind:
-            for s in (stats, other):
-                assert_oracle_matches_reference(dist, kind, s, 0.05)
-                f = solve_randomized(dist, kind, s, 0.05)
-                (s0, s1), (b0, b1) = oracle_coeffs(kind, s)
-                want = sum(
-                    (Fraction(m) * ((s1 if a else s0) * Fraction(e) + (b1 if a else b0)) * fa
-                     for (a, m, e), fa in zip(dist.atoms, f.accept)),
-                    Fraction(0),
-                )
-                assert disparity_exact(dist, kind, s, f) == want
+            assert_oracle_matches_reference(dist, kind, 0.05)
+            f = solve_randomized(dist, kind, 0.05)
+            assert disparity_exact(dist, kind, f) == hand_disparity(dist, kind, f.accept)
 
     def test_classifier_validation(self):
         with pytest.raises(DomainError):
@@ -321,10 +329,9 @@ class TestRiskExact:
         checked = 0
         for _ in range(cli._DISCRETE_INSTANCES):
             dist = cli._random_finite_instance(rng)
-            stats = dist.implied_stats()
             for kind in DisparityKind:
                 for delta in cli._DISCRETE_DELTAS:
-                    f = solve_randomized(dist, kind, stats, delta)
+                    f = solve_randomized(dist, kind, delta)
                     want = sum(
                         (
                             Fraction(m) * ((1 - 2 * Fraction(e)) * Fraction(fa) + Fraction(e))
@@ -344,31 +351,28 @@ class TestRiskExact:
 
 class TestSolveRandomized:
     def test_two_atom_partial_budget(self):
-        stats = TWO_ATOM.implied_stats()
-        f = solve_randomized(TWO_ATOM, DisparityKind.DD, stats, 0.5)
+        f = solve_randomized(TWO_ATOM, DisparityKind.DD, 0.5)
         assert f.accept == (1, Fraction(1, 2))
         assert f.t_star == Q0
-        assert disparity_exact(TWO_ATOM, DisparityKind.DD, stats, f) == Fraction(1, 2)
+        assert disparity_exact(TWO_ATOM, DisparityKind.DD, f) == Fraction(1, 2)
         risk = risk_exact(TWO_ATOM, f)
         assert risk == (1 - E1) / 2 + Fraction(1, 4)
         assert float(risk) == pytest.approx(0.35, abs=1e-15)
 
     def test_two_atom_slack_budget(self):
-        stats = TWO_ATOM.implied_stats()
-        f = solve_randomized(TWO_ATOM, DisparityKind.DD, stats, 1.0)
+        f = solve_randomized(TWO_ATOM, DisparityKind.DD, 1.0)
         assert f.accept == (1, 0)
         assert f.t_star == 0
-        assert disparity_exact(TWO_ATOM, DisparityKind.DD, stats, f) == 1
+        assert disparity_exact(TWO_ATOM, DisparityKind.DD, f) == 1
         risk = risk_exact(TWO_ATOM, f)
         assert risk == (1 - E1) / 2 + E0 / 2
         assert float(risk) == pytest.approx(0.3, abs=1e-15)
         assert risk == bayes_risk(TWO_ATOM)
 
     def test_two_atom_zero_budget(self):
-        stats = TWO_ATOM.implied_stats()
-        f = solve_randomized(TWO_ATOM, DisparityKind.DD, stats, 0.0)
+        f = solve_randomized(TWO_ATOM, DisparityKind.DD, 0.0)
         assert f.accept == (1, 1)
-        assert disparity_exact(TWO_ATOM, DisparityKind.DD, stats, f) == 0
+        assert disparity_exact(TWO_ATOM, DisparityKind.DD, f) == 0
         risk = risk_exact(TWO_ATOM, f)
         assert risk == 1 - (E1 + E0) / 2
         assert float(risk) == pytest.approx(0.4, abs=1e-15)
@@ -377,25 +381,23 @@ class TestSolveRandomized:
         rng = random.Random(6211)
         for i in range(60):
             dist = random_instance(rng, dyadic=(i % 2 == 0))
-            stats = dist.implied_stats()
             for kind in DisparityKind:
                 for delta in (0.0, 0.1, 0.3):
-                    f = solve_randomized(dist, kind, stats, delta)
+                    f = solve_randomized(dist, kind, delta)
                     for fa in f.accept:
                         assert 0 <= fa <= 1
-                    dis = disparity_exact(dist, kind, stats, f)
+                    dis = disparity_exact(dist, kind, f)
                     assert abs(dis) <= Fraction(delta)
-                    oracle_risk, _ = brute_force_oracle(dist, kind, stats, delta)
+                    oracle_risk, _ = brute_force_oracle(dist, kind, delta)
                     assert risk_exact(dist, f) == oracle_risk
 
     def test_risk_nonincreasing_in_budget(self):
         rng = random.Random(777)
         for _ in range(10):
             dist = random_instance(rng)
-            stats = dist.implied_stats()
             for kind in DisparityKind:
                 risks = [
-                    risk_exact(dist, solve_randomized(dist, kind, stats, d))
+                    risk_exact(dist, solve_randomized(dist, kind, d))
                     for d in (0.0, 0.05, 0.1, 0.2, 0.4)
                 ]
                 for a, b in zip(risks, risks[1:]):
@@ -405,23 +407,21 @@ class TestSolveRandomized:
         rng = random.Random(40)
         for _ in range(20):
             dist = random_instance(rng)
-            stats = dist.implied_stats()
             for kind in DisparityKind:
-                wide = solve_randomized(dist, kind, stats, 1000.0)
-                d0 = abs(disparity_exact(dist, kind, stats, wide))
+                wide = solve_randomized(dist, kind, 1000.0)
+                d0 = abs(disparity_exact(dist, kind, wide))
                 budget = math.nextafter(float(d0), math.inf)
-                f = solve_randomized(dist, kind, stats, budget)
+                f = solve_randomized(dist, kind, budget)
                 assert risk_exact(dist, f) == bayes_risk(dist)
 
     def test_zero_weight_atoms_stay_deterministic(self):
         # Under the opportunity measure a score of zero has zero weight;
         # such atoms are plain Bayes decisions and never randomized.
         dist = FiniteDistribution([(1, 0.5, 0.7), (0, 0.25, 0.0), (0, 0.25, 0.6)])
-        stats = dist.implied_stats()
         for delta in (0.0, 0.1):
-            f = solve_randomized(dist, DisparityKind.DO, stats, delta)
+            f = solve_randomized(dist, DisparityKind.DO, delta)
             assert f.accept[1] == 0
-            assert abs(disparity_exact(dist, DisparityKind.DO, stats, f)) <= Fraction(delta)
+            assert abs(disparity_exact(dist, DisparityKind.DO, f)) <= Fraction(delta)
 
     def test_half_scores_absorb_disparity_for_free(self):
         # Atoms at eta = 1/2 cost nothing to flip but carry demographic
@@ -429,21 +429,54 @@ class TestSolveRandomized:
         dist = FiniteDistribution(
             [(1, 0.25, 0.5), (1, 0.25, 0.9), (0, 0.25, 0.5), (0, 0.25, 0.1)]
         )
-        stats = dist.implied_stats()
-        f = solve_randomized(dist, DisparityKind.DD, stats, 0.0)
-        assert disparity_exact(dist, DisparityKind.DD, stats, f) == 0
+        f = solve_randomized(dist, DisparityKind.DD, 0.0)
+        assert disparity_exact(dist, DisparityKind.DD, f) == 0
         assert risk_exact(dist, f) == bayes_risk(dist)
 
     def test_negative_budget_rejected(self):
-        stats = TWO_ATOM.implied_stats()
         with pytest.raises(SolverError):
-            solve_randomized(TWO_ATOM, DisparityKind.DD, stats, -0.1)
+            solve_randomized(TWO_ATOM, DisparityKind.DD, -0.1)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_budget_rejected(self, delta):
-        stats = TWO_ATOM.implied_stats()
         with pytest.raises(SolverError, match="must be finite and nonnegative"):
-            solve_randomized(TWO_ATOM, DisparityKind.DD, stats, delta)
+            solve_randomized(TWO_ATOM, DisparityKind.DD, delta)
+
+
+class TestExactBudget:
+    """The solver's disparity, summed here from the atoms' own rational cell
+    masses, meets the budget exactly: the weights are never rounded."""
+
+    def test_oracle_check_instances_meet_budget_exactly(self):
+        rng = random.Random(0)
+        for index in range(50):
+            dist = cli._random_finite_instance(rng)
+            for kind in DisparityKind:
+                for delta in (0.0, 0.1, 0.3):
+                    f = solve_randomized(dist, kind, delta)
+                    dis = hand_disparity(dist, kind, f.accept)
+                    assert abs(dis) <= Fraction(delta), (index, kind, delta)
+                    if delta == 0.0:
+                        assert dis == 0, (index, kind)
+
+    def test_masses_off_one_by_float_noise_solve(self):
+        # The masses sum to 1 + 5e-11: inside the distribution's own
+        # tolerance, though outside GroupStats' float one.
+        dist = FiniteDistribution(
+            [(1, 0.3 + 5e-11, 0.8), (1, 0.2, 0.35), (0, 0.25, 0.6), (0, 0.25, 0.1)]
+        )
+        for kind in DisparityKind:
+            for delta in (0.0, 0.1):
+                f = solve_randomized(dist, kind, delta)
+                oracle_risk, _ = brute_force_oracle(dist, kind, delta)
+                assert risk_exact(dist, f) == oracle_risk
+                assert abs(hand_disparity(dist, kind, f.accept)) <= Fraction(delta)
+
+    def test_empty_cell_rejected(self):
+        # Every group-1 score is 0, so the cell (1, 1) has no mass.
+        dist = FiniteDistribution([(1, 0.5, 0.0), (0, 0.5, 0.4)])
+        with pytest.raises(DisparityError, match="cell masses must be positive"):
+            solve_randomized(dist, DisparityKind.DO, 0.1)
 
 
 class TestSolveBreakpoints:
@@ -465,8 +498,7 @@ class TestSolveBreakpoints:
 
 class TestBruteForceOracle:
     def test_two_atom_frozen(self):
-        stats = TWO_ATOM.implied_stats()
-        risk, f = brute_force_oracle(TWO_ATOM, DisparityKind.DD, stats, 0.5)
+        risk, f = brute_force_oracle(TWO_ATOM, DisparityKind.DD, 0.5)
         assert risk == (1 - E1) / 2 + Fraction(1, 4)
         assert f.accept == (1, Fraction(1, 2))
 
@@ -474,9 +506,8 @@ class TestBruteForceOracle:
         rng = random.Random(52)
         for _ in range(10):
             dist = random_instance(rng)
-            stats = dist.implied_stats()
             for kind in DisparityKind:
-                risk, _ = brute_force_oracle(dist, kind, stats, 1000.0)
+                risk, _ = brute_force_oracle(dist, kind, 1000.0)
                 assert risk == bayes_risk(dist)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
@@ -487,28 +518,25 @@ class TestBruteForceOracle:
         # Scores 0 and 1 give the DO and PD measures zero-weight atoms.
         edges = FiniteDistribution([(1, 0.25, 0.7), (1, 0.25, 0.0), (0, 0.25, 1.0), (0, 0.25, 0.3)])
         for dist in [random_instance(rng) for _ in range(25)] + [edges]:
-            stats = dist.implied_stats()
             for kind in DisparityKind:
-                risk, f = brute_force_oracle(dist, kind, stats, delta)
+                risk, f = brute_force_oracle(dist, kind, delta)
                 assert risk_exact(dist, f) == risk
-                assert abs(disparity_exact(dist, kind, stats, f)) <= Fraction(delta)
+                assert abs(disparity_exact(dist, kind, f)) <= Fraction(delta)
 
     def test_atom_cap(self):
         atoms = [(i % 2, 1 / 13, 0.3 + 0.04 * i) for i in range(13)]
         dist = FiniteDistribution(atoms)
         with pytest.raises(SolverError):
-            brute_force_oracle(dist, DisparityKind.DD, dist.implied_stats(), 0.1)
+            brute_force_oracle(dist, DisparityKind.DD, 0.1)
 
     def test_negative_budget_rejected(self):
-        stats = TWO_ATOM.implied_stats()
         with pytest.raises(SolverError):
-            brute_force_oracle(TWO_ATOM, DisparityKind.DD, stats, -1e-9)
+            brute_force_oracle(TWO_ATOM, DisparityKind.DD, -1e-9)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_budget_rejected(self, delta):
-        stats = TWO_ATOM.implied_stats()
         with pytest.raises(SolverError, match="must be finite and nonnegative"):
-            brute_force_oracle(TWO_ATOM, DisparityKind.DD, stats, delta)
+            brute_force_oracle(TWO_ATOM, DisparityKind.DD, delta)
 
     def test_beats_random_feasible_classifiers(self):
         # No random-search classifier that clearly satisfies the budget may
@@ -517,14 +545,13 @@ class TestBruteForceOracle:
         np_rng = np.random.default_rng(998877)
         for _ in range(50):
             dist = random_instance(rng, n_max=5)
-            stats = dist.implied_stats()
             kind = rng.choice(list(DisparityKind))
             delta = rng.choice([0.05, 0.1, 0.3])
-            oracle_risk, _ = brute_force_oracle(dist, kind, stats, delta)
+            oracle_risk, _ = brute_force_oracle(dist, kind, delta)
 
             m = np.array([a[1] for a in dist.atoms])
             eta = np.array([a[2] for a in dist.atoms])
-            (s0, s1), (b0, b1) = oracle_coeffs(kind, stats)
+            (s0, s1), (b0, b1) = oracle_coeffs(kind, dist)
             w = np.array(
                 [
                     float((s1 if a == 1 else s0) * Fraction(e) + (b1 if a == 1 else b0))
@@ -567,10 +594,9 @@ class TestOracleMatchesReference:
         rng = random.Random(4242 + dyadic)
         for _ in range(40):
             dist = random_instance(rng, n_max=8, dyadic=dyadic)
-            stats = dist.implied_stats()
             for kind in DisparityKind:
                 for delta in ORACLE_DELTAS:
-                    assert_oracle_matches_reference(dist, kind, stats, delta)
+                    assert_oracle_matches_reference(dist, kind, delta)
 
     @pytest.mark.parametrize(
         "scores",
@@ -586,13 +612,11 @@ class TestOracleMatchesReference:
             n = rng.randint(2, 8)
             etas = [rng.choice(scores) if rng.random() < 0.75 else rng.uniform(0.05, 0.95) for _ in range(n)]
             dist = instance_from(rng, etas)
-            try:
-                stats = dist.implied_stats()
-            except DisparityError:  # an empty cell, e.g. every score 0
+            if not all(exact_cells(dist)):  # an empty cell, e.g. every score 0
                 continue
             for kind in DisparityKind:
                 for delta in ORACLE_DELTAS:
-                    assert_oracle_matches_reference(dist, kind, stats, delta)
+                    assert_oracle_matches_reference(dist, kind, delta)
 
     @given(
         dist=finite_instances(),
@@ -601,8 +625,5 @@ class TestOracleMatchesReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_drawn_instances(self, dist, kind, delta):
-        try:
-            stats = dist.implied_stats()
-        except DisparityError:
-            assume(False)
-        assert_oracle_matches_reference(dist, kind, stats, delta)
+        assume(all(exact_cells(dist)))
+        assert_oracle_matches_reference(dist, kind, delta)
