@@ -26,6 +26,7 @@ Module map:
 - ``fair_algorithms``: the three training pipelines (resampling, cost
   reweighting, plug-in thresholding) with group-aware and group-blind
   variants, plus evaluation.
+- ``oracles``: the ``oracle-check`` suites, loaded by ``cli``, not the package.
 - ``cli``: the ``fairthresh`` command line front end, imported on first
   access (``fairthresh.cli``) rather than with the package.
 """

@@ -30,7 +30,6 @@ __all__ = [
     "DisparityKind",
     "BlindKind",
     "GroupStats",
-    "BilinearSpec",
     "bilinear_coeffs",
     "threshold",
     "natural_domain",
@@ -132,27 +131,15 @@ class GroupStats:
         )
 
 
-@dataclass(frozen=True)
-class BilinearSpec:
-    """Per-group affine weight coefficients: w(eta, a) = s[a]*eta + b[a]."""
-
-    s: tuple[float, float]  # indexed by group a in {0, 1}
-    b: tuple[float, float]
-
-    def weight(self, eta: float, a: int) -> float:
-        return self.s[a] * eta + self.b[a]
-
-
-def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> BilinearSpec:
-    """Affine weight coefficients (s_a, b_a) of the given measure.
+def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> tuple[tuple, tuple]:
+    """((s_0, s_1), (b_0, b_1)) of the measure's weight w(eta, a) = s[a]*eta + b[a].
 
     Blind kinds are rejected: their weights depend on feature-level group
     posteriors, not on (eta, a) alone.
     """
     if isinstance(kind, BlindKind):
         raise DisparityError(f"{kind} weights are feature-dependent, not bilinear in (eta, a)")
-    s, b = _coeff_table(kind, stats.p11, stats.p10, stats.p01, stats.p00)
-    return BilinearSpec(s=s, b=b)
+    return _coeff_table(kind, stats.p11, stats.p10, stats.p01, stats.p00)
 
 
 def _coeff_table(kind: DisparityKind, p11, p10, p01, p00) -> tuple[tuple, tuple]:
@@ -184,9 +171,9 @@ def natural_domain(kind: DisparityKind, stats: GroupStats) -> tuple[float, float
 
 def threshold(kind: DisparityKind, stats: GroupStats, a: int, t: float) -> float:
     """Group-a acceptance threshold H_a(t) = (1 + t*b_a) / (2 - t*s_a)."""
-    spec = bilinear_coeffs(kind, stats)
+    s, b = bilinear_coeffs(kind, stats)
     try:
-        return _affine_threshold(spec.s[a], spec.b[a], t)
+        return _affine_threshold(s[a], b[a], t)
     except DomainError as exc:
         lo, hi = natural_domain(kind, stats)
         raise DomainError(
@@ -214,7 +201,8 @@ def cost_weights(
     weight; every cost is 1/2 at t = 0.
     """
     if isinstance(kind, BlindKind):
-        return 0.5 * (1.0 + (1 - 2 * y) * t * bilinear_coeffs(kind.base, stats).weight(y, a))
+        s, b = bilinear_coeffs(kind.base, stats)
+        return 0.5 * (1.0 + (1 - 2 * y) * t * (s[a] * y + b[a]))
     h = threshold(kind, stats, a, t)
     return (1 - 2 * y) * h + y
 
@@ -237,8 +225,6 @@ def empirical_disparity_arrays(
     mask1 = a == 1
     if not mask1.any() or mask1.all():
         raise EstimationError("both groups must be present: disparity undefined")
-    spec = bilinear_coeffs(kind, stats)
-    s = np.where(mask1, spec.s[1], spec.s[0])
-    b = np.where(mask1, spec.b[1], spec.b[0])
+    s, b = (np.where(mask1, coeff[1], coeff[0]) for coeff in bilinear_coeffs(kind, stats))
     terms = np.asarray(f, dtype=float) * (s * np.asarray(eta_hat, dtype=float) + b)
     return float(np.sum(terms) / a.size)

@@ -103,9 +103,10 @@ class FiniteDistribution:
         object.__setattr__(self, "_prepared", {})
 
     def implied_stats(self) -> GroupStats:
-        """Float view of the exact cell masses: p_{a,1} = sum of m*eta over
-        group a. Raises when a cell is empty (degenerate scores)."""
-        return GroupStats(*map(float, self._cells))
+        """Float view of the exact cell masses (p_{a,1} = sum of m*eta over group a)
+        over their exact total, which may miss 1 by up to 1e-9. Raises when a cell is empty."""
+        total = sum(self._cells)
+        return GroupStats(*(float(c / total) for c in self._cells))
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,10 @@ def _check_eqodds_point(stats: GroupStats, t1: float, t2: float) -> None:
 
 def _group_threshold(stats: GroupStats, a: int, t1: float, t2: float) -> float:
     """eqodds_group_threshold at a point already checked by _check_eqodds_point."""
-    do, pd = bilinear_coeffs(DisparityKind.DO, stats), bilinear_coeffs(DisparityKind.PD, stats)
+    s_do, b_do = bilinear_coeffs(DisparityKind.DO, stats)
+    s_pd, b_pd = bilinear_coeffs(DisparityKind.PD, stats)
     try:
-        h = _affine_threshold(t1 * do.s[a] + t2 * pd.s[a], t1 * do.b[a] + t2 * pd.b[a], 1.0)
+        h = _affine_threshold(t1 * s_do[a] + t2 * s_pd[a], t1 * b_do[a] + t2 * b_pd[a], 1.0)
     except DomainError as exc:
         raise DomainError(f"{exc} for group {a} at ({t1!r}, {t2!r})") from None
     # Mathematically the ratio lies in [0, 1] on the admissible rectangle;

@@ -147,8 +147,7 @@ class FairClassifier:
             raise DisparityError("aware rule needs the group id vector to decide")
         a_arr = np.asarray(a)
         score = np.asarray(predict_proba(self.eta_groups, x2, a_arr), dtype=float)
-        spec = bilinear_coeffs(self.kind, self.stats)
-        s, b = (np.where(a_arr == 1, coeff[1], coeff[0]) for coeff in (spec.s, spec.b))
+        s, b = (np.where(a_arr == 1, c[1], c[0]) for c in bilinear_coeffs(self.kind, self.stats))
         return score, s * score + b
 
     def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
@@ -257,12 +256,12 @@ def _blind_weight_values(
     """Feature-level disparity weights of blind threshold rules:
     sum_a P(A=a|x) * w(P(Y=1|x, A=a), a), w the base measure's weight.  A
     group regression is read only where the weight scales it (s_a != 0)."""
-    spec = bilinear_coeffs(kind.base, stats)
+    s, b = bilinear_coeffs(kind.base, stats)
     ga = np.asarray(predict_proba(eta_a, x), dtype=float)
     values = 0.0
     for a, pa in ((1, ga), (0, 1.0 - ga)):
-        eta = predict_proba(eta_groups, x, np.full(len(ga), a)) if spec.s[a] else 0.0
-        values = values + pa * (spec.s[a] * eta + spec.b[a])
+        eta = predict_proba(eta_groups, x, np.full(len(ga), a)) if s[a] else 0.0
+        values = values + pa * (s[a] * eta + b[a])
     return values
 
 
@@ -346,7 +345,7 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     if isinstance(cfg.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
-        slopes = bilinear_coeffs(cfg.base_kind, state.stats).s
+        slopes, _ = bilinear_coeffs(cfg.base_kind, state.stats)
         models = {
             "eta_y": fit_logistic(ds),
             "eta_a": fit_group_models(ds, MODE_BLIND_A),

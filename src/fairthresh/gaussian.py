@@ -257,8 +257,8 @@ def threshold_disparity(
     """
     _require_aware(kind)
     stats = model.stats
-    spec = bilinear_coeffs(kind, stats)
-    weights = {a: [(y, stats.p(a, y) * spec.weight(y, a)) for y in (0, 1)] for a in (1, 0)}
+    s, b = bilinear_coeffs(kind, stats)
+    weights = {a: [(y, stats.p(a, y) * (s[a] * y + b[a])) for y in (0, 1)] for a in (1, 0)}
 
     def fn(thresholds: Sequence[float]) -> float:
         total = 0.0

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fairthresh.cli import _check_discrete_suite, _check_grid_suite, _check_eqodds_suite
+from fairthresh.oracles import check_discrete_suite, check_eqodds_suite, check_grid_suite
 from fairthresh.core import (
     DisparityKind,
     GroupStats,
@@ -150,7 +150,7 @@ def test_criterion_02_near_optimal_accuracy(study):
 def test_criterion_03_discrete_oracle():
     failures: list[str] = []
     start = time.perf_counter()
-    summary = _check_discrete_suite(0, failures)
+    summary = check_discrete_suite(0, failures)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 30.0
     verdict(3, "discrete oracle equivalence", ok, f"{summary}, runtime {elapsed:.1f}s < 30s")
@@ -158,7 +158,7 @@ def test_criterion_03_discrete_oracle():
 
 def test_criterion_04_bisection_vs_grid():
     failures: list[str] = []
-    summary = _check_grid_suite(failures)
+    summary = check_grid_suite(failures)
     verdict(4, "bisection vs grid", not failures, summary)
 
 
@@ -318,7 +318,7 @@ def test_criterion_08_cost_minimizer_identity():
 
 def test_criterion_09_equalized_odds():
     failures: list[str] = []
-    summary = _check_eqodds_suite(failures)
+    summary = check_eqodds_suite(failures)
     verdict(9, "equalized odds vs grid oracle", not failures, summary)
 
 

@@ -33,6 +33,7 @@ import fairthresh.cli
 import fairthresh.core
 import fairthresh.extensions
 import fairthresh.fair_algorithms
+import fairthresh.oracles
 from fairthresh.cli import (
     ExperimentSpec,
     IngestError,
@@ -42,9 +43,6 @@ from fairthresh.cli import (
     cmd_synthetic,
     ingest_csv,
     main,
-    _check_discrete_suite,
-    _check_grid_suite,
-    _eqodds_grid_oracle,
 )
 from fairthresh.core import BlindKind, DisparityKind, GroupStats, threshold
 from fairthresh.discrete import RandomizedClassifier
@@ -59,6 +57,7 @@ from fairthresh.gaussian import (
     save_model,
     theoretical_fair_classifier,
 )
+from fairthresh.oracles import _eqodds_grid_oracle, check_discrete_suite, check_grid_suite
 from fairthresh.solver import trace_pareto
 
 
@@ -745,23 +744,23 @@ class TestCmdOracleCheck:
 
         monkeypatch.setattr(fairthresh.core, "threshold", skewed)
         failures: list[str] = []
-        _check_grid_suite(failures)
+        check_grid_suite(failures)
         assert failures
         assert re.search(r"model seed \d+ kind=\w+ delta=", failures[0])
 
     def test_perturbed_exact_solver_fails_named(self, monkeypatch):
         # A solver that rejects its boundary atoms instead of randomizing
         # them misses budgets and optima that the oracle reaches.
-        true_solve = fairthresh.cli.solve_randomized
+        true_solve = fairthresh.oracles.solve_randomized
 
         def unrandomized(dist, kind, delta):
             f = true_solve(dist, kind, delta)
             accept = tuple(Fraction(0) if 0 < a < 1 else a for a in f.accept)
             return RandomizedClassifier(accept=accept, t_star=f.t_star)
 
-        monkeypatch.setattr(fairthresh.cli, "solve_randomized", unrandomized)
+        monkeypatch.setattr(fairthresh.oracles, "solve_randomized", unrandomized)
         failures: list[str] = []
-        summary = _check_discrete_suite(0, failures)
+        summary = check_discrete_suite(0, failures)
         assert summary.startswith("discrete: 1800 checks")
         assert failures
         for line in failures:
@@ -788,17 +787,17 @@ class TestCmdOracleCheck:
             mu_00=model.mu_10,
         )
         for delta in (0.0, 0.05, 0.1):
-            assert fairthresh.cli._suite_disparity(swapped, kind, 0.0) < -delta
-            t_grid = fairthresh.cli._grid_threshold_oracle(
-                swapped, kind, delta, fairthresh.cli._GRID_STEP
+            assert fairthresh.oracles._suite_disparity(swapped, kind, 0.0) < -delta
+            t_grid = fairthresh.oracles._grid_threshold_oracle(
+                swapped, kind, delta, fairthresh.oracles._GRID_STEP
             )
             t_bisect = theoretical_fair_classifier(swapped, kind, delta, tol=1e-6).t_star
             assert t_grid < 0.0
-            assert abs(t_grid - t_bisect) <= fairthresh.cli._GRID_T_TOL
+            assert abs(t_grid - t_bisect) <= fairthresh.oracles._GRID_T_TOL
 
     def test_eqodds_oracle_agrees_with_the_solver(self, model):
         stats = model.stats
-        for delta in fairthresh.cli._EQODDS_DELTAS:
+        for delta in fairthresh.oracles._EQODDS_DELTAS:
             solution = solve_eqodds(model, stats, delta)
             solver_risk = eqodds_risk(model, stats, solution.t1, solution.t2)
             grid_risk = _eqodds_grid_oracle(model, stats, delta)
@@ -815,7 +814,7 @@ class TestCmdOracleCheck:
         for name in ("_group_threshold", "eqodds_group_threshold", "eqodds_disparities",
                      "eqodds_risk"):
             monkeypatch.setattr(fairthresh.extensions, name, unreachable)
-        monkeypatch.setattr(fairthresh.cli, "eqodds_risk", unreachable)
+        monkeypatch.setattr(fairthresh.oracles, "eqodds_risk", unreachable)
         assert _eqodds_grid_oracle(model, model.stats, 0.05) == want
 
     def test_perturbed_eqodds_threshold_map_fails_named(self, monkeypatch, capsys):

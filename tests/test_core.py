@@ -96,23 +96,23 @@ class TestGroupStats:
 
 class TestBilinearCoeffs:
     def test_dd_values(self, table_stats):
-        spec = bilinear_coeffs(DisparityKind.DD, table_stats)
-        assert spec.s == (0.0, 0.0)
-        assert spec.b[1] == pytest.approx(1 / 0.7)
-        assert spec.b[0] == pytest.approx(-1 / 0.3)
+        s, b = bilinear_coeffs(DisparityKind.DD, table_stats)
+        assert s == (0.0, 0.0)
+        assert b[1] == pytest.approx(1 / 0.7)
+        assert b[0] == pytest.approx(-1 / 0.3)
 
     def test_do_values(self, table_stats):
-        spec = bilinear_coeffs(DisparityKind.DO, table_stats)
-        assert spec.s[1] == pytest.approx(1 / 0.49)
-        assert spec.s[0] == pytest.approx(-1 / 0.12)
-        assert spec.b == (0.0, 0.0)
+        s, b = bilinear_coeffs(DisparityKind.DO, table_stats)
+        assert s[1] == pytest.approx(1 / 0.49)
+        assert s[0] == pytest.approx(-1 / 0.12)
+        assert b == (0.0, 0.0)
 
     def test_pd_values(self, table_stats):
-        spec = bilinear_coeffs(DisparityKind.PD, table_stats)
-        assert spec.s[1] == pytest.approx(-1 / 0.21)
-        assert spec.b[1] == pytest.approx(1 / 0.21)
-        assert spec.s[0] == pytest.approx(1 / 0.18)
-        assert spec.b[0] == pytest.approx(-1 / 0.18)
+        s, b = bilinear_coeffs(DisparityKind.PD, table_stats)
+        assert s[1] == pytest.approx(-1 / 0.21)
+        assert b[1] == pytest.approx(1 / 0.21)
+        assert s[0] == pytest.approx(1 / 0.18)
+        assert b[0] == pytest.approx(-1 / 0.18)
 
     def test_blind_kinds_rejected(self, table_stats):
         with pytest.raises(DisparityError):
@@ -120,7 +120,8 @@ class TestBilinearCoeffs:
 
     @given(stats=stats_strategy, kind=kind_strategy, eta=st.floats(0.0, 1.0), a=st.sampled_from([0, 1]))
     def test_weight_matches_definitional_form(self, stats, kind, eta, a):
-        got = bilinear_coeffs(kind, stats).weight(eta, a)
+        s, b = bilinear_coeffs(kind, stats)
+        got = s[a] * eta + b[a]
         want = definitional_weight(kind, stats, eta, a)
         assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
 
@@ -188,8 +189,8 @@ class TestCostWeights:
 def _reference_disparity(kind: DisparityKind, stats: GroupStats, records) -> float:
     """Definitional plug-in sum (1/n) * sum_i f_i * w(eta_hat_i, a_i), term by
     term over (a, eta_hat, f) records."""
-    spec = bilinear_coeffs(kind, stats)
-    return math.fsum(f * (spec.s[a] * eta + spec.b[a]) for a, eta, f in records) / len(records)
+    s, b = bilinear_coeffs(kind, stats)
+    return math.fsum(f * (s[a] * eta + b[a]) for a, eta, f in records) / len(records)
 
 
 def array_disparity(kind: DisparityKind, stats: GroupStats, records) -> float:

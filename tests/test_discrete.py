@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairthresh import cli
+from fairthresh import oracles
 from fairthresh.core import DisparityError, DisparityKind, DomainError
 from fairthresh.discrete import (
     FiniteDistribution,
@@ -237,6 +237,20 @@ class TestFiniteDistribution:
         assert stats.p01 == 0.2
         assert stats.p00 == (1 - 0.4) / 2
 
+    def test_implied_stats_of_masses_inside_the_mass_tolerance(self):
+        # The masses sum to 1 + 5e-11, which the distribution accepts; the
+        # float view is normalized by the exact total, so GroupStats does too.
+        dist = FiniteDistribution(
+            [(1, 0.3 + 5e-11, 0.8), (1, 0.2, 0.35), (0, 0.25, 0.6), (0, 0.25, 0.1)]
+        )
+        stats = dist.implied_stats()
+        cells = (stats.p11, stats.p10, stats.p01, stats.p00)
+        assert abs(math.fsum(cells) - 1.0) <= 1e-12
+        p11, p10, p01, p00 = exact_cells(dist)
+        total = p11 + p10 + p01 + p00
+        assert total != 1
+        assert cells == tuple(float(c / total) for c in (p11, p10, p01, p00))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             FiniteDistribution([])
@@ -327,10 +341,10 @@ class TestRiskExact:
         # suite: the memoized terms give the same Fraction as the per-atom sum.
         rng = random.Random(0)
         checked = 0
-        for _ in range(cli._DISCRETE_INSTANCES):
-            dist = cli._random_finite_instance(rng)
+        for _ in range(oracles._DISCRETE_INSTANCES):
+            dist = oracles._random_finite_instance(rng)
             for kind in DisparityKind:
-                for delta in cli._DISCRETE_DELTAS:
+                for delta in oracles._DISCRETE_DELTAS:
                     f = solve_randomized(dist, kind, delta)
                     want = sum(
                         (
@@ -450,7 +464,7 @@ class TestExactBudget:
     def test_oracle_check_instances_meet_budget_exactly(self):
         rng = random.Random(0)
         for index in range(50):
-            dist = cli._random_finite_instance(rng)
+            dist = oracles._random_finite_instance(rng)
             for kind in DisparityKind:
                 for delta in (0.0, 0.1, 0.3):
                     f = solve_randomized(dist, kind, delta)

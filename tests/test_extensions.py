@@ -47,15 +47,15 @@ def defining_equation_root(stats: GroupStats, a: int, t1: float, t2: float) -> f
     identity; solving it directly with the affine weight definitions is
     independent of the closed-form ratio.
     """
-    w_do = bilinear_coeffs(DisparityKind.DO, stats)
-    w_pd = bilinear_coeffs(DisparityKind.PD, stats)
+    s_do, b_do = bilinear_coeffs(DisparityKind.DO, stats)
+    s_pd, b_pd = bilinear_coeffs(DisparityKind.PD, stats)
 
     def phi(eta: float) -> float:
         return (
             2.0 * eta
             - 1.0
-            - t1 * (w_do.s[a] * eta + w_do.b[a])
-            - t2 * (w_pd.s[a] * eta + w_pd.b[a])
+            - t1 * (s_do[a] * eta + b_do[a])
+            - t2 * (s_pd[a] * eta + b_pd[a])
         )
 
     lo, hi = -50.0, 51.0

@@ -740,8 +740,8 @@ class TestFpirExactSolve:
         # weight then moves D down (or not at all) in both cases.
         classifier, _, _ = run_fpir(small, make_config(kind, 0.05))
         _, w = classifier.inputs(small.x, small.a)
-        spec = bilinear_coeffs(kind, classifier.stats)
-        label_w = np.array([spec.weight(float(y), int(a)) for y, a in zip(small.y, small.a)])
+        s, b = bilinear_coeffs(kind, classifier.stats)
+        label_w = np.array([s[int(a)] * float(y) + b[int(a)] for y, a in zip(small.y, small.a)])
         assert np.all((label_w == 0.0) | (np.sign(label_w) == np.sign(w)))
 
 
