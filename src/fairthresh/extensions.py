@@ -3,7 +3,8 @@
 Two extensions of the single-measure machinery:
 
 - equalized odds: control opportunity and predictive-equality differences
-  simultaneously with a two-parameter family of group thresholds;
+  simultaneously with a two-parameter family of group thresholds whose
+  multipliers maximize the Lagrangian dual, by nested one-dimensional searches;
 - perfect demographic parity for a K-group protected attribute.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 from .core import DisparityKind, DomainError, GroupStats, bilinear_coeffs, natural_domain
 from .core import _affine_threshold
-from .solver import DEFAULT_TOL, BracketError, SolverError, bisect
+from .solver import SolverError, bisect
 
 __all__ = [
     "GroupLabelSurvival",
@@ -28,18 +29,19 @@ __all__ = [
 ]
 
 
-# Absolute slack for the dispatcher's residual comparisons, above equality
-# solve float noise and far below any meaningful disparity difference.
-_DISPATCH_SLACK = 1e-9
-
-# Slack over delta allowed to the final equalized-odds pair.
-_FEASIBLE_SLACK = 10.0 * DEFAULT_TOL
+# Disparity slack over delta allowed to the final equalized-odds pair.
+_FEASIBLE_SLACK = 1e-9
 # Acceptance gap beyond which the multi-group solve calls a group degenerate.
 _ACCEPTANCE_TOL = 1e-6
 
 
 class GroupLabelSurvival(Protocol):
-    """Provider of cell-conditional survival values of the regression score."""
+    """Provider of cell-conditional survival values of the regression score.
+
+    solve_eqodds needs a calibrated score, eta_a(x) = P(Y=1 | X=x, A=a): only
+    then does the rule at (t1, t2) minimize risk + t1 * DO + t2 * PD in the
+    rectangle. Survivals set cell by cell, with no such score behind them, may fail.
+    """
 
     def survival(self, a: int, y: int, tau: float) -> float:
         """P(eta_a(X) > tau | A=a, Y=y)."""
@@ -50,14 +52,14 @@ class GroupLabelSurvival(Protocol):
 class EqOddsThresholds:
     """Two-parameter solution with its achieved disparities.
 
-    case is the dispatcher branch (1..7) that produced the pair; do_value
-    and pd_value are the achieved opportunity / predictive-equality
-    differences at (t1, t2).
+    t1 and t2 are the dual multipliers of the opportunity and
+    predictive-equality constraints; do_value and pd_value are the achieved
+    differences at (t1, t2). A nonzero multiplier holds its difference at
+    delta, with the multiplier's sign.
     """
 
     t1: float
     t2: float
-    case: int
     do_value: float
     pd_value: float
 
@@ -142,161 +144,54 @@ def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: flo
     return _threshold_risk(dists, stats, [_group_threshold(stats, a, t1, t2) for a in (0, 1)])
 
 
-def _solve_equality(fn: Callable[[float], float], lo: float, hi: float, target: float):
-    """Root of the monotone non-increasing fn(t) = target, clamped to [lo, hi], and
-    whether target lies strictly outside fn's range there (the end is then no root)."""
-    d_lo = fn(lo)
-    if target >= d_lo:
-        return lo, target > d_lo
-    d_hi = fn(hi)
-    if target <= d_hi:
-        return hi, target < d_hi
-    lo, hi = bisect(lambda t: fn(t) > target, lo, hi, steps=80)
-    return 0.5 * (lo + hi), False
+def _dual_argmax(slope: Callable[[float], float], lo: float, hi: float, delta: float) -> float:
+    """Maximizer on [lo, hi] of a concave function with derivative slope(t) - delta * sign(t),
+    slope non-increasing: 0 when |slope(0)| <= delta, else the point on slope(0)'s side
+    where |slope| comes down to delta, or that side's end when it never does."""
+    s0 = slope(0.0)
+    if abs(s0) <= delta:
+        return 0.0
+    sign, edge = (1.0, hi) if s0 > delta else (-1.0, lo)
+    if sign * slope(edge) >= delta:
+        return edge
+    good, bad = bisect(lambda t: sign * slope(t) > delta, 0.0, edge, steps=80)
+    return 0.5 * (good + bad)
 
 
 def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> EqOddsThresholds:
     """Joint thresholds controlling both error-rate differences at level delta.
 
-    Dispatcher: solve each single constraint alone (acute parameters); if the
-    cross residuals already satisfy the other constraint, a single-axis fix
-    (or none) suffices; otherwise solve the 2x2 equality system with signed
-    targets by nested bisection (outer parameter t2, inner t1), justified by
-    coordinatewise monotonicity of both disparity components.
+    The rule at (t1, t2) minimizes risk + t1 * DO + t2 * PD (for calibrated
+    dists, see GroupLabelSurvival), so the multipliers maximize the concave dual
+    g(t1, t2) = min_f [R + t1 * DO + t2 * PD] - delta * (|t1| + |t2|). An inner
+    search finds the best t1 for a given t2; an outer one finds t2 on the slope
+    PD(best_t1(t2), t2) - delta * sign(t2) of the partial maximum (Danskin).
     """
     if delta < 0.0:
         raise SolverError(f"delta must be nonnegative, got {delta!r}")
     (lo1, hi1), (lo2, hi2) = _eqodds_domain(stats)
-    eps1 = 1e-9 * (hi1 - lo1)
-    eps2 = 1e-9 * (hi2 - lo2)
+    eps1, eps2 = 1e-9 * (hi1 - lo1), 1e-9 * (hi2 - lo2)
     lo1, hi1 = lo1 + eps1, hi1 - eps1
     lo2, hi2 = lo2 + eps2, hi2 - eps2
 
-    def d_do(t1: float, t2: float) -> float:
-        return eqodds_disparities(dists, stats, t1, t2)[0]
-
-    def d_pd(t1: float, t2: float) -> float:
-        return eqodds_disparities(dists, stats, t1, t2)[1]
-
-    # Acute parameters: each constraint solved alone along its own axis,
-    # clamped to the axis ends when the level is unreachable there.
-    do00, pd00 = eqodds_disparities(dists, stats, 0.0, 0.0)
-
-    def acute(axis_fn: Callable[[float], float], d0: float, lo: float, hi: float) -> float:
-        if abs(d0) <= delta:
-            return 0.0
-        return _solve_equality(axis_fn, lo, hi, delta if d0 > delta else -delta)[0]
-
-    acute_do = acute(lambda t: d_do(t, 0.0), do00, lo1, hi1)
-    acute_pd = acute(lambda t: d_pd(0.0, t), pd00, lo2, hi2)
-
-    r_do = d_do(0.0, acute_pd)  # opportunity difference at the PD-only fix
-    r_pd = d_pd(acute_do, 0.0)  # predictive-equality difference at the DO-only fix
-
-    def finish(t1: float, t2: float, case: int) -> EqOddsThresholds:
-        do, pd = eqodds_disparities(dists, stats, t1, t2)
-        if max(abs(do), abs(pd)) > delta + _FEASIBLE_SLACK:
-            raise SolverError(
-                f"no feasible pair found: best candidate ({t1!r}, {t2!r}) reaches "
-                f"disparities ({do!r}, {pd!r}) at level {delta!r}"
-            )
-        return EqOddsThresholds(t1=t1, t2=t2, case=case, do_value=do, pd_value=pd)
-
-    # Residual comparisons carry the equality solves' float noise; an
-    # absolute slack keeps degenerately coupled models (where both
-    # disparities coincide) from falling through to the equality system
-    # on 1-ulp differences.
-    pass_do = abs(r_do) <= delta + _DISPATCH_SLACK
-    pass_pd = abs(r_pd) <= delta + _DISPATCH_SLACK
-    if pass_do and pass_pd:
-        # Both cross residuals pass.  The unconstrained point is the answer
-        # when it is itself feasible; otherwise fall back to the cheaper
-        # feasible single-axis fix (possible when both axes move both rates).
-        if max(abs(do00), abs(pd00)) <= delta + _DISPATCH_SLACK:
-            return finish(0.0, 0.0, case=1)
-        best = min(
-            [(acute_do, 0.0), (0.0, acute_pd)],
-            key=lambda c: eqodds_risk(dists, stats, c[0], c[1]),
+    def best_t1(t2: float) -> float:
+        return _dual_argmax(
+            lambda t1: eqodds_disparities(dists, stats, t1, t2)[0], lo1, hi1, delta
         )
-        return finish(best[0], best[1], case=1)
-    if pass_pd:
-        return finish(acute_do, 0.0, case=2)
-    if pass_do:
-        return finish(0.0, acute_pd, case=3)
 
-    sign_do = 1 if r_do > delta else -1
-    sign_pd = 1 if r_pd > delta else -1
-    target_do = sign_do * delta + 0.0  # +0.0 avoids signed zeros at delta=0
-    target_pd = sign_pd * delta + 0.0
-    case = {(1, 1): 4, (1, -1): 5, (-1, 1): 6, (-1, -1): 7}[(sign_do, sign_pd)]
-
-    def inner_t1(t2: float) -> tuple[float, bool]:
-        # Solve D_DO(t1, t2) = target_do over the t1 range, flagging an
-        # out-of-reach target (endpoint returned): near the excluded
-        # rectangle corners the inner equation becomes unreachable and
-        # crossings involving clamped points are artifacts.
-        return _solve_equality(lambda t1: d_do(t1, t2), lo1, hi1, target_do)
-
-    def outer_residual(t2: float) -> tuple[float, bool]:
-        t1, clamped = inner_t1(t2)
-        return d_pd(t1, t2) - target_pd, clamped
-
-    bracket = None
-    if sign_do == sign_pd and acute_pd != 0.0:
-        # Same-signed targets: by coordinatewise monotonicity the crossing
-        # lies on the segment between 0 and the PD-side acute parameter,
-        # where the inner target is always reachable.
-        r0, c0 = outer_residual(0.0)
-        r1, c1 = outer_residual(acute_pd)
-        if not c0 and not c1 and (r0 > 0.0) != (r1 > 0.0):
-            bracket = (min(0.0, acute_pd), max(0.0, acute_pd))
-    if bracket is None:
-        # Mixed signs (or degenerate anchors): scan the t2 range.  The set
-        # of t2 with a reachable inner target is an interval, so unclamped
-        # probes form one contiguous run and a sign change between
-        # consecutive ones is a genuine crossing.  The run's edges are
-        # refined up to the clamp boundary so a crossing just before the
-        # interval ends is not stepped over.
-        n_scan = 65
-        grid = [lo2 + (hi2 - lo2) * i / (n_scan - 1) for i in range(n_scan)]
-        probes = [(t2, *outer_residual(t2)) for t2 in grid]
-        clean = [(t2, r) for t2, r, clamped in probes if not clamped]
-
-        def clamp_edge(t_clean: float, t_clamped: float) -> tuple[float, float]:
-            t2, _ = bisect(lambda t: not outer_residual(t)[1], t_clean, t_clamped, steps=60)
-            return t2, outer_residual(t2)[0]
-
-        if clean:
-            first_idx = next(i for i, p in enumerate(probes) if not p[2])
-            last_idx = n_scan - 1 - next(
-                i for i, p in enumerate(reversed(probes)) if not p[2]
-            )
-            if first_idx > 0:
-                clean.insert(0, clamp_edge(probes[first_idx][0], probes[first_idx - 1][0]))
-            if last_idx < n_scan - 1:
-                clean.append(clamp_edge(probes[last_idx][0], probes[last_idx + 1][0]))
-            clean.sort(key=lambda p: p[0])
-        for (ta, ra), (tb, rb) in zip(clean, clean[1:]):
-            if ra == 0.0:
-                bracket = (ta, ta)
-                break
-            if (ra > 0.0) != (rb > 0.0) or rb == 0.0:
-                bracket = (ta, tb)
-                break
-        if bracket is None:
-            raise BracketError(
-                f"joint targets ({target_do!r}, {target_pd!r}) unreachable: no sign change "
-                f"of the system residual over the parameter rectangle"
-            )
-    b_lo, b_hi = bracket
-    lo_positive = outer_residual(b_lo)[0] > 0.0
-
-    b_lo, b_hi = bisect(
-        lambda t2: (outer_residual(t2)[0] > 0.0) == lo_positive, b_lo, b_hi, steps=80
+    t2 = _dual_argmax(
+        lambda t2: eqodds_disparities(dists, stats, best_t1(t2), t2)[1], lo2, hi2, delta
     )
-    t2 = 0.5 * (b_lo + b_hi)
-    t1, _ = inner_t1(t2)
-    return finish(t1, t2, case=case)
+    t1 = best_t1(t2)
+    do, pd = eqodds_disparities(dists, stats, t1, t2)
+    if max(abs(do), abs(pd)) > delta + _FEASIBLE_SLACK:
+        raise SolverError(
+            f"no feasible threshold pair found: the dual ends at ({t1!r}, {t2!r}) with "
+            f"disparities ({do!r}, {pd!r}) at level {delta!r}. When it ends at an excluded "
+            f"corner of the rectangle, where a group's weight denominator vanishes, the "
+            f"optimal rule randomizes that group, which no threshold pair does"
+        )
+    return EqOddsThresholds(t1=t1, t2=t2, do_value=do, pd_value=pd)
 
 
 def solve_multiclass_dp(

@@ -384,8 +384,8 @@ def default_model() -> GaussianModel:
     2. delta=0 fair accuracies in [0.68, 0.80] for all three kinds;
     3. equalized odds solutions at delta in {0.05, 0.1, 0.2} with
        max(|DO|, |PD|) <= delta + 10 * DEFAULT_TOL (delta=0 is left out:
-       with unequal separation-to-noise ratios the joint equality system
-       has no interior solution);
+       there the equalized-odds dual ends at the excluded corner
+       (p_{1,1}, -p_{1,0}), where the optimal rule randomizes a group);
     4. at delta in {0.05, 0.1}, solver risk within 1e-4 of a grid oracle.
 
     Criterion 4 was judged by an earlier oracle that gridded the solver's

@@ -245,7 +245,9 @@ def check_tradeoff_bounds(rows: Sequence[FrontierRow], tol: float = 1e-6) -> Tra
 def is_monotone_nonincreasing(
     curve: DisparityCurve, n_points: int = 64, slack: float = 0.0
 ) -> bool:
-    """Sampled monotonicity audit over the curve's bracket."""
+    """Sampled monotonicity audit over the curve's bracket, both ends included."""
+    if n_points < 2:
+        raise SolverError(f"need at least two sample points, got {n_points!r}")
     ts = [curve.t_lo + (curve.t_hi - curve.t_lo) * i / (n_points - 1) for i in range(n_points)]
     values = [curve(t) for t in ts]
     return all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))

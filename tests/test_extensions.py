@@ -24,13 +24,15 @@ from fairthresh.core import (
 )
 from fairthresh.extensions import (
     EqOddsThresholds,
-    _solve_equality,
+    _dual_argmax,
     eqodds_disparities,
     eqodds_group_threshold,
     eqodds_risk,
     solve_eqodds,
     solve_multiclass_dp,
 )
+from fairthresh.gaussian import model_from_seed
+from fairthresh.oracles import _eqodds_grid_oracle
 from fairthresh.solver import DEFAULT_TOL, DisparityCurve, SolverError, solve_threshold
 
 from conftest import random_stats, stats_strategy
@@ -173,7 +175,7 @@ def grid_best_risk(dists, stats: GroupStats, delta: float, n: int = 81):
     return best
 
 
-# Frozen survival scenarios exercising each dispatcher branch.
+# Frozen survival scenarios for the joint solver.
 SEP_PARAMS = {1: (3, 2), 0: (2, 3)}
 SEP_STATS = stats_for_beta(SEP_PARAMS, 0.7)
 TABLE_STATS = GroupStats(p11=0.49, p10=0.21, p01=0.12, p00=0.18)
@@ -309,26 +311,31 @@ class TestEqOddsDisparities:
 
 class TestSolveEqOdds:
     def test_equality_solve_flags_unreachable_targets(self):
-        # fn(t) = -t on [-1, 1]: a target at an end's value is met there; one
-        # beyond it returns that end, flagged as no root.
+        # slope(t) = c - t on [-1, 1] at budget 0.25: inside the budget only
+        # slope(0) is read; a root past the end returns that end; otherwise
+        # the root of |slope| = 0.25 on the side where slope(0) exceeds it.
         calls = []
 
-        def fn(t):
-            calls.append(t)
-            return -t
+        def line(c):
+            def slope(t):
+                calls.append(t)
+                return c - t
 
-        cases = {2.0: (-1.0, True), 1.0: (-1.0, False), -1.0: (1.0, False), -2.0: (1.0, True)}
-        for target, want in cases.items():
-            assert _solve_equality(fn, -1.0, 1.0, target) == want
-        assert calls == [-1.0, -1.0, -1.0, 1.0, -1.0, 1.0]  # the far end only when needed
-        t, clamped = _solve_equality(fn, -1.0, 1.0, 0.25)
-        assert t == pytest.approx(-0.25, abs=1e-15) and not clamped
+            return slope
+
+        assert _dual_argmax(line(0.2), -1.0, 1.0, 0.25) == 0.0
+        assert calls == [0.0]
+        assert _dual_argmax(line(1.5), -1.0, 1.0, 0.25) == 1.0
+        assert _dual_argmax(line(-1.5), -1.0, 1.0, 0.25) == -1.0
+        assert calls[1:] == [0.0, 1.0, 0.0, -1.0]  # the far end only on that side
+        assert _dual_argmax(line(0.75), -1.0, 1.0, 0.25) == pytest.approx(0.5, abs=1e-15)
+        assert _dual_argmax(line(-0.75), -1.0, 1.0, 0.25) == pytest.approx(-0.5, abs=1e-15)
 
     def test_slack_constraint_returns_origin(self):
         dists = BetaGroupModel(SEP_PARAMS)
         res = solve_eqodds(dists, SEP_STATS, 0.5)
         assert res == EqOddsThresholds(
-            t1=0.0, t2=0.0, case=1, do_value=res.do_value, pd_value=res.pd_value
+            t1=0.0, t2=0.0, do_value=res.do_value, pd_value=res.pd_value
         )
         assert abs(res.do_value) <= 0.5 and abs(res.pd_value) <= 0.5
 
@@ -337,14 +344,12 @@ class TestSolveEqOdds:
         for delta in (0.0, 0.1):
             res = solve_eqodds(dists, table_stats, delta)
             assert (res.t1, res.t2) == (0.0, 0.0)
-            assert res.case == 1
 
     def test_single_axis_opportunity_fix(self, table_stats):
         # Group 1 dominates both cells, but the dependence is weak enough
         # that the opportunity fix alone also controls predictive equality.
         dists = PowerSurvival({(1, 1): 0.6, (1, 0): 0.8, (0, 1): 2.0, (0, 0): 2.6})
         res = solve_eqodds(dists, table_stats, 0.05)
-        assert res.case == 2
         assert res.t2 == 0.0 and res.t1 > 0.0
         assert res.do_value == pytest.approx(0.05, abs=1e-9)
         assert abs(res.pd_value) <= 0.05 + 1e-9
@@ -352,17 +357,16 @@ class TestSolveEqOdds:
     def test_single_axis_predictive_fix(self):
         dists = BetaGroupModel(SEP_PARAMS)
         res = solve_eqodds(dists, SEP_STATS, 0.05)
-        assert res.case == 3
         assert res.t1 == 0.0 and res.t2 > 0.0
         assert res.pd_value == pytest.approx(0.05, abs=1e-9)
         assert abs(res.do_value) <= 0.05 + 1e-9
 
-    def test_coupled_model_uses_one_axis(self, table_stats):
-        # Both disparities coincide as functions of (t1, t2); the cheaper
-        # single-axis fix must be selected instead of the equality system.
-        dists = PowerSurvival({(1, 1): 0.7, (1, 0): 0.7, (0, 1): 2.2, (0, 0): 2.2})
-        res = solve_eqodds(dists, table_stats, 0.05)
-        assert res.case == 1
+    def test_coupled_model_uses_one_axis(self):
+        # At the origin both gaps (0.25 and 0.125) are over the budget, yet
+        # the opportunity fix alone brings predictive equality inside it.
+        params = {1: (1, 1), 0: (1, 2)}
+        dists = BetaGroupModel(params)
+        res = solve_eqodds(dists, stats_for_beta(params, 0.5), 0.05)
         assert res.t1 == 0.0 or res.t2 == 0.0
         assert (res.t1, res.t2) != (0.0, 0.0)
         assert max(abs(res.do_value), abs(res.pd_value)) <= 0.05 + 1e-9
@@ -370,20 +374,21 @@ class TestSolveEqOdds:
     def test_equality_system_both_negative(self, table_stats):
         dists = PowerSurvival({(1, 1): 3.0, (1, 0): 0.8, (0, 1): 1.5, (0, 0): 0.4})
         res = solve_eqodds(dists, table_stats, 0.01)
-        assert res.case == 7
         assert res.do_value == pytest.approx(-0.01, abs=1e-7)
         assert res.pd_value == pytest.approx(-0.01, abs=1e-7)
 
-    def test_equality_system_mixed_signs(self, table_stats):
-        dists = PowerSurvival({(1, 1): 0.4, (1, 0): 0.4, (0, 1): 3.0, (0, 0): 1.5})
-        res = solve_eqodds(dists, table_stats, 0.1)
-        assert res.case == 5
-        assert res.do_value == pytest.approx(0.1, abs=1e-7)
-        assert res.pd_value == pytest.approx(-0.1, abs=1e-7)
+    def test_equality_system_mixed_signs(self):
+        # Calibrated laws whose two multipliers take opposite signs, each
+        # holding its gap at the budget with that sign.
+        params = {1: (2, 1), 0: (5, 3)}
+        res = solve_eqodds(BetaGroupModel(params), stats_for_beta(params, 0.62), 0.05)
+        assert res.t1 > 0.0 > res.t2
+        assert res.do_value == pytest.approx(0.05, abs=1e-7)
+        assert res.pd_value == pytest.approx(-0.05, abs=1e-7)
 
-        dists = PowerSurvival({(1, 1): 0.8, (1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.4})
-        res = solve_eqodds(dists, table_stats, 0.05)
-        assert res.case == 6
+        params = {1: (3, 4), 0: (1, 2)}
+        res = solve_eqodds(BetaGroupModel(params), stats_for_beta(params, 0.32), 0.05)
+        assert res.t1 < 0.0 < res.t2
         assert res.do_value == pytest.approx(-0.05, abs=1e-7)
         assert res.pd_value == pytest.approx(0.05, abs=1e-7)
 
@@ -410,6 +415,32 @@ class TestSolveEqOdds:
         best = grid_best_risk(dists, SEP_STATS, delta, n=81)
         assert best is not None
         assert solver_risk <= best[0] + 2e-3
+
+    def test_kkt_signs_and_grid_bound_on_gaussian_models(self):
+        # Calibrated Gaussian laws reach every dual outcome, the two-sided
+        # equality answers included. At the returned pair a nonzero
+        # multiplier holds its gap at the budget with the multiplier's
+        # sign, a zero one leaves its gap inside the budget, and no
+        # feasible group-threshold pair on the oracle's grid is cheaper.
+        solved = 0
+        for seed in range(101, 131):
+            model = model_from_seed(seed)
+            stats = model.stats
+            for delta in (0.05, 0.1, 0.15, 0.2):
+                try:
+                    res = solve_eqodds(model, stats, delta)
+                except SolverError:
+                    continue
+                solved += 1
+                for t, gap in ((res.t1, res.do_value), (res.t2, res.pd_value)):
+                    if t != 0.0:
+                        assert gap == pytest.approx(math.copysign(delta, t), abs=1e-9)
+                    else:
+                        assert abs(gap) <= delta + 1e-9
+                grid_risk = _eqodds_grid_oracle(model, stats, delta)
+                assert grid_risk is not None
+                assert eqodds_risk(model, stats, res.t1, res.t2) <= grid_risk + 1e-9
+        assert solved >= 90
 
     @given(
         a1=st.integers(1, 5),

@@ -284,6 +284,16 @@ class TestMonotoneAudit:
         curve = DisparityCurve(fn=lambda t: t, t_lo=-1.0, t_hi=1.0)
         assert not is_monotone_nonincreasing(curve)
 
+    @pytest.mark.parametrize("n_points", [1, 0])
+    def test_fewer_than_two_points_rejected(self, n_points):
+        # One point cannot span the bracket and none audits nothing; both
+        # are errors, reached before the curve is evaluated.
+        calls = []
+        curve = DisparityCurve(fn=lambda t: calls.append(t) or -t, t_lo=-1.0, t_hi=1.0)
+        with pytest.raises(SolverError, match="at least two"):
+            is_monotone_nonincreasing(curve, n_points)
+        assert calls == []
+
 
 class TestFromDomain:
     def test_intersection_with_default_bracket(self):
