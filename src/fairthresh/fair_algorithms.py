@@ -298,10 +298,10 @@ def _measure_cells(
 
 def _rate_gap(kind: DisparityKind, data: LabeledDataset, f: np.ndarray) -> float | None:
     """The measure as a gap of two acceptance rates; None if a cell is empty."""
-    cell_1, cell_0 = _measure_cells(kind, data.a, data.y)
-    if not (cell_1.any() and cell_0.any()):
+    rows_1, rows_0 = map(np.flatnonzero, _measure_cells(kind, data.a, data.y))
+    if not (rows_1.size and rows_0.size):
         return None
-    return float(np.mean(f[cell_1]) - np.mean(f[cell_0]))
+    return float(np.mean(f[rows_1]) - np.mean(f[rows_0]))
 
 
 def _train_disparity(state: _CurveState, decisions: np.ndarray) -> float:

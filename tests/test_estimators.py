@@ -348,6 +348,31 @@ class TestPredictProba:
         with pytest.raises(FitError, match="no parameters fitted for group 2"):
             predict_proba(model, rng.normal(size=(3, 3)), np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize("group", [1.5, -0.5])
+    def test_aware_rejects_fractional_group_ids(self, rng, group):
+        # A fractional id is neither group: it is not truncated onto one.
+        model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
+        xs = rng.normal(size=(3, 3))
+        message = f"no parameters fitted for group {group:g}$"
+        with pytest.raises(FitError, match=message):
+            predict_proba(model, xs, np.array([0.0, group, 1.0]))
+        with pytest.raises(FitError, match=message):
+            predict_proba(model, xs[0], group)
+
+    def test_batch_scores_equal_single_rows_at_twelve_features(self, rng):
+        # Twelve features sum in another order than numpy's row reduction
+        # would; a row's score must still not depend on the rows beside it.
+        ds = random_dataset(rng, n=400, d=12)
+        xs = rng.normal(size=(64, 12))
+        groups = rng.permutation(np.tile([0, 1], 32))
+        aware = fit_group_models(ds, MODE_AWARE)
+        blind = fit_logistic(ds)
+        aware_batch = predict_proba(aware, xs, groups)
+        blind_batch = predict_proba(blind, xs)
+        for i in range(len(xs)):
+            assert aware_batch[i] == predict_proba(aware, xs[i], int(groups[i]))
+            assert blind_batch[i] == predict_proba(blind, xs[i])
+
     @pytest.mark.parametrize("group", [0, 1])
     def test_aware_predicts_rows_of_one_group(self, rng, group):
         model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)

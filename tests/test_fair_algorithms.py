@@ -881,6 +881,13 @@ class TestFairClassifierRule:
         decisions = rule.decide(x, np.zeros(50, dtype=int))
         assert set(np.unique(decisions)).issubset({0.0, 1.0})
 
+    @pytest.mark.parametrize("group", [1.5, -0.5])
+    def test_aware_rule_rejects_fractional_group_ids(self, train, group):
+        prefit = fit_group_models(train, MODE_AWARE)
+        rule = FairClassifier(kind=DisparityKind.DD, t=0.1, stats=STATS, eta_groups=prefit)
+        with pytest.raises(FitError, match=f"no parameters fitted for group {group:g}$"):
+            rule.decide(train.x[:3], [0.0, group, 1.0])
+
     def test_blind_rule_ignores_group_argument(self, train):
         cfg = make_config(BlindKind.DD_X, 0.2)
         classifier, _, _ = run_fpir(train, cfg)
@@ -931,6 +938,29 @@ class TestEvaluate:
         assert metrics["do"] is None
         assert metrics["pd"] is None
         assert metrics["accuracy"] == 0.5
+
+    def test_gaps_equal_a_boolean_mask_reference(self, train, test_set):
+        # Fractional decisions: the boundary rows of an fpir rule on its own
+        # training rows, and a callable's values in [0, 1].  The last set has
+        # no (group 0, label 1) row.
+        rule, _, _ = run_fpir(train, make_config(DisparityKind.DO, 0.05))
+        boundary = rule.decide(train.x, train.a)
+        assert np.any((boundary > 0.0) & (boundary < 1.0))
+        uniform = np.random.default_rng(3).uniform(size=len(test_set))
+        no_01 = LabeledDataset(
+            x=np.zeros((5, 1)), a=np.array([1, 1, 0, 1, 0]), y=np.array([1, 0, 0, 1, 0])
+        )
+        cases = [(train, boundary), (test_set, uniform), (no_01, np.array([0.3, 1, 0.7, 0, 0.2]))]
+        for data, f in cases:
+            metrics = evaluate(lambda x, a, f=f: f, data)
+            for kind in ALL_KINDS:
+                rows = True if kind is DisparityKind.DD else data.y == (kind is DisparityKind.DO)
+                mask_1, mask_0 = rows & (data.a == 1), rows & (data.a == 0)
+                if mask_1.any() and mask_0.any():
+                    assert metrics[kind.value] == np.mean(f[mask_1]) - np.mean(f[mask_0])
+                else:
+                    assert metrics[kind.value] is None
+        assert metrics["do"] is None and metrics["dd"] is not None
 
     def test_prob_model_dispatch(self, train, test_set):
         aware = fit_group_models(train, MODE_AWARE, LEARNER)
