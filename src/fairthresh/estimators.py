@@ -8,6 +8,10 @@ standardized internally and an intercept is always included. Every fit
 starts from zero and runs to the maximum-likelihood point of its own data,
 so a refit inside a bisection loop depends on nothing but that data.  A dataset
 caches its standardized design ("frame") and shares it with its reweighted copies.
+The frame is stored column by column, so the Newton loop's gradient, Hessian
+and scores run over contiguous n-vectors, and its line search evaluates the
+softplus with vectorized exp and log1p.  nll and nll_gradient compute the same
+objective the plain way (np.logaddexp, a row-major product) as a reference.
 """
 from __future__ import annotations
 
@@ -197,6 +201,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    # log(1 + exp(z)) by the formula of np.logaddexp(0, z), whose exp and
+    # log1p run element by element; these two run vectorized.
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means and scales of x, and x's design in that frame."""
     mean = x.mean(axis=0)
@@ -206,8 +216,19 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _design(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Standardized features with a leading intercept column."""
-    return np.hstack([np.ones((len(x), 1)), (x - mean) / scale])
+    """Standardized features with a leading intercept column.
+
+    The (n, d+1) result is the transpose of a C-contiguous (d+1, n) array,
+    so each column, the intercept's included, is one contiguous n-vector.
+    """
+    # The frame is allocated after its temporaries, so the cached array sits
+    # above them on the heap. Allocated first, it left the heap top free in
+    # some processes, and later predictions trimmed and refaulted it per call.
+    xs = (x - mean) / scale
+    cols = np.empty((len(mean) + 1, len(x)))
+    cols[0] = 1.0
+    cols[1:] = xs.T
+    return cols.T
 
 
 def _ridge(l2: float, dim: int) -> np.ndarray:
@@ -265,26 +286,28 @@ def _fit_params(
     if wsum <= 0:
         raise FitError("total sample weight must be positive")
     mean, scale, design = frame
+    cols = design.T  # (d+1, n), one contiguous row per parameter
     wn = weight / wsum
     t = target.astype(float)
     ridge = _ridge(config.l2, len(mean))
+    ridge_matrix = np.diag(ridge)
 
-    theta = np.zeros(design.shape[1])
-    z = np.zeros(len(design))
-    softplus = np.logaddexp(0.0, z)
+    theta = np.zeros(len(cols))
+    z = np.zeros(cols.shape[1])
+    softplus = np.full(len(z), math.log(2.0))
     loss = float(wn @ softplus)
     history = [loss]
     for _ in range(_MAX_STEPS):
         p = _sigmoid(z)
-        grad = design.T @ (wn * (p - t)) + ridge * theta
+        grad = cols @ (wn * (p - t)) + ridge * theta
         if math.sqrt(float(grad @ grad)) <= _GRAD_TOL:
             break
-        hess = (design.T * (wn * p * (1.0 - p))) @ design + np.diag(ridge)
+        hess = (cols * (wn * p * (1.0 - p))) @ cols.T + ridge_matrix
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         for _ in range(_MAX_HALVINGS):
             cand = theta - step
-            z_cand = design @ cand
-            softplus_cand = np.logaddexp(0.0, z_cand)
+            z_cand = cand @ cols
+            softplus_cand = _softplus(z_cand)
             # The change is summed from per-row differences: near the optimum
             # it lies far below the rounding error of the objective's sum.
             change = float(wn @ (softplus_cand - softplus - t * (z_cand - z)))
@@ -353,7 +376,14 @@ def predict_proba(
             raise FitError("group-aware model needs the group id to predict")
         # Compared as floats, so a fractional group id is rejected rather
         # than truncated onto a group.
-        a_arr = np.broadcast_to(np.asarray(a, dtype=float), (len(x2),))
+        a_arr = np.asarray(a, dtype=float)
+        if a_arr.ndim == 0:
+            a_arr = np.broadcast_to(a_arr, (len(x2),))
+        elif a_arr.shape != (len(x2),):
+            raise FitError(
+                f"group vector must be a scalar or hold one id per row: "
+                f"got shape {a_arr.shape} for {len(x2)} rows"
+            )
         other = (a_arr != 0) & (a_arr != 1)
         if other.any():
             raise FitError(f"no parameters fitted for group {a_arr[other][0]:g}")

@@ -7,6 +7,7 @@ constructions for the group regression.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fairthresh.estimators import (
     nll_gradient,
     predict_proba,
 )
+from fairthresh.estimators import _fit_params, _softplus
 from fairthresh.gaussian import default_model, eta, sample
 
 
@@ -149,6 +151,32 @@ class TestGradient:
         assert gw[0] == pytest.approx(-0.5, abs=1e-15)  # informative direction
 
 
+class TestSoftplus:
+    """The Newton loop's softplus against numpy's logaddexp(0, z)."""
+
+    def test_within_two_ulp_of_logaddexp_on_a_dense_grid(self):
+        z = np.linspace(-740.0, 740.0, 2_000_001)
+        reference = np.logaddexp(0.0, z)
+        assert np.all(np.abs(_softplus(z) - reference) <= 2.0 * np.spacing(reference))
+
+    def test_exact_at_zero(self):
+        assert _softplus(np.zeros(1))[0] == math.log(2.0) == np.logaddexp(0.0, 0.0)
+
+    def test_far_tails_are_exactly_the_positive_part(self):
+        z = np.concatenate([np.linspace(1e3, 1e6, 101), [1e300]])
+        assert np.array_equal(_softplus(z), z)
+        assert np.array_equal(_softplus(-z), np.zeros(len(z)))
+
+    def test_finite_without_warnings_under_the_default_error_state(self):
+        z = np.concatenate([np.linspace(-1e4, 1e4, 100_001), [-1e300, 1e300, -5e-324, 5e-324]])
+        # numpy's default error state: any warning it lets through fails here.
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = _softplus(z)
+        assert np.isfinite(values).all() and np.all(values >= 0.0)
+
+
 class TestFitLogistic:
     def test_separated_data_stays_finite(self):
         ds = LabeledDataset(
@@ -251,6 +279,42 @@ class TestFitGroupModels:
             assert np.array_equal(first.group_params(a).coef, second.group_params(a).coef)
 
 
+class TestReachesTheOptimum:
+    """Every fit ends on the optimum that nll and nll_gradient, computed the
+    plain way, find independently of the Newton loop's own arithmetic."""
+
+    @pytest.mark.parametrize("weights", ["unit", "multiplicity"])
+    @pytest.mark.parametrize("mode", [MODE_AWARE, MODE_BLIND_Y, MODE_BLIND_A])
+    def test_objective_and_gradient_match_the_reference(self, mode, weights):
+        train = sample(default_model(), 4_000, seed=4246)
+        if weights == "multiplicity":
+            # fuds-style: each training row drawn an integer number of times.
+            counts = np.random.default_rng(4247).integers(0, 4, size=len(train))
+            train = train.with_weights(counts.astype(float))
+        config = LogisticConfig()
+        if mode == MODE_AWARE:
+            model = fit_group_models(train, MODE_AWARE)
+            fits = []
+            for g in (0, 1):
+                pick = np.flatnonzero(train.a == g)
+                params, history = _fit_params(
+                    train._frame(g), train.y[pick], train.weight[pick], config
+                )
+                assert np.array_equal(params.coef, model.group_params(g).coef)
+                fits.append((g, train.subset(pick), None, params, history))
+        else:
+            model = fit_logistic(train) if mode == MODE_BLIND_Y else fit_group_models(train, mode)
+            target = train.a if mode == MODE_BLIND_A else None
+            fits = [(None, train, target, model.single_params(), model.history)]
+        for group, rows, target, params, history in fits:
+            assert len(history) >= 3
+            assert abs(history[-1] - nll(rows, params, target, config.l2)) <= 1e-12
+            g0, gw = nll_gradient(rows, params, target, config.l2)
+            assert math.hypot(g0, *gw) <= 1e-9
+            # The loop reads each parameter's column as one contiguous vector.
+            assert train._frame(group)[2].T.flags.c_contiguous
+
+
 class TestFrameCache:
     """A dataset's standardized design is built once and never crosses datasets."""
 
@@ -347,6 +411,15 @@ class TestPredictProba:
         model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
         with pytest.raises(FitError, match="no parameters fitted for group 2"):
             predict_proba(model, rng.normal(size=(3, 3)), np.array([0, 2, 1]))
+
+    @pytest.mark.parametrize(
+        "groups, shape", [([0, 1], r"\(2,\)"), ([[0], [1], [0]], r"\(3, 1\)")]
+    )
+    def test_aware_rejects_a_group_vector_not_one_id_per_row(self, rng, groups, shape):
+        model = fit_group_models(random_dataset(rng, n=60), MODE_AWARE)
+        message = f"one id per row: got shape {shape} for 3 rows"
+        with pytest.raises(FitError, match=message):
+            predict_proba(model, rng.normal(size=(3, 3)), np.array(groups))
 
     @pytest.mark.parametrize("group", [1.5, -0.5])
     def test_aware_rejects_fractional_group_ids(self, rng, group):

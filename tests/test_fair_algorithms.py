@@ -888,6 +888,15 @@ class TestFairClassifierRule:
         with pytest.raises(FitError, match=f"no parameters fitted for group {group:g}$"):
             rule.decide(train.x[:3], [0.0, group, 1.0])
 
+    @pytest.mark.parametrize(
+        "groups, shape", [([0, 1], r"\(2,\)"), ([[0], [1], [0]], r"\(3, 1\)")]
+    )
+    def test_aware_rule_rejects_a_group_vector_not_one_id_per_row(self, train, groups, shape):
+        prefit = fit_group_models(train, MODE_AWARE)
+        rule = FairClassifier(kind=DisparityKind.DD, t=0.1, stats=STATS, eta_groups=prefit)
+        with pytest.raises(FitError, match=f"one id per row: got shape {shape} for 3 rows"):
+            rule.decide(train.x[:3], np.array(groups))
+
     def test_blind_rule_ignores_group_argument(self, train):
         cfg = make_config(BlindKind.DD_X, 0.2)
         classifier, _, _ = run_fpir(train, cfg)
