@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -160,6 +161,11 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
     must parse as finite reals; rows violating that are reported together
     with their line numbers. Label and protected values must be 0 or 1. A
     leading UTF-8 byte-order mark is dropped.
+
+    A plain numeric table is read in one numpy pass (``_read_plain``). Every
+    other input, and any input that cannot be read twice, goes through the
+    chunked row parser (``_read_rows``), which writes every error message.
+    On each input the numpy pass accepts, both give the same arrays.
     """
     path_str = str(path)
     if not Path(path).exists():
@@ -169,11 +175,78 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.seekable():
+                columns = _read_header(reader, path_str, label_col, protected_col)
+                dataset = _read_plain(fh, *columns)
+                if dataset is not None:
+                    return dataset
+                fh.seek(0)
+                reader = csv.reader(fh)
             return _read_rows(reader, path_str, label_col, protected_col)
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
+
+
+def _read_header(reader, path_str: str, label_col: str, protected_col: str):
+    """(width, label index, protected index, feature indices) of the header row."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise IngestError(f"{path_str}: empty file (no header row)") from None
+    for col in (label_col, protected_col):
+        if header.count(col) == 0:
+            raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
+        if header.count(col) > 1:
+            raise IngestError(f"{path_str}: duplicate column {col!r}")
+    width = len(header)
+    label_ix = header.index(label_col)
+    group_ix = header.index(protected_col)
+    feature_ix = [i for i in range(width) if i not in (label_ix, group_ix)]
+    if not feature_ix:
+        raise IngestError(f"{path_str}: no feature columns besides label and protected")
+    return width, label_ix, group_ix, feature_ix
+
+
+def _read_plain(
+    fh, width: int, label_ix: int, group_ix: int, feature_ix: list[int]
+) -> LabeledDataset | None:
+    """The dataset of a plain numeric CSV, read in one numpy pass, or None.
+
+    ``fh`` stands just past the header row. The rows after it go through
+    numpy's tokenizer and float parser with no quoting and no comments. A
+    quote, a blank-shaped row other than an empty line, a spelling that
+    ``float`` reads and numpy does not (``1_0``, non-ASCII digits) and any
+    unparsable cell make loadtxt raise. The table is kept only if it has
+    rows, each as wide as the header, labels and groups are 0 or 1, features
+    are finite, and no line is longer than the csv module's field size limit.
+    On such a table numpy and ``float`` read the same doubles. Otherwise this
+    returns None, and the chunked parser, which keeps the csv module's rules,
+    reads the file again.
+    """
+    limit = csv.field_size_limit()
+
+    def lines() -> Iterator[str]:
+        for line in fh:
+            if len(line) > limit:
+                raise ValueError("line longer than the csv field size limit")
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines(), delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    labels, groups = table[:, label_ix], table[:, group_ix]
+    x = table.take(feature_ix, axis=1)
+    binary = np.isin(labels, (0.0, 1.0)) & np.isin(groups, (0.0, 1.0))
+    if not (binary.all() and np.isfinite(x).all()):
+        return None
+    return LabeledDataset(x=x, a=groups.astype(int), y=labels.astype(int))
 
 
 # Rows converted per chunk. Columns are parsed a chunk at a time, so the
@@ -222,21 +295,9 @@ def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> Lab
     bad features are reported together, and only when nothing else raised.
     Blank lines are skipped.
     """
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise IngestError(f"{path_str}: empty file (no header row)") from None
-    for col in (label_col, protected_col):
-        if header.count(col) == 0:
-            raise IngestError(f"{path_str}: missing column {col!r} (header: {header})")
-        if header.count(col) > 1:
-            raise IngestError(f"{path_str}: duplicate column {col!r}")
-    width = len(header)
-    label_ix = header.index(label_col)
-    group_ix = header.index(protected_col)
-    feature_ix = [i for i in range(width) if i not in (label_ix, group_ix)]
-    if not feature_ix:
-        raise IngestError(f"{path_str}: no feature columns besides label and protected")
+    width, label_ix, group_ix, feature_ix = _read_header(
+        reader, path_str, label_col, protected_col
+    )
 
     def parse_chunk(rows: list[list[str]], first_line: int):
         """(x, a, y, bad feature lines) of one chunk; raises on its first bad line."""

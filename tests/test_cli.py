@@ -201,6 +201,26 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="line 3: malformed CSV.*field limit"):
             ingest_csv(path, "y", "a")
 
+    def test_finite_oversized_field_is_an_ingest_error(self, tmp_path):
+        # Zero padding keeps the value finite and parsable, so only the csv
+        # module's field size limit, read at call time, rejects the line.
+        limit = csv.field_size_limit()
+        cell = "0." + "0" * (limit + 8) + "1"
+        path = tmp_path / "padded.csv"
+        path.write_text("x0,y,a\n0.5,1,0\n" + cell + ",0,1\n")
+        message = f"line 3: malformed CSV (field larger than field limit ({limit}))"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
+        short = tmp_path / "short.csv"
+        short.write_text("x0,y,a\n0.5,1,0\n0.00000001,0,1\n")
+        csv.field_size_limit(8)
+        try:
+            with pytest.raises(IngestError, match=re.escape("line 3: malformed CSV")):
+                ingest_csv(short, "y", "a")
+        finally:
+            csv.field_size_limit(limit)
+
     def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfy,a,x0,x1\n1,0,0.5,1.5\n0,1,-0.25,2.0\n")
@@ -964,6 +984,20 @@ class TestMainDispatch:
         assert code == 1
         assert lines == ["error: features must be finite and within +-1e+150"]
 
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "empty-lines"])
+    def test_csv_without_data_rows_is_one_error_line(self, tmp_path, body, action):
+        # numpy warns "input contained no data" on an empty body; the warning
+        # must neither escape nor turn into a traceback.
+        path = tmp_path / "norows.csv"
+        path.write_text("x0,x1,y,a\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, lines = self.run_in_process(["fit", "--data", str(path)])
+        assert code == 1
+        assert lines == [f"error: {path}: no data rows"]
+        assert caught == []
+
     def test_module_entry_point_runs_without_runpy_warning(self):
         src = str(Path(fairthresh.core.__file__).parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -1129,8 +1163,21 @@ def _ingest_outcome(ingest, path):
         return type(exc).__name__, str(exc)
 
 
-def assert_ingest_matches_reference(path):
-    got, want = _ingest_outcome(ingest_csv, path), _ingest_outcome(_reference_ingest, path)
+def _chunked_ingest(path, label_col, protected_col):
+    """ingest_csv's chunked parser alone: _read_rows on a csv.reader of the file."""
+    path_str = str(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            return fairthresh.cli._read_rows(reader, path_str, label_col, protected_col)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
+
+
+def assert_ingest_matches_reference(path, ingest=ingest_csv):
+    got, want = _ingest_outcome(ingest, path), _ingest_outcome(_reference_ingest, path)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -1152,6 +1199,38 @@ def good_rows(n, start=0):
     return [f"{0.25 * i},{-0.5 * i},{(i // 2) % 2},{i % 2}" for i in range(start, start + n)]
 
 
+def _spelled_file(*rows, newline="\n", final_newline=True):
+    text = newline.join(("x0,x1,y,a", *rows))
+    return text + newline if final_newline else text
+
+
+def _quoted(rows):
+    return [",".join(f'"{cell}"' for cell in row.split(",")) for row in rows]
+
+
+# Valid CSVs (text, whether the numpy pass takes them) that float and the
+# csv module read in ways a plain numeric tokenizer may not.
+_SPELLED_FILES = {
+    "crlf": (_spelled_file("0.5,1.5,1,0", "-0.25,2,0,1", newline="\r\n"), True),
+    "no-final-newline": (_spelled_file("0.5,1.5,1,0", "-0.25,2,0,1", final_newline=False), True),
+    "space-and-tab-padding": (_spelled_file(" 0.5 , 1.5,1 , 0 ", "\t-0.25\t,2,\t0\t,1"), True),
+    "nbsp-vt-ff-padding": (
+        _spelled_file("\xa00.5\xa0,1.5,1,\xa00", "-0.25,\x0b2\x0b,\x0c0\x0c,1"), True
+    ),
+    "spellings": (_spelled_file("1.,+1,1.,-0", "1E3,1e-400,0e0,+1"), True),
+    "underscore": (_spelled_file("1_0,0.5,1,0", "0.5,0.5,0,1"), False),
+    "arabic-indic-digits": (
+        _spelled_file("\u0662.\u0665,0.5,\u0661,0", "0.5,0.5,0,\u0661"), False
+    ),
+    "quoted-number": (_spelled_file('"0.5",1.5,1,0', "-0.25,2,0,1"), False),
+    "all-quoted-past-two-chunks": (
+        _spelled_file(*_quoted(good_rows(2 * fairthresh.cli._CHUNK_ROWS + 1))), False
+    ),
+    "spaces-only-line": (_spelled_file("   ", *good_rows(3)), False),
+    "commas-only-row": (_spelled_file(",,,", *good_rows(3)), False),
+}
+
+
 class TestIngestMatchesRowParser:
     """ingest_csv against the row-at-a-time reference: same arrays, same error text."""
 
@@ -1164,6 +1243,9 @@ class TestIngestMatchesRowParser:
             path = Path(tmp) / "fuzz.csv"
             path.write_bytes(data)
             assert_ingest_matches_reference(path)
+            # Intact files stop at the numpy pass, so check the chunked parser
+            # on them too.
+            assert_ingest_matches_reference(path, _chunked_ingest)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -1205,6 +1287,42 @@ class TestIngestMatchesRowParser:
         only_blank = write_feature_rows(tmp_path / "only.csv", [blank, blank])
         with pytest.raises(IngestError, match="no data rows"):
             ingest_csv(only_blank, "y", "a")
+
+    @pytest.mark.parametrize("text, plain", _SPELLED_FILES.values(), ids=_SPELLED_FILES.keys())
+    def test_spellings_and_line_endings(self, tmp_path, text, plain):
+        path = tmp_path / "spelled.csv"
+        path.write_bytes(text.encode("utf-8"))
+        chunked = mock.patch.object(fairthresh.cli, "_read_rows", wraps=fairthresh.cli._read_rows)
+        with chunked as read_rows:
+            assert isinstance(ingest_csv(path, "y", "a"), LabeledDataset)
+        # Plain tables take the numpy pass; the rest fall back to the chunked parser.
+        assert read_rows.called is not plain
+        assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("header", ["y,a,x0", "y,a,x0,x1,x2"])
+    def test_every_row_off_the_header_width(self, tmp_path, header):
+        path = write_feature_rows(tmp_path / "off.csv", ["1,0,0.5,0.5", "0,1,0.5,0.5"], header)
+        width = header.count(",") + 1
+        with pytest.raises(IngestError, match=re.escape(f"line 2: expected {width} fields, got 4")):
+            ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd paths")
+    @pytest.mark.parametrize("name", ["crlf", "quoted-number"])
+    def test_pipe_is_read_once(self, tmp_path, name):
+        # A pipe cannot be read a second time, so the chunked parser reads it.
+        path = tmp_path / "source.csv"
+        path.write_bytes(_SPELLED_FILES[name][0].encode("utf-8"))
+        read_end, write_end = os.pipe()
+        try:
+            with open(write_end, "wb") as sink:
+                sink.write(path.read_bytes())
+            got = ingest_csv(f"/dev/fd/{read_end}", "y", "a")
+        finally:
+            os.close(read_end)
+        want = _reference_ingest(path, "y", "a")
+        for field in ("x", "a", "y", "weight"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     @pytest.mark.parametrize(
         "late_row, late_error",
