@@ -27,9 +27,8 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -162,10 +161,12 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
     with their line numbers. Label and protected values must be 0 or 1. A
     leading UTF-8 byte-order mark is dropped.
 
-    A plain numeric table is read in one numpy pass (``_read_plain``). Every
-    other input, and any input that cannot be read twice, goes through the
-    chunked row parser (``_read_rows``), which writes every error message.
-    On each input the numpy pass accepts, both give the same arrays.
+    The body is read ``_CHUNK_ROWS`` lines at a time. Chunks of plain numeric
+    lines go through numpy's tokenizer and float parser (``_plain_block``).
+    From the first chunk that is not plain on, the chunked row parser
+    (``_read_rows``) reads the rest of the file and writes every error
+    message, so at most one chunk is parsed twice. On each chunk the numpy
+    pass accepts, both give the same arrays.
     """
     path_str = str(path)
     if not Path(path).exists():
@@ -174,19 +175,19 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
         raise IngestError("label and protected columns must differ")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        skipped = 0  # lines read before ``reader`` took over
         try:
-            if fh.seekable():
-                columns = _read_header(reader, path_str, label_col, protected_col)
-                dataset = _read_plain(fh, *columns)
-                if dataset is not None:
-                    return dataset
-                fh.seek(0)
-                reader = csv.reader(fh)
-            return _read_rows(reader, path_str, label_col, protected_col)
+            columns = _read_header(reader, path_str, label_col, protected_col)
+            blocks, rest = _read_plain(fh, *columns)
+            skipped = reader.line_num + sum(len(labels) for *_, labels in blocks)
+            reader = csv.reader(rest)
+            return _read_rows(reader, path_str, label_col, protected_col, columns, blocks)
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
+            raise IngestError(
+                f"{path_str} line {skipped + reader.line_num}: malformed CSV ({exc})"
+            ) from None
 
 
 def _read_header(reader, path_str: str, label_col: str, protected_col: str):
@@ -209,44 +210,64 @@ def _read_header(reader, path_str: str, label_col: str, protected_col: str):
     return width, label_ix, group_ix, feature_ix
 
 
-def _read_plain(
-    fh, width: int, label_ix: int, group_ix: int, feature_ix: list[int]
-) -> LabeledDataset | None:
-    """The dataset of a plain numeric CSV, read in one numpy pass, or None.
+def _read_plain(fh, width: int, label_ix: int, group_ix: int, feature_ix: list[int]):
+    """The (x, a, y) blocks of the plain chunks that open the body, and the rest.
 
-    ``fh`` stands just past the header row. The rows after it go through
-    numpy's tokenizer and float parser with no quoting and no comments. A
-    quote, a blank-shaped row other than an empty line, a spelling that
-    ``float`` reads and numpy does not (``1_0``, non-ASCII digits) and any
-    unparsable cell make loadtxt raise. The table is kept only if it has
-    rows, each as wide as the header, labels and groups are 0 or 1, features
-    are finite, and no line is longer than the csv module's field size limit.
-    On such a table numpy and ``float`` read the same doubles. Otherwise this
-    returns None, and the chunked parser, which keeps the csv module's rules,
-    reads the file again.
+    ``fh`` stands just past the header row. The rest is an iterator over the
+    lines of the first chunk ``_plain_block`` refuses, then the remaining
+    lines of ``fh``. A read error ends the numpy pass; the rest raises it
+    again after the lines read before it. (The rest reads ``fh`` through
+    ``lines_in``: closing that generator would close ``fh``.)
     """
-    limit = csv.field_size_limit()
+    failure: list[Exception] = []
+    lines_in = _rows_until_error(fh, failure)
+    blocks = []
+    while True:
+        lines = list(islice(lines_in, _CHUNK_ROWS))
+        block = _plain_block(lines, width, label_ix, group_ix, feature_ix) if lines else None
+        if block is None:
+            return blocks, chain(lines, _raise_first(failure), lines_in)
+        blocks.append(block)
 
-    def lines() -> Iterator[str]:
-        for line in fh:
-            if len(line) > limit:
-                raise ValueError("line longer than the csv field size limit")
-            yield line
 
+def _raise_first(failure: list[Exception]) -> Iterator[str]:
+    """An iterator that raises the first exception in ``failure``, if any."""
+    if failure:
+        raise failure[0]
+    yield from ()
+
+
+def _plain_block(
+    lines: list[str], width: int, label_ix: int, group_ix: int, feature_ix: list[int]
+):
+    """(x, a, y) of a chunk of plain numeric lines, or None.
+
+    The lines go through numpy's tokenizer and float parser with no quoting
+    and no comments. A quote, a blank-shaped row other than an empty line, a
+    spelling that ``float`` reads and numpy does not (``1_0``, non-ASCII
+    digits) and any unparsable cell make loadtxt raise. The chunk is kept
+    only if each line gives one row as wide as the header, labels and groups
+    are 0 or 1, features are finite, and no line is longer than the csv
+    module's field size limit. On such a chunk numpy and ``float`` read the
+    same doubles.
+    """
+    # loadtxt skips empty lines and warns when it finds no row at all, so a
+    # chunk that opens with one never reaches it.
+    if not lines[0].strip() or max(map(len, lines)) > csv.field_size_limit():
+        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines(), delimiter=",", comments=None, quotechar=None, ndmin=2)
-    except (ValueError, Warning):
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
         return None
-    if table.shape[0] == 0 or table.shape[1] != width:
+    if table.shape != (len(lines), width):
         return None
-    labels, groups = table[:, label_ix], table[:, group_ix]
+    # Copies, so that the chunk's table is freed.
+    labels, groups = table[:, label_ix].copy(), table[:, group_ix].copy()
     x = table.take(feature_ix, axis=1)
     binary = np.isin(labels, (0.0, 1.0)) & np.isin(groups, (0.0, 1.0))
     if not (binary.all() and np.isfinite(x).all()):
         return None
-    return LabeledDataset(x=x, a=groups.astype(int), y=labels.astype(int))
+    return x, groups, labels
 
 
 # Rows converted per chunk. Columns are parsed a chunk at a time, so the
@@ -255,10 +276,13 @@ _CHUNK_ROWS = 4096
 _BINARY_CELLS = {"0": 0.0, "1": 1.0}
 
 
-def _rows_until_error(reader, failure: list[Exception]) -> Iterator[list[str]]:
-    """Yield the reader's rows; on a read error, keep it in ``failure`` and stop."""
+def _rows_until_error(source, failure: list[Exception]) -> Iterator:
+    """Yield the rows of a reader or the lines of a file.
+
+    On a read error, keep it in ``failure`` and stop.
+    """
     try:
-        yield from reader
+        yield from source
     except (csv.Error, UnicodeDecodeError) as exc:
         failure.append(exc)
 
@@ -287,15 +311,21 @@ def _feature_column(cells: tuple[str, ...]) -> list[float]:
         return list(map(_float_or_nan, cells))
 
 
-def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> LabeledDataset:
+def _read_rows(
+    reader, path_str: str, label_col: str, protected_col: str, columns=None, blocks=()
+) -> LabeledDataset:
     """Parse and validate the rows of an open CSV reader, one chunk of rows at a time.
 
     The first line, in file order, with a wrong field count or a bad label or
     protected value raises (checked in that order within a line). Lines with
     bad features are reported together, and only when nothing else raised.
     Blank lines are skipped.
+
+    ``columns`` and ``blocks`` carry on a read the numpy pass began: the
+    header's ``_read_header`` tuple, and the (x, a, y) blocks of the rows it
+    took, none of them bad. Without them the reader starts at the header.
     """
-    width, label_ix, group_ix, feature_ix = _read_header(
+    width, label_ix, group_ix, feature_ix = columns or _read_header(
         reader, path_str, label_col, protected_col
     )
 
@@ -332,9 +362,9 @@ def _read_rows(reader, path_str: str, label_col: str, protected_col: str) -> Lab
 
     failure: list[Exception] = []
     rows_in = _rows_until_error(reader, failure)
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    blocks = list(blocks)
     bad_lines: list[int] = []
-    first_line = 2
+    first_line = 2 + sum(len(labels) for *_, labels in blocks)
     while True:
         rows = list(islice(rows_in, _CHUNK_ROWS))
         if rows:

@@ -19,7 +19,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -1176,6 +1176,21 @@ def _chunked_ingest(path, label_col, protected_col):
             raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
 
 
+@contextmanager
+def plain_chunks_taken():
+    """A list that records, for each chunk the numpy pass sees, whether it took it."""
+    taken = []
+    real = fairthresh.cli._plain_block
+
+    def plain_block(*args):
+        block = real(*args)
+        taken.append(block is not None)
+        return block
+
+    with mock.patch.object(fairthresh.cli, "_plain_block", plain_block):
+        yield taken
+
+
 def assert_ingest_matches_reference(path, ingest=ingest_csv):
     got, want = _ingest_outcome(ingest, path), _ingest_outcome(_reference_ingest, path)
     if isinstance(want, tuple):
@@ -1292,11 +1307,12 @@ class TestIngestMatchesRowParser:
     def test_spellings_and_line_endings(self, tmp_path, text, plain):
         path = tmp_path / "spelled.csv"
         path.write_bytes(text.encode("utf-8"))
-        chunked = mock.patch.object(fairthresh.cli, "_read_rows", wraps=fairthresh.cli._read_rows)
-        with chunked as read_rows:
+        with plain_chunks_taken() as taken:
             assert isinstance(ingest_csv(path, "y", "a"), LabeledDataset)
-        # Plain tables take the numpy pass; the rest fall back to the chunked parser.
-        assert read_rows.called is not plain
+        # The numpy pass takes every chunk of a plain table, and stops at the
+        # first chunk of any other.
+        assert all(taken) is plain
+        assert taken.count(False) == (not plain)
         assert_ingest_matches_reference(path)
 
     @pytest.mark.parametrize("header", ["y,a,x0", "y,a,x0,x1,x2"])
@@ -1310,7 +1326,7 @@ class TestIngestMatchesRowParser:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd paths")
     @pytest.mark.parametrize("name", ["crlf", "quoted-number"])
     def test_pipe_is_read_once(self, tmp_path, name):
-        # A pipe cannot be read a second time, so the chunked parser reads it.
+        # A pipe cannot be read a second time; neither pass needs to.
         path = tmp_path / "source.csv"
         path.write_bytes(_SPELLED_FILES[name][0].encode("utf-8"))
         read_end, write_end = os.pipe()
@@ -1343,6 +1359,44 @@ class TestIngestMatchesRowParser:
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
             with pytest.raises(IngestError, match=expected):
                 ingest_csv(path, "y", "a")
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize(
+        "late_row, message",
+        [
+            ('"0.5",0.5,1,0', None),
+            ("0.5,0.5,2,0", "line 252: label column 'y' value '2' is not binary"),
+            ("nan,0.5,1,0", "non-numeric or non-finite feature values on lines 252"),
+            ("1" * 131_073 + ",0.5,1,0", "line 252: malformed CSV"),
+        ],
+        ids=["quoted-cell", "bad-label", "nan-feature", "oversized-field"],
+    )
+    def test_late_row_is_left_to_the_row_parser_with_its_chunk(self, tmp_path, late_row, message):
+        # In chunks of 100 lines, lines 2-201 are plain and line 252 is in the third chunk.
+        rows = good_rows(300)
+        rows[250] = late_row
+        path = write_feature_rows(tmp_path / "late.csv", rows)
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", 100):
+            with plain_chunks_taken() as taken:
+                if message is None:
+                    assert len(ingest_csv(path, "y", "a")) == 300
+                else:
+                    with pytest.raises(IngestError, match=re.escape(message)):
+                        ingest_csv(path, "y", "a")
+            assert taken == [True, True, False]
+            assert_ingest_matches_reference(path)
+
+    def test_empty_line_in_a_chunk_keeps_later_line_numbers(self, tmp_path):
+        # loadtxt skips empty lines, so a chunk holding one goes to the row parser.
+        rows = good_rows(300)
+        rows[50] = ""
+        rows[250] = "0.5,0.5,2,0"
+        path = write_feature_rows(tmp_path / "gap.csv", rows)
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", 100):
+            with plain_chunks_taken() as taken:
+                with pytest.raises(IngestError, match=re.escape("line 252: label column 'y'")):
+                    ingest_csv(path, "y", "a")
+            assert taken == [False]
             assert_ingest_matches_reference(path)
 
     def test_more_than_twenty_bad_feature_lines(self, tmp_path):
