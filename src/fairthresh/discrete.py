@@ -219,6 +219,86 @@ def solve_randomized(
     )
 
 
+@dataclass(frozen=True)
+class Breakpoints:
+    """The distinct flip points of a randomized threshold family, ascending,
+    with the sums of D that a budget search reads: at ratios[i], plus[i] and
+    minus[i] total the contributions of the positive and negative side's
+    items there, and zero[i] is D with those items rejected.  The arrays
+    are read-only."""
+
+    ratios: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    zero: np.ndarray
+
+    @classmethod
+    def sort(
+        cls, ratio: np.ndarray, positive: np.ndarray, contrib: np.ndarray, base: int = 0
+    ) -> "Breakpoints":
+        """Sort the items of a family once, for any number of budgets.
+
+        Item i is accepted when its boundary ratio lies above t (positive
+        weight side) or below t (negative side), and then adds contrib[i] to
+        D = base + the accepted contributions; items whose ratio equals t are
+        accepted with the fraction tau_plus or tau_minus of their side.
+        Contributions and base are integers, so every sum is exact.  The
+        inputs are not kept.
+        """
+        # A null item makes t = 0 a candidate. The order inside a tie group is
+        # free (its sums are exact integers), so the sort need not be stable.
+        # One array at a time, so large inputs are not held twice over.
+        ratio = np.concatenate(([0], ratio))
+        order = np.argsort(ratio)
+        ratio = ratio[order]
+        positive = np.concatenate(([True], positive))[order]
+        contrib = np.concatenate(([0], contrib))[order]
+        del order
+        starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+        ratios = ratio[starts]
+        del ratio
+        # Any member may lead the t = 0 group, -0.0 among them; the null item's
+        # 0 names it (0.0 on float inputs).
+        ratios[ratios == 0] = 0
+        plus = np.add.reduceat(np.where(positive, contrib, 0), starts)
+        minus = np.add.reduceat(np.where(positive, 0, contrib), starts)
+        del positive, contrib, starts
+        # Strictly accepted at each ratio: positive items above it, negative below.
+        zero = base + (plus[::-1].cumsum()[::-1] - plus) + (minus.cumsum() - minus)
+        for array in (ratios, plus, minus, zero):
+            array.setflags(write=False)  # one sort may serve many budgets
+        return cls(ratios, plus, minus, zero)
+
+    def solve(self, budget: Fraction) -> tuple[object, Fraction, Fraction, Fraction]:
+        """Smallest-|t| member of the family with |D| <= budget.
+
+        The ratio of least magnitude whose envelope of D meets the budget
+        wins, and the boundary fractions land D on the budget.  Returns (t,
+        tau_plus, tau_minus, D); budget and D are exact rationals in the
+        units of the contributions.
+        """
+        ratios, plus, minus, zero = self.ratios, self.plus, self.minus, self.zero
+        bound = math.floor(budget)  # an integer meets the budget iff it meets its floor
+        feasible = np.flatnonzero(
+            (zero + np.minimum(plus, 0) + np.minimum(minus, 0) <= bound)
+            & (zero + np.maximum(plus, 0) + np.maximum(minus, 0) >= -bound)
+        )
+        if feasible.size == 0:
+            raise SolverError(f"disparity budget {float(budget)!r} unreachable at any threshold")
+        k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
+        # Land as near the budget allows to D just on the side of k facing 0.
+        inner = zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0)
+        target = min(budget, max(-budget, Fraction(int(inner))))
+        need = target - int(zero[k])
+        taus = []
+        for side in (int(plus[k]), int(minus[k])):
+            tau = min(Fraction(1), need / side) if need * side > 0 else Fraction(0)
+            need -= tau * side
+            taus.append(tau)
+        assert need == 0  # the envelope at k contains the target
+        return ratios[k], taus[0], taus[1], target
+
+
 def solve_breakpoints(
     ratio: np.ndarray,
     positive: np.ndarray,
@@ -226,59 +306,10 @@ def solve_breakpoints(
     budget: Fraction,
     base: int = 0,
 ) -> tuple[object, Fraction, Fraction, Fraction]:
-    """Smallest-|t| member of a randomized threshold family with |D| <= budget.
-
-    Item i is accepted when its boundary ratio lies above t (positive weight
-    side) or below t (negative side), and then adds contrib[i] to
-    D = base + the accepted contributions; items whose ratio equals t are
-    accepted with the fraction tau_plus or tau_minus of their side. One sort
-    and cumulative sums give the envelope of D at every distinct ratio; the
-    ratio of least magnitude whose envelope meets the budget wins, and the
-    boundary fractions land D on the budget. Returns (t, tau_plus,
-    tau_minus, D). Contributions and base are integers, so every sum is
-    exact; budget and D are exact rationals in the same units. Used by
-    solve_randomized and by the plug-in pipeline's exact solve, which
-    passes its arrays without keeping them, so they are freed once sorted.
-    """
-    # A null item makes t = 0 a candidate. The order inside a tie group is
-    # free (its sums are exact integers), so the sort need not be stable.
-    # One array at a time, so large inputs are not held twice over.
-    ratio = np.concatenate(([0], ratio))
-    order = np.argsort(ratio)
-    ratio = ratio[order]
-    positive = np.concatenate(([True], positive))[order]
-    contrib = np.concatenate(([0], contrib))[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
-    ratios = ratio[starts]
-    del ratio
-    # Any member may lead the t = 0 group, -0.0 among them; the null item's
-    # 0 names it (0.0 on float inputs).
-    ratios[ratios == 0] = 0
-    plus = np.add.reduceat(np.where(positive, contrib, 0), starts)
-    minus = np.add.reduceat(np.where(positive, 0, contrib), starts)
-    del positive, contrib, starts
-    # Strictly accepted at each ratio: positive items above it, negative below.
-    zero = base + (plus[::-1].cumsum()[::-1] - plus) + (minus.cumsum() - minus)
-    bound = math.floor(budget)  # an integer meets the budget iff it meets its floor
-    feasible = np.flatnonzero(
-        (zero + np.minimum(plus, 0) + np.minimum(minus, 0) <= bound)
-        & (zero + np.maximum(plus, 0) + np.maximum(minus, 0) >= -bound)
-    )
-    if feasible.size == 0:
-        raise SolverError(f"disparity budget {float(budget)!r} unreachable at any threshold")
-    k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
-    # Land as near the budget allows to D just on the side of k facing 0.
-    inner = zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0)
-    target = min(budget, max(-budget, Fraction(int(inner))))
-    need = target - int(zero[k])
-    taus = []
-    for side in (int(plus[k]), int(minus[k])):
-        tau = min(Fraction(1), need / side) if need * side > 0 else Fraction(0)
-        need -= tau * side
-        taus.append(tau)
-    assert need == 0  # the envelope at k contains the target
-    return ratios[k], taus[0], taus[1], target
+    """One budget's solve of a randomized threshold family: Breakpoints.sort
+    then Breakpoints.solve.  solve_randomized uses it; the plug-in pipeline
+    keeps its sorted Breakpoints and solves each budget from them."""
+    return Breakpoints.sort(ratio, positive, contrib, base).solve(budget)
 
 
 def brute_force_oracle(

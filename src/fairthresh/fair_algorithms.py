@@ -13,7 +13,11 @@ The pipelines differ in how the classifier at t is produced:
 - the plug-in pipeline fits regression estimates once and only moves
   decision thresholds.  Its curve is a step function with one step per
   row, so it is solved exactly from the sorted steps, and the rows on the
-  boundary are randomized to land the budget exactly.
+  boundary are randomized to land the budget exactly.  With a prefit model
+  it keeps the training rows' scores, weights and sorted steps in one slot,
+  keyed on the dataset object, the model object and the kind, until a call
+  with another key replaces it or the dataset or model is freed; so a
+  budget sweep sorts once per measure.
 
 Aware runs read the group id at decision time.  Blind runs fit rules on
 features alone; the group id is still used during training to measure the
@@ -22,6 +26,7 @@ disparity being controlled.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -50,7 +55,7 @@ from .estimators import (
     fitted_decisions,
     predict_proba,
 )
-from .discrete import solve_breakpoints
+from .discrete import Breakpoints
 from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, bisect, solve_threshold
 
 __all__ = [
@@ -282,6 +287,8 @@ class _CurveState:
         self.rule: FairClassifier | None = None
         self.score: np.ndarray | None = None
         self.w: np.ndarray | None = None
+        self.steps: Breakpoints | None = None
+        self.scale = 0
 
 
 def _measure_cells(
@@ -339,9 +346,44 @@ def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
     return d
 
 
+@dataclass(frozen=True)
+class _FpirSlot:
+    """What an aware plug-in solve with a prefit model reads for each budget:
+    the training rows' scores and disparity weights, their sorted flip points
+    and n_A * n_B, the units of the sorted sums.  Keyed on the dataset and
+    model objects, through weak references, and on the kind."""
+
+    dataset: weakref.ref
+    model: weakref.ref
+    kind: DisparityKind
+    score: np.ndarray
+    w: np.ndarray
+    steps: Breakpoints
+    scale: int
+
+
+# The one slot: a later run_fpir on the same dataset, model and kind reads
+# it instead of predicting, building the measure's cells and sorting again.
+_fpir_slot: _FpirSlot | None = None
+
+
+def _forget_slot(ref: weakref.ref) -> None:
+    """Drop the slot once its dataset or model is gone."""
+    global _fpir_slot
+    slot = _fpir_slot
+    if slot is not None and (slot.dataset is ref or slot.model is ref):
+        _fpir_slot = None
+
+
 def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
+    global _fpir_slot
     ds = state.dataset
     cfg = state.config
+    slot = _fpir_slot if model is not None else None
+    if slot and slot.kind is cfg.kind and slot.dataset() is ds and slot.model() is model:
+        state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, eta_groups=model)
+        state.score, state.w, state.steps, state.scale = slot.score, slot.w, slot.steps, slot.scale
+        return
     if isinstance(cfg.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
@@ -356,6 +398,7 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     elif model.mode != MODE_AWARE:
         raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
     else:
+        slot = _fpir_slot = None  # freed before its replacement is built
         models = {"eta_groups": model}
     state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, **models)
     state.score, state.w = state.rule.inputs(ds.x, ds.a)
@@ -367,29 +410,40 @@ def _fpir_eval(state: _CurveState, t: float) -> float:
     return d
 
 
-def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction]:
+def _fpir_solve(
+    state: _CurveState, model: ProbModel | None
+) -> tuple[float, Fraction, Fraction, Fraction]:
     """Exact smallest-|t| plug-in rule meeting the budget on the training rows.
 
     Train disparity is a difference of two cell acceptance rates,
     k_A/n_A - k_B/n_B, so a row adds n_B (cell A) or -n_A (cell B) to
-    n_A*n_B*D and every sum is an integer.  Returns t, the two boundary
-    fractions and D, exactly.
+    n_A*n_B*D and every sum is an integer.  The rows are sorted unless the
+    slot already held them; with a prefit model the sort fills the slot.
+    Returns t, the two boundary fractions and D, exactly.
     """
-    ds = state.dataset
-    cell_a, cell_b = _measure_cells(state.config.base_kind, ds.a, ds.y)
-    n_a, n_b = int(cell_a.sum()), int(cell_b.sum())
-    # A row with w == 0 never flips (accepted when score > 1/2): it joins
-    # the base and enters the solve as an inert item at 0.
-    fixed = state.w == 0
-    kept = fixed & (state.score > 0.5)
-    t, tau_plus, tau_minus, d = solve_breakpoints(
-        np.where(fixed, 0.0, _flip_points(state.score, state.w)),
-        state.w > 0,
-        np.where(fixed, 0, np.where(cell_a, n_b, 0) - np.where(cell_b, n_a, 0)),
-        Fraction(state.config.delta) * n_a * n_b,
-        base=n_b * int((kept & cell_a).sum()) - n_a * int((kept & cell_b).sum()),
-    )
-    return float(t), tau_plus, tau_minus, d / (n_a * n_b)
+    global _fpir_slot
+    if state.steps is None:
+        ds = state.dataset
+        cell_a, cell_b = _measure_cells(state.config.base_kind, ds.a, ds.y)
+        n_a, n_b = int(cell_a.sum()), int(cell_b.sum())
+        # A row with w == 0 never flips (accepted when score > 1/2): it joins
+        # the base and enters the sort as an inert item at 0.
+        fixed = state.w == 0
+        kept = fixed & (state.score > 0.5)
+        state.steps = steps = Breakpoints.sort(
+            np.where(fixed, 0.0, _flip_points(state.score, state.w)),
+            state.w > 0,
+            np.where(fixed, 0, np.where(cell_a, n_b, 0) - np.where(cell_b, n_a, 0)),
+            base=n_b * int((kept & cell_a).sum()) - n_a * int((kept & cell_b).sum()),
+        )
+        state.scale = n_a * n_b
+        if model is not None:
+            state.score.setflags(write=False)
+            state.w.setflags(write=False)
+            key = (weakref.ref(ds, _forget_slot), weakref.ref(model, _forget_slot), state.config.kind)
+            _fpir_slot = _FpirSlot(*key, state.score, state.w, steps, state.scale)
+    t, tau_plus, tau_minus, d = state.steps.solve(Fraction(state.config.delta) * state.scale)
+    return float(t), tau_plus, tau_minus, d / state.scale
 
 
 def _resample_feasible(state: _CurveState, t: float) -> bool:
@@ -546,9 +600,16 @@ def run_fpir(
     train disparity lands on the budget; no tolerance applies.  The report's
     train metrics score the solve's own scores and weights, not a second
     prediction on the training rows.
+
+    With a prefit model the training scores, weights and sorted flip points
+    stay in a module slot, read-only, while the next call uses the same
+    dataset object, model object and kind; that call only searches the
+    sorted sums for its budget.  Any other prefit call replaces the slot,
+    and it is dropped once its dataset or model is freed.  Reweighted or
+    subset copies are other datasets.  Calls without a model keep nothing.
     """
     curve, state = _build_curve(dataset, config, "fpir", model=model)
-    t_hat, tau_plus, tau_minus, d = _fpir_solve(state)
+    t_hat, tau_plus, tau_minus, d = _fpir_solve(state, model)
     classifier = replace(state.rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
     result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
     decisions = _plug_in_decisions(

@@ -389,6 +389,21 @@ class TestCmdFit:
         assert doc["t_hat"] == 0.0
         assert doc["run"]["disparity_at_t_hat"] == 0.0
 
+    def test_blind_fpir_meets_a_zero_budget_that_blind_refits_miss(self, tmp_path):
+        # The blind fcsc and fuds fits exit 1 on these rows at delta 0 (target
+        # unreachable inside bracket); the blind plug-in rule exits 0.
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2, 200)
+        y = rng.integers(0, 2, 200)
+        x = 3.0 * y + 1.5 * a + rng.normal(size=200)
+        path = tmp_path / "separated.csv"
+        write_rows(path, ["x", "a", "y"], [[repr(float(v)), *cells] for v, *cells in zip(x, a, y)])
+        out = tmp_path / "separated.json"
+        argv = ["fit", "--data", str(path), "--method", "fpir", "--disparity", "pd", "--blind",
+                "--delta", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert abs(json.loads(out.read_text())["run"]["disparity_at_t_hat"]) <= 0.0
+
     def test_model_source_samples_study_sizes(self, data_dir, tmp_path):
         out = tmp_path / "model_fit.json"
         code = main(

@@ -14,8 +14,10 @@ Layout:
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
+import pickle
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -633,6 +635,18 @@ class TestRunFpir:
         _, _, report = run_fpir(train_local, cfg, model=prefit)
         assert abs(report["disparity_at_t_hat"]) <= 0.0
 
+    def test_blind_zero_budget_where_blind_refits_cannot_reach_it(self):
+        # The label separates the rows, so a blind refit cannot move its rule
+        # far enough (fcsc and fuds raise BracketError here); the blind
+        # plug-in rule reads the group posterior and meets delta = 0.
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2, 200)
+        y = rng.integers(0, 2, 200)
+        x = 3.0 * y + 1.5 * a + rng.normal(size=200)
+        dataset = LabeledDataset(x=x[:, None], a=a, y=y)
+        _, _, report = run_fpir(dataset, make_config(BlindKind.PD_X, 0.0))
+        assert abs(report["disparity_at_t_hat"]) <= 0.0
+
     def test_prefit_model_rejects_data_of_another_feature_width(self, model):
         train_local = sample(model, 2_000, seed=11)
         prefit = fit_group_models(train_local, MODE_AWARE)
@@ -743,6 +757,71 @@ class TestFpirExactSolve:
         s, b = bilinear_coeffs(kind, classifier.stats)
         label_w = np.array([s[int(a)] * float(y) + b[int(a)] for y, a in zip(small.y, small.a)])
         assert np.all((label_w == 0.0) | (np.sign(label_w) == np.sign(w)))
+
+
+class TestFpirSlot:
+    """run_fpir with a prefit model keeps one slot of sorted sums, keyed on the
+    dataset, model and kind; every answer equals a fresh solve."""
+
+    @staticmethod
+    def fresh_copy(dataset):
+        """An equal dataset object, with the slot emptied."""
+        fair_algorithms._fpir_slot = None
+        return LabeledDataset(dataset.x, dataset.a, dataset.y)
+
+    def test_interleaved_keys_answer_as_fresh_solves(self, model):
+        small = sample(model, 2_000, seed=8)
+        prefits = [fit_group_models(small, MODE_AWARE, c) for c in (LEARNER, LogisticConfig(l2=1.0))]
+        points = [-0.3, -0.01, 0.0, 0.01, 0.3]
+        dd, do, pd = ALL_KINDS
+        # Each step changes either the kind or the model, never both.
+        keys = [(dd, 0), (do, 0), (do, 1), (pd, 1), (dd, 1), (dd, 0)]
+        calls, curves, slots = [], [], []
+        for kind, m in keys:
+            prefit = prefits[m]
+            for delta in (0.0, 0.02, 0.1):
+                cfg = make_config(kind, delta)
+                calls.append((cfg, prefit, run_fpir(small, cfg, model=prefit)))
+                slots.append(fair_algorithms._fpir_slot)
+            curve = empirical_curve(small, cfg, "fpir", model=prefit)
+            curves.append((cfg, prefit, [curve(t) for t in points]))
+            assert fair_algorithms._fpir_slot is slots[-1]
+        # A slot is built on the first budget of each key and read by the rest.
+        assert [slots[i] is slots[i - 1] for i in range(1, len(slots))] == [
+            i % 3 != 0 for i in range(1, len(slots))
+        ]
+        del slots
+        assert sum(isinstance(o, fair_algorithms._FpirSlot) for o in gc.get_objects()) <= 1
+        slot = fair_algorithms._fpir_slot
+        steps = slot.steps
+        for array in (slot.score, slot.w, steps.ratios, steps.plus, steps.minus, steps.zero):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        for cfg, prefit, got in calls:
+            want = run_fpir(self.fresh_copy(small), cfg, model=prefit)
+            assert pickle.dumps(got) == pickle.dumps(want)
+        for cfg, prefit, values in curves:
+            curve = empirical_curve(self.fresh_copy(small), cfg, "fpir", model=prefit)
+            assert values == [curve(t) for t in points]
+
+    def test_slot_follows_its_key_and_dies_with_its_dataset(self, model):
+        small = sample(model, 1_000, seed=9)
+        prefit = fit_group_models(small, MODE_AWARE)
+        cfg = make_config(DisparityKind.DO, 0.05)
+        run_fpir(small, cfg, model=prefit)
+        slot = fair_algorithms._fpir_slot
+        assert slot.dataset() is small and slot.model() is prefit
+        # Calls without a prefit model, and blind calls, leave the slot alone.
+        run_fpir(small, cfg)
+        run_fpir(small, make_config(BlindKind.DO_X, 0.05))
+        assert fair_algorithms._fpir_slot is slot
+        # A reweighted copy is another dataset: it gets its own slot.
+        copy = small.with_weights(np.ones(len(small)))
+        run_fpir(copy, cfg, model=prefit)
+        assert fair_algorithms._fpir_slot.dataset() is copy
+        del slot, copy
+        gc.collect()
+        assert fair_algorithms._fpir_slot is None
 
 
 class TestPipelineFamilies:
