@@ -7,7 +7,8 @@ damped Newton steps (iteratively reweighted least squares). Features are
 standardized internally and an intercept is always included. Every fit
 starts from zero and runs to the maximum-likelihood point of its own data,
 so a refit inside a bisection loop depends on nothing but that data.  A dataset
-caches its standardized design ("frame") and shares it with its reweighted copies.
+caches its standardized designs ("frames") and the row indices of its groups and
+cells, and shares both with its reweighted copies, not with its subsets.
 The frame is stored column by column, so the Newton loop's gradient, Hessian
 and scores run over contiguous n-vectors, and its line search evaluates the
 softplus with vectorized exp and log1p.  nll and nll_gradient compute the same
@@ -16,7 +17,7 @@ objective the plain way (np.logaddexp, a row-major product) as a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -50,13 +51,16 @@ _MAX_MAGNITUDE = 1e150
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Rows of (feature vector, group id, binary label, sample weight)."""
+    """Rows of (feature vector, group id, binary label, sample weight).  The
+    frames (_frame) and row indices (rows) are built on first use, kept, and
+    shared with with_weights copies, which differ only in weight."""
 
     x: np.ndarray
     a: np.ndarray
     y: np.ndarray
     weight: np.ndarray = field(default=None)  # type: ignore[assignment]
     _frames: dict = field(default_factory=dict, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -98,7 +102,17 @@ class LabeledDataset:
         return (self.a == a) & (self.y == y)
 
     def cell_count(self, a: int, y: int) -> int:
-        return int(self.cell_mask(a, y).sum())
+        return len(self.rows(a, y))
+
+    def rows(self, a: int | None = None, y: int | None = None) -> np.ndarray:
+        """Ascending, read-only indices of the rows with group a and label y
+        (None matches any), built once per (a, y)."""
+        if (a, y) not in self._rows:
+            mask = (True if a is None else self.a == a) & (True if y is None else self.y == y)
+            index = np.flatnonzero(np.broadcast_to(mask, len(self)))
+            index.setflags(write=False)
+            self._rows[a, y] = index
+        return self._rows[a, y]
 
     def subset(self, index: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(
@@ -106,12 +120,12 @@ class LabeledDataset:
         )
 
     def with_weights(self, weight: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(x=self.x, a=self.a, y=self.y, weight=weight, _frames=self._frames)
+        return replace(self, weight=weight)  # the caches are passed on, so shared
 
     def _frame(self, group: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The frame of all rows (group None) or of one group's rows, built once."""
         if group not in self._frames:
-            rows = slice(None) if group is None else np.flatnonzero(self.a == group)
+            rows = slice(None) if group is None else self.rows(group)
             self._frames[group] = _standardize(self.x[rows])
         return self._frames[group]
 
@@ -352,14 +366,14 @@ def fit_group_models(
                     raise FitError(f"group-aware fit needs rows in cell (a={a}, y={y})")
         per_group: dict[int, LogisticParams] = {}
         for a in (0, 1):
-            pick = np.flatnonzero(dataset.a == a)
+            pick = dataset.rows(a)
             per_group[a], _ = _fit_params(
                 dataset._frame(a), dataset.y[pick], dataset.weight[pick], config
             )
         return ProbModel(mode=MODE_AWARE, params=per_group)
     if mode == MODE_BLIND_A:
         for a in (0, 1):
-            if not (dataset.a == a).any():
+            if not len(dataset.rows(a)):
                 raise FitError(f"group regression needs rows with a={a}")
         params, history = _fit_params(dataset._frame(), dataset.a, dataset.weight, config)
         return ProbModel(mode=MODE_BLIND_A, params=params, history=history)
@@ -407,6 +421,6 @@ def fitted_decisions(model: ProbModel, dataset: LabeledDataset) -> np.ndarray:
         params = model.single_params() if g is None else model.group_params(g)
         if params.mean is not mean:
             raise FitError("model was not fitted in this dataset's frame")
-        rows = slice(None) if g is None else np.flatnonzero(dataset.a == g)
+        rows = slice(None) if g is None else dataset.rows(g)
         z[rows] = params.standardized_scores(design[:, 1:])
     return (_sigmoid(z) > 0.5).astype(float)

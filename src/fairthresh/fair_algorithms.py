@@ -172,8 +172,13 @@ def _plug_in_decisions(
     score: np.ndarray, w: np.ndarray, t: float, tau_plus: float = 0.0, tau_minus: float = 0.0
 ) -> np.ndarray:
     r = _flip_points(score, w)
-    f = np.where(w > 0, np.where(r == t, tau_plus, r > t), np.where(r == t, tau_minus, r < t))
-    return np.where(w == 0, score > 0.5, f).astype(float)
+    positive = w > 0
+    f = np.where(positive, r > t, r < t).astype(float)
+    tie = np.flatnonzero(r == t)
+    f[tie] = np.where(positive[tie], tau_plus, tau_minus)
+    inert = np.flatnonzero(w == 0)
+    f[inert] = score[inert] > 0.5
+    return f
 
 
 def fuds_proportions(
@@ -238,14 +243,15 @@ def fuds_resample(
         target = int(targets[cell])
         if target < 0:
             raise DisparityError(f"target count for cell {cell} must be nonnegative, got {target}")
-        source = np.flatnonzero(dataset.cell_mask(*cell))
+        source = dataset.rows(*cell)
         if target > 0 and source.size == 0:
             raise EstimationError(
                 f"cell (a={cell[0]}, y={cell[1]}) has no source rows but a target count of {target}"
             )
         rng = np.random.default_rng(child)
         if target <= source.size:
-            drawn.append(rng.permutation(source)[:target])
+            # permutation refuses an empty read-only array; there is nothing to draw.
+            drawn.append(rng.permutation(source)[:target] if source.size else source)
         else:
             drawn.append(np.concatenate([source, rng.choice(source, size=target - source.size)]))
     return np.bincount(np.concatenate(drawn), minlength=len(dataset))
@@ -280,7 +286,7 @@ class _CurveState:
     def __init__(self, dataset: LabeledDataset, config: FairFitConfig) -> None:
         self.dataset = dataset
         self.config = config
-        self.stats = GroupStats.from_labels(dataset.a, dataset.y)
+        self.stats = GroupStats.from_counts(*(len(dataset.rows(*cell)) for cell in _CELLS))
         self.clamped = False
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
@@ -291,21 +297,19 @@ class _CurveState:
         self.scale = 0
 
 
-def _measure_cells(
-    kind: DisparityKind, a: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row masks of the two cells a measure compares, group 1 then group 0.
+def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the two cells a measure compares, group 1 then group 0.
 
     DD compares whole groups, DO their label-1 rows, PD their label-0 rows;
     the measure is the first cell's acceptance rate minus the second's.
     """
-    rows = True if kind is DisparityKind.DD else y == int(kind is DisparityKind.DO)
-    return rows & (a == 1), rows & (a == 0)
+    y = None if kind is DisparityKind.DD else int(kind is DisparityKind.DO)
+    return data.rows(1, y), data.rows(0, y)
 
 
 def _rate_gap(kind: DisparityKind, data: LabeledDataset, f: np.ndarray) -> float | None:
     """The measure as a gap of two acceptance rates; None if a cell is empty."""
-    rows_1, rows_0 = map(np.flatnonzero, _measure_cells(kind, data.a, data.y))
+    rows_1, rows_0 = _measure_cells(kind, data)
     if not (rows_1.size and rows_0.size):
         return None
     return float(np.mean(f[rows_1]) - np.mean(f[rows_0]))
@@ -330,7 +334,9 @@ def _fuds_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]
 def _fcsc_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
     """Per-row misclassification costs at t; the cost table goes into the report."""
     table = {cell: cost_weights(state.config.kind, state.stats, *cell, t) for cell in _CELLS}
-    w = sum(c * state.dataset.cell_mask(*cell) for cell, c in table.items())
+    w = np.empty(len(state.dataset))
+    for cell, c in table.items():
+        w[state.dataset.rows(*cell)] = c
     return w, {"cost_table": _cells_json(table)}, {}
 
 
@@ -363,7 +369,7 @@ class _FpirSlot:
 
 
 # The one slot: a later run_fpir on the same dataset, model and kind reads
-# it instead of predicting, building the measure's cells and sorting again.
+# it instead of predicting, weighing each row's step and sorting again.
 _fpir_slot: _FpirSlot | None = None
 
 
@@ -424,17 +430,20 @@ def _fpir_solve(
     global _fpir_slot
     if state.steps is None:
         ds = state.dataset
-        cell_a, cell_b = _measure_cells(state.config.base_kind, ds.a, ds.y)
-        n_a, n_b = int(cell_a.sum()), int(cell_b.sum())
+        rows_a, rows_b = _measure_cells(state.config.base_kind, ds)
+        n_a, n_b = len(rows_a), len(rows_b)
         # A row with w == 0 never flips (accepted when score > 1/2): it joins
         # the base and enters the sort as an inert item at 0.
         fixed = state.w == 0
         kept = fixed & (state.score > 0.5)
+        units = np.zeros(len(ds), dtype=int)
+        units[rows_a], units[rows_b] = n_b, -n_a
+        units[fixed] = 0
         state.steps = steps = Breakpoints.sort(
             np.where(fixed, 0.0, _flip_points(state.score, state.w)),
             state.w > 0,
-            np.where(fixed, 0, np.where(cell_a, n_b, 0) - np.where(cell_b, n_a, 0)),
-            base=n_b * int((kept & cell_a).sum()) - n_a * int((kept & cell_b).sum()),
+            units,
+            base=n_b * int(kept[rows_a].sum()) - n_a * int(kept[rows_b].sum()),
         )
         state.scale = n_a * n_b
         if model is not None:

@@ -372,6 +372,42 @@ class TestFrameCache:
             fit_group_models(gutted.with_weights(np.ones(len(gutted))), MODE_AWARE)
 
 
+class TestRowIndex:
+    """A dataset's group and cell row indices are built once, read-only, and
+    shared with reweighted copies only."""
+
+    def test_rows_equal_the_matching_mask(self, rng):
+        ds = random_dataset(rng, n=60)
+        gutted = ds.subset(~ds.cell_mask(1, 0))
+        for data in (ds, gutted):
+            for a in (0, 1, None):
+                for y in (0, 1, None):
+                    mask = np.ones(len(data), dtype=bool)
+                    if a is not None:
+                        mask &= data.a == a
+                    if y is not None:
+                        mask &= data.y == y
+                    rows = data.rows(a, y)
+                    assert np.array_equal(rows, np.flatnonzero(mask))
+                    assert data.rows(a=a, y=y) is rows
+                    with pytest.raises(ValueError, match="read-only"):
+                        rows[...] = 0
+            assert len(data._rows) == 9
+        assert gutted.rows(1, 0).size == 0 and gutted.cell_count(1, 0) == 0
+
+    def test_only_reweighted_copies_share_the_rows(self, rng):
+        ds = random_dataset(rng, n=60)
+        rows = ds.rows(1, 0)
+        reweighted = ds.with_weights(rng.uniform(0.5, 1.5, size=len(ds)))
+        assert reweighted._rows is ds._rows and reweighted.rows(1, 0) is rows
+        fit_group_models(reweighted, MODE_AWARE)
+        assert set(ds._rows) == {(a, y) for a in (0, 1) for y in (0, 1, None)}
+        for other in (ds.subset(np.arange(len(ds))), LabeledDataset(x=ds.x, a=ds.a, y=ds.y)):
+            assert other._rows == {} and other._rows is not ds._rows
+            assert np.array_equal(other.rows(1, 0), rows) and other.rows(1, 0) is not rows
+            assert set(other._rows) == {(1, 0)}
+
+
 class TestPredictProba:
     def test_zero_coefficients_give_half(self):
         params = LogisticParams(0.0, np.zeros(2), np.zeros(2), np.ones(2))

@@ -824,6 +824,38 @@ class TestFpirSlot:
         assert fair_algorithms._fpir_slot is None
 
 
+class TestRowCache:
+    """Answers do not depend on whether a dataset's row indices were built."""
+
+    def test_warm_datasets_answer_as_fresh_copies(self, model):
+        small = sample(model, 2_000, seed=12)
+        held_out = sample(model, 1_000, seed=13)
+        prefit = fit_group_models(small, MODE_AWARE)
+
+        def calls():
+            for kind in ALL_KINDS + (BlindKind.DO_X,):
+                for delta in (0.0, 0.05):
+                    cfg = make_config(kind, delta)
+                    yield run_fcsc, cfg, None
+                    yield run_fuds, cfg, None
+                    yield run_fpir, cfg, None
+                    if kind in ALL_KINDS:
+                        yield run_fpir, cfg, prefit
+
+        def answer(run, cfg, prefit, train, test):
+            classifier, t_hat, report = run(train, cfg) if prefit is None else run(
+                train, cfg, model=prefit
+            )
+            return pickle.dumps((t_hat, report, evaluate(classifier, test)))
+
+        warm = [answer(*call, small, held_out) for call in calls()]
+        assert small._rows and held_out._rows
+        for call, got in zip(calls(), warm):
+            train, test = (LabeledDataset(d.x, d.a, d.y) for d in (small, held_out))
+            assert train._rows == {} and test._rows == {}
+            assert answer(*call, train, test) == got
+
+
 class TestPipelineFamilies:
     def test_accuracies_agree_across_methods(self, model, train, test_set):
         accuracies = []
@@ -949,7 +981,39 @@ class TestRefitDifferential:
         assert evaluate(model_out, test_set) == evaluate(reference, test_set)
 
 
+def nested_where_decisions(score, w, t, tau_plus, tau_minus):
+    """The plug-in decision rule written as one nested np.where, as a reference."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (2.0 * score - 1.0) / w
+    f = np.where(w > 0, np.where(r == t, tau_plus, r > t), np.where(r == t, tau_minus, r < t))
+    return np.where(w == 0, score > 0.5, f).astype(float)
+
+
 class TestFairClassifierRule:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_are_byte_equal_to_the_nested_where(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4_000
+        score = rng.uniform(size=n)
+        w = rng.normal(size=n)
+        w[rng.choice(n, 200, replace=False)] = 0.0
+        w[rng.choice(n, 200, replace=False)] = -0.0
+        score[rng.choice(n, 50, replace=False)] = 0.5
+        t = float(rng.uniform(-0.5, 0.5))
+        # Scores whose flip point lands exactly on t, on both weight signs.
+        tied = (1.0 + t * w) / 2.0
+        exact = (w != 0) & ((2.0 * tied - 1.0) / np.where(w != 0, w, 1.0) == t)
+        pick = exact & (rng.uniform(size=n) < 0.3)
+        score[pick] = tied[pick]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (2.0 * score - 1.0) / w
+        assert np.any((r == t) & (w > 0)) and np.any((r == t) & (w < 0))
+        assert np.any(np.signbit(w) & (w == 0)) and np.any(~np.signbit(w) & (w == 0))
+        for tau_plus, tau_minus in ((0.3, 0.7), (1.0 / 3.0, 0.125), (0.0, 0.0)):
+            got = fair_algorithms._plug_in_decisions(score, w, t, tau_plus, tau_minus)
+            want = nested_where_decisions(score, w, t, tau_plus, tau_minus)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_aware_rule_needs_groups(self, model):
         prefit = exact_prob_model(model)
         stats = model.stats
