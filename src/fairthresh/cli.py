@@ -139,6 +139,11 @@ class ExperimentSpec:
 # Dataset ingestion
 
 
+# Lines read per chunk. Each chunk becomes arrays before the next is read,
+# so the peak memory stays near that of the finished arrays.
+_CHUNK_ROWS = 4096
+
+
 def _parse_binary(raw: str, column: str, what: str, lineno: int, path: str) -> int:
     try:
         parsed = float(raw.strip())
@@ -157,16 +162,22 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
     """Read a UTF-8 header CSV into a dataset.
 
     All columns other than the label and protected columns are features and
-    must parse as finite reals; rows violating that are reported together
-    with their line numbers. Label and protected values must be 0 or 1. A
+    must parse as finite reals; rows violating that are reported together.
+    Label and protected values must be 0 or 1. Blank rows are skipped. A
     leading UTF-8 byte-order mark is dropped.
 
-    The body is read ``_CHUNK_ROWS`` lines at a time. Chunks of plain numeric
-    lines go through numpy's tokenizer and float parser (``_plain_block``).
-    From the first chunk that is not plain on, the chunked row parser
-    (``_read_rows``) reads the rest of the file and writes every error
-    message, so at most one chunk is parsed twice. On each chunk the numpy
-    pass accepts, both give the same arrays.
+    The body is read ``_CHUNK_ROWS`` lines at a time. numpy's tokenizer and
+    float parser read every chunk they can (``_plain_block``), quoted cells
+    included. A chunk numpy refuses goes to a row-at-a-time ``csv.reader``
+    (``_read_rows``), and the chunk after it goes to numpy again. Both read
+    the same numbers.
+
+    Errors are those of one row-at-a-time read of the whole file: the first
+    bad record raises, checked for its field count, then its label, then its
+    protected value; bad features are listed once the file is read. These
+    errors number records, the header being record 1, so after a quoted field
+    that spans lines a record's number is below its line number. ``malformed
+    CSV`` errors number physical lines.
     """
     path_str = str(path)
     if not Path(path).exists():
@@ -175,19 +186,43 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
         raise IngestError("label and protected columns must differ")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        skipped = 0  # lines read before ``reader`` took over
+        line = 0  # physical lines before the current chunk
         try:
             columns = _read_header(reader, path_str, label_col, protected_col)
-            blocks, rest = _read_plain(fh, *columns)
-            skipped = reader.line_num + sum(len(labels) for *_, labels in blocks)
-            reader = csv.reader(rest)
-            return _read_rows(reader, path_str, label_col, protected_col, columns, blocks)
+            line, record = reader.line_num, 2  # ``record``: number of the next record
+            blocks, bad_lines = [], []
+            failure: list[Exception] = []
+            lines_in = _lines_until_error(fh, failure)
+            while lines := list(islice(lines_in, _CHUNK_ROWS)):
+                block = _plain_block(lines, *columns)
+                if block is not None:
+                    line, record = line + len(lines), record + len(lines)
+                else:
+                    reader = csv.reader(chain(lines, _lines_after(fh, failure)))
+                    block, bad, record = _read_rows(
+                        reader, len(lines), record, path_str, label_col, protected_col, columns
+                    )
+                    line += reader.line_num
+                    bad_lines += bad
+                blocks.append(block)
+            if failure:
+                raise failure[0]
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise IngestError(
-                f"{path_str} line {skipped + reader.line_num}: malformed CSV ({exc})"
+                f"{path_str} line {line + reader.line_num}: malformed CSV ({exc})"
             ) from None
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:20])
+        more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
+        raise IngestError(
+            f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
+        )
+    if not any(len(labels) for _, _, labels in blocks):
+        raise IngestError(f"{path_str}: no data rows")
+    x, groups, labels = (np.concatenate(parts) for parts in zip(*blocks))
+    return LabeledDataset(x=x, a=groups.astype(int), y=labels.astype(int))
 
 
 def _read_header(reader, path_str: str, label_col: str, protected_col: str):
@@ -210,56 +245,50 @@ def _read_header(reader, path_str: str, label_col: str, protected_col: str):
     return width, label_ix, group_ix, feature_ix
 
 
-def _read_plain(fh, width: int, label_ix: int, group_ix: int, feature_ix: list[int]):
-    """The (x, a, y) blocks of the plain chunks that open the body, and the rest.
+def _lines_until_error(fh, failure: list[Exception]) -> Iterator[str]:
+    """Yield the lines of ``fh``. On a read error, keep it in ``failure`` and stop."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        failure.append(exc)
 
-    ``fh`` stands just past the header row. The rest is an iterator over the
-    lines of the first chunk ``_plain_block`` refuses, then the remaining
-    lines of ``fh``. A read error ends the numpy pass; the rest raises it
-    again after the lines read before it. (The rest reads ``fh`` through
-    ``lines_in``: closing that generator would close ``fh``.)
+
+def _lines_after(fh, failure: list[Exception]) -> Iterator[str]:
+    """The lines left in ``fh``, read on demand, for a quoted field that runs
+    past the end of a chunk. If a read error cut that chunk short, raise it.
     """
-    failure: list[Exception] = []
-    lines_in = _rows_until_error(fh, failure)
-    blocks = []
-    while True:
-        lines = list(islice(lines_in, _CHUNK_ROWS))
-        block = _plain_block(lines, width, label_ix, group_ix, feature_ix) if lines else None
-        if block is None:
-            return blocks, chain(lines, _raise_first(failure), lines_in)
-        blocks.append(block)
-
-
-def _raise_first(failure: list[Exception]) -> Iterator[str]:
-    """An iterator that raises the first exception in ``failure``, if any."""
     if failure:
         raise failure[0]
-    yield from ()
+    # Not ``yield from fh``: closing this generator would close ``fh``.
+    yield from iter(fh.readline, "")
 
 
 def _plain_block(
     lines: list[str], width: int, label_ix: int, group_ix: int, feature_ix: list[int]
 ):
-    """(x, a, y) of a chunk of plain numeric lines, or None.
+    """(x, a, y) of a chunk of numeric lines, or None.
 
-    The lines go through numpy's tokenizer and float parser with no quoting
-    and no comments. A quote, a blank-shaped row other than an empty line, a
-    spelling that ``float`` reads and numpy does not (``1_0``, non-ASCII
-    digits) and any unparsable cell make loadtxt raise. The chunk is kept
-    only if each line gives one row as wide as the header, labels and groups
-    are 0 or 1, features are finite, and no line is longer than the csv
-    module's field size limit. On such a chunk numpy and ``float`` read the
-    same doubles.
+    The lines go through numpy's tokenizer and float parser, with the csv
+    module's double quote and no comments. A blank-shaped row other than an
+    empty line, a spelling that ``float`` reads and numpy does not (``1_0``,
+    non-ASCII digits) and any unparsable cell make loadtxt raise. The chunk
+    is kept only if each line gives one row as wide as the header, labels
+    and groups are 0 or 1, features are finite, and no line is longer than
+    the csv module's field size limit. On such a chunk numpy and ``float``
+    read the same doubles.
     """
     # loadtxt skips empty lines and warns when it finds no row at all, so a
     # chunk that opens with one never reaches it.
     if not lines[0].strip() or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
-    if table.shape != (len(lines), width):
+    # A quoted field spanning lines joins them into one row. One left open on
+    # the last line would run into the next chunk, where loadtxt ends it; in
+    # a chunk of numeric cells it leaves that line an odd number of quotes.
+    if table.shape != (len(lines), width) or lines[-1].count('"') % 2:
         return None
     # Copies, so that the chunk's table is freed.
     labels, groups = table[:, label_ix].copy(), table[:, group_ix].copy()
@@ -270,122 +299,40 @@ def _plain_block(
     return x, groups, labels
 
 
-# Rows converted per chunk. Columns are parsed a chunk at a time, so the
-# peak memory stays near that of the finished arrays.
-_CHUNK_ROWS = 4096
-_BINARY_CELLS = {"0": 0.0, "1": 1.0}
-
-
-def _rows_until_error(source, failure: list[Exception]) -> Iterator:
-    """Yield the rows of a reader or the lines of a file.
-
-    On a read error, keep it in ``failure`` and stop.
-    """
-    try:
-        yield from source
-    except (csv.Error, UnicodeDecodeError) as exc:
-        failure.append(exc)
-
-
-def _float_or_nan(raw: str) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        return math.nan
-
-
-def _binary_column(cells: tuple[str, ...]) -> np.ndarray:
-    """A label or protected column as 0.0/1.0, NaN where ``_parse_binary`` raises."""
-    values = list(map(_BINARY_CELLS.get, cells))
-    if None not in values:
-        return np.array(values)
-    parsed = np.array([_float_or_nan(raw) if v is None else v for v, raw in zip(values, cells)])
-    return np.where((parsed == 0.0) | (parsed == 1.0), parsed, math.nan)
-
-
-def _feature_column(cells: tuple[str, ...]) -> list[float]:
-    """A feature column as floats, NaN where a cell does not parse."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return list(map(_float_or_nan, cells))
-
-
 def _read_rows(
-    reader, path_str: str, label_col: str, protected_col: str, columns=None, blocks=()
-) -> LabeledDataset:
-    """Parse and validate the rows of an open CSV reader, one chunk of rows at a time.
+    reader, n_lines: int, record: int, path_str: str, label_col: str, protected_col: str, columns
+):
+    """(x, a, y) and bad feature records of a chunk numpy refused, and the next record number.
 
-    The first line, in file order, with a wrong field count or a bad label or
-    protected value raises (checked in that order within a line). Lines with
-    bad features are reported together, and only when nothing else raised.
-    Blank lines are skipped.
-
-    ``columns`` and ``blocks`` carry on a read the numpy pass began: the
-    header's ``_read_header`` tuple, and the (x, a, y) blocks of the rows it
-    took, none of them bad. Without them the reader starts at the header.
+    ``reader`` reads the chunk's ``n_lines`` lines, then the file after them.
+    It stops after the last record that starts on the chunk; the first of
+    them is numbered ``record``. Each record is checked before the next is
+    read: its field count, then its label, then its protected value.
     """
-    width, label_ix, group_ix, feature_ix = columns or _read_header(
-        reader, path_str, label_col, protected_col
-    )
-
-    def parse_chunk(rows: list[list[str]], first_line: int):
-        """(x, a, y, bad feature lines) of one chunk; raises on its first bad line."""
-        wrong = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != width
-        table = [row for row, w in zip(rows, wrong) if not w] if wrong.any() else rows
-        kept = np.flatnonzero(~wrong)
-        cols = list(zip(*table)) or [()] * width
-        labels, groups = _binary_column(cols[label_ix]), _binary_column(cols[group_ix])
-        bad = np.isnan(labels) | np.isnan(groups)
-        flagged = wrong.copy()
-        flagged[kept[bad]] = True
-        for i in np.flatnonzero(flagged):
-            row, lineno = rows[i], first_line + int(i)
-            # Every blank row is flagged: too few fields, or an empty label.
-            if not "".join(row).strip():
-                continue
+    width, label_ix, group_ix, feature_ix = columns
+    features, groups, labels, bad = [], [], [], []  # ``features``: the rows back to back
+    for record, row in enumerate(reader, start=record):
+        if "".join(row).strip():
             if len(row) != width:
                 raise IngestError(
-                    f"{path_str} line {lineno}: expected {width} fields, got {len(row)}"
+                    f"{path_str} line {record}: expected {width} fields, got {len(row)}"
                 )
-            _parse_binary(row[label_ix], label_col, "label", lineno, path_str)
-            _parse_binary(row[group_ix], protected_col, "protected", lineno, path_str)
-        if bad.any():
-            table = [row for row, b in zip(table, bad) if not b]
-            cols = list(zip(*table)) or [()] * width
-            kept, labels, groups = kept[~bad], labels[~bad], groups[~bad]
-        x = np.empty((len(table), len(feature_ix)))
-        for j, c in enumerate(feature_ix):
-            x[:, j] = _feature_column(cols[c])
-        finite = np.isfinite(x).all(axis=1)
-        return x, groups, labels, (first_line + kept[~finite]).tolist()
-
-    failure: list[Exception] = []
-    rows_in = _rows_until_error(reader, failure)
-    blocks = list(blocks)
-    bad_lines: list[int] = []
-    first_line = 2 + sum(len(labels) for *_, labels in blocks)
-    while True:
-        rows = list(islice(rows_in, _CHUNK_ROWS))
-        if rows:
-            x, groups, labels, bad = parse_chunk(rows, first_line)
-            blocks.append((x, groups, labels))
-            bad_lines += bad
-            first_line += len(rows)
-        if failure:
-            raise failure[0]
-        if len(rows) < _CHUNK_ROWS:
+            label = _parse_binary(row[label_ix], label_col, "label", record, path_str)
+            group = _parse_binary(row[group_ix], protected_col, "protected", record, path_str)
+            try:
+                values = [float(row[i]) for i in feature_ix]
+            except ValueError:
+                values = [math.nan]
+            if all(map(math.isfinite, values)):
+                features += values
+                groups.append(group)
+                labels.append(label)
+            else:
+                bad.append(record)
+        if reader.line_num >= n_lines:
             break
-    if bad_lines:
-        shown = ", ".join(str(n) for n in bad_lines[:20])
-        more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
-        raise IngestError(
-            f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
-        )
-    if not any(len(labels) for _, _, labels in blocks):
-        raise IngestError(f"{path_str}: no data rows")
-    x, groups, labels = (np.concatenate(parts) for parts in zip(*blocks))
-    return LabeledDataset(x=x, a=groups.astype(int), y=labels.astype(int))
+    x = np.array(features, dtype=float).reshape(-1, len(feature_ix))
+    return (x, np.array(groups, dtype=float), np.array(labels, dtype=float)), bad, record + 1
 
 
 def _split_dataset(

@@ -152,7 +152,8 @@ class FairClassifier:
             raise DisparityError("aware rule needs the group id vector to decide")
         a_arr = np.asarray(a)
         score = np.asarray(predict_proba(self.eta_groups, x2, a_arr), dtype=float)
-        s, b = (np.where(a_arr == 1, c[1], c[0]) for c in bilinear_coeffs(self.kind, self.stats))
+        one = a_arr == 1
+        s, b = (np.where(one, c[1], c[0]) for c in bilinear_coeffs(self.kind, self.stats))
         return score, s * score + b
 
     def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:

@@ -1099,10 +1099,10 @@ def _reference_binary(raw, column, what, lineno, path):
 
 
 def _reference_ingest(path, label_col, protected_col):
-    """The row-at-a-time CSV parser that ingest_csv's column parser replaced.
+    """The independent reference for ingest_csv: one csv.reader over the whole file.
 
     It validates each row before it reads the next, so its first error is the
-    first bad line in file order by construction. It opens the file as plain
+    first bad record in file order by construction. It opens the file as plain
     UTF-8, so it keeps a byte-order mark in the first header name.
     """
     path_str = str(path)
@@ -1179,16 +1179,9 @@ def _ingest_outcome(ingest, path):
 
 
 def _chunked_ingest(path, label_col, protected_col):
-    """ingest_csv's chunked parser alone: _read_rows on a csv.reader of the file."""
-    path_str = str(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            return fairthresh.cli._read_rows(reader, path_str, label_col, protected_col)
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"{path_str}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise IngestError(f"{path_str} line {reader.line_num}: malformed CSV ({exc})") from None
+    """ingest_csv with every chunk left to the row parser."""
+    with mock.patch.object(fairthresh.cli, "_plain_block", lambda *args: None):
+        return ingest_csv(path, label_col, protected_col)
 
 
 @contextmanager
@@ -1252,9 +1245,9 @@ _SPELLED_FILES = {
     "arabic-indic-digits": (
         _spelled_file("\u0662.\u0665,0.5,\u0661,0", "0.5,0.5,0,\u0661"), False
     ),
-    "quoted-number": (_spelled_file('"0.5",1.5,1,0', "-0.25,2,0,1"), False),
+    "quoted-number": (_spelled_file('"0.5",1.5,1,0', "-0.25,2,0,1"), True),
     "all-quoted-past-two-chunks": (
-        _spelled_file(*_quoted(good_rows(2 * fairthresh.cli._CHUNK_ROWS + 1))), False
+        _spelled_file(*_quoted(good_rows(2 * fairthresh.cli._CHUNK_ROWS + 1))), True
     ),
     "spaces-only-line": (_spelled_file("   ", *good_rows(3)), False),
     "commas-only-row": (_spelled_file(",,,", *good_rows(3)), False),
@@ -1273,8 +1266,8 @@ class TestIngestMatchesRowParser:
             path = Path(tmp) / "fuzz.csv"
             path.write_bytes(data)
             assert_ingest_matches_reference(path)
-            # Intact files stop at the numpy pass, so check the chunked parser
-            # on them too.
+            # Intact files never reach the row parser, so check it on them
+            # too.
             assert_ingest_matches_reference(path, _chunked_ingest)
 
     @pytest.mark.parametrize(
@@ -1324,8 +1317,8 @@ class TestIngestMatchesRowParser:
         path.write_bytes(text.encode("utf-8"))
         with plain_chunks_taken() as taken:
             assert isinstance(ingest_csv(path, "y", "a"), LabeledDataset)
-        # The numpy pass takes every chunk of a plain table, and stops at the
-        # first chunk of any other.
+        # The numpy pass takes every chunk of a plain table, and refuses the
+        # one chunk of any other.
         assert all(taken) is plain
         assert taken.count(False) == (not plain)
         assert_ingest_matches_reference(path)
@@ -1398,11 +1391,13 @@ class TestIngestMatchesRowParser:
                 else:
                     with pytest.raises(IngestError, match=re.escape(message)):
                         ingest_csv(path, "y", "a")
-            assert taken == [True, True, False]
+            # numpy reads the quoted cell; each bad row's chunk is refused.
+            assert taken == [True, True, message is None]
             assert_ingest_matches_reference(path)
 
     def test_empty_line_in_a_chunk_keeps_later_line_numbers(self, tmp_path):
-        # loadtxt skips empty lines, so a chunk holding one goes to the row parser.
+        # loadtxt skips empty lines, so a chunk holding one goes to the row
+        # parser; the next chunk goes to numpy again.
         rows = good_rows(300)
         rows[50] = ""
         rows[250] = "0.5,0.5,2,0"
@@ -1411,7 +1406,71 @@ class TestIngestMatchesRowParser:
             with plain_chunks_taken() as taken:
                 with pytest.raises(IngestError, match=re.escape("line 252: label column 'y'")):
                     ingest_csv(path, "y", "a")
-            assert taken == [False]
+            assert taken == [False, True, False]
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize(
+        "chunk, plain",
+        [
+            (1, "TTTTFTTTFTTTF"), (2, "TTFTFTF"), (3, "TFTFTF"), (4, "TFFF"), (5, "FFF"),
+            (7, "FFF"),
+        ],
+    )
+    def test_quoted_newlines_keep_record_numbers_across_chunks(self, tmp_path, chunk, plain):
+        # rows[4] spans lines 6-7 and rows[8] lines 11-13, so the bad label on
+        # physical line 17 is record 14. rows[4]'s last cell stays open to the
+        # end of line 6, where a one-line chunk would end it.
+        rows = good_rows(12)
+        x0, x1, y, a = rows[4].split(",")
+        rows[4] = f'{x0},{x1},{y},"{a}\n"'
+        x0, x1, y, a = rows[8].split(",")
+        rows[8] = f'{x0},"{x1}\n\n",{y},{a}'
+        path = write_feature_rows(tmp_path / "spans.csv", [*rows, "0.5,0.5,2,0"])
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", chunk):
+            with plain_chunks_taken() as taken:
+                with pytest.raises(IngestError, match=re.escape("line 14: label column 'y'")):
+                    ingest_csv(path, "y", "a")
+            # A chunk after a refused one goes to numpy again; it is refused
+            # only if it holds a quoted newline or the bad label.
+            assert "".join("T" if t else "F" for t in taken) == plain
+            assert_ingest_matches_reference(path)
+
+    def test_numpy_takes_the_chunks_after_a_refused_one(self, tmp_path):
+        rows = good_rows(500)
+        rows[150] = "1_0,0.5,1,0"  # float reads it, numpy does not
+        path = write_feature_rows(tmp_path / "handoff.csv", rows)
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", 100):
+            with plain_chunks_taken() as taken:
+                assert len(ingest_csv(path, "y", "a")) == 500
+            assert taken == [True, False, True, True, True]
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize(
+        "line, earlier, message",
+        [
+            (None, None, "not UTF-8 text"),
+            (152, "0.5,0.5,2,0", "line 152: label column 'y' value '2' is not binary"),
+            # A quoted field that runs on into the bytes that do not decode,
+            # from a whole chunk and from the chunk the bad bytes cut short.
+            (152, '0.5,0.5,1,"1', "not UTF-8 text"),
+            (212, '0.5,0.5,1,"1', "not UTF-8 text"),
+        ],
+        ids=["none", "bad-label", "open-quote", "open-quote-in-cut-chunk"],
+    )
+    def test_bad_byte_in_a_late_chunk(self, tmp_path, line, earlier, message):
+        # About 35 bytes a row: lines 1-212 fall in the first 8 KB that the
+        # text layer decodes, and the bad byte on line 352 (chunk 4) does not.
+        rows = [f"{0.1 * i:.12f},{-0.3 * i:.12f},{(i // 2) % 2},{i % 2}" for i in range(500)]
+        if earlier is not None:
+            rows[line - 2] = earlier
+        text = "x0,x1,y,a\n" + "".join(row + "\n" for row in rows)
+        at = text.index(rows[350])
+        assert len("".join(text.splitlines(keepends=True)[:212])) < 8192 < at
+        path = tmp_path / "late-byte.csv"
+        path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", 100):
+            with pytest.raises(IngestError, match=re.escape(message)):
+                ingest_csv(path, "y", "a")
             assert_ingest_matches_reference(path)
 
     def test_more_than_twenty_bad_feature_lines(self, tmp_path):
