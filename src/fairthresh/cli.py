@@ -438,14 +438,19 @@ def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     return out_rows
 
 
+def _sweep_runner(method: str, blind: bool, train: LabeledDataset):
+    """The runner a budget sweep on train calls.  fpir's group model does not
+    depend on the budget, so it is fitted once here, not once per budget,
+    and the later budgets read the plug-in slots of the train and test sets.
+    Blind runs fit their own regressions."""
+    if method == "fpir" and not blind:
+        return functools.partial(run_fpir, model=fit_group_models(train, MODE_AWARE, _CLI_LEARNER))
+    return _METHOD_RUNNERS[method]
+
+
 def _empirical_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     train, test, _ = _load_source(spec)
-    run = _METHOD_RUNNERS[spec.method]
-    if spec.method == "fpir" and not spec.blind:
-        # The group model does not depend on the budget: fit it once, not
-        # once per grid point. Blind runs fit their own regressions.
-        prefit = fit_group_models(train, MODE_AWARE, _CLI_LEARNER)
-        run = functools.partial(run_fpir, model=prefit)
+    run = _sweep_runner(spec.method, spec.blind, train)
     out_rows = []
     # Each point has its own index-derived seed, so a point's output does
     # not depend on the other points in the grid.
@@ -504,10 +509,11 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
     }
     rows = []
     for method in _METHOD_RUNNERS:
+        run = _sweep_runner(method, False, train)
         for name, kind in _KIND_NAMES.items():
             for delta in deltas:
                 config = FairFitConfig(kind=kind, delta=delta, tol=spec.tol, seed=spec.seed)
-                classifier, t_hat, _ = _METHOD_RUNNERS[method](train, config)
+                classifier, t_hat, _ = run(train, config)
                 metrics = evaluate(classifier, test)
                 reference = references[(name, delta)]
                 rows.append(

@@ -7,8 +7,9 @@ damped Newton steps (iteratively reweighted least squares). Features are
 standardized internally and an intercept is always included. Every fit
 starts from zero and runs to the maximum-likelihood point of its own data,
 so a refit inside a bisection loop depends on nothing but that data.  A dataset
-caches its standardized designs ("frames") and the row indices of its groups and
-cells, and shares both with its reweighted copies, not with its subsets.
+caches its standardized designs ("frames"), the row indices of its groups and
+cells, and the inputs of the last plug-in rule scored on its rows (until another
+rule's replace them).  Reweighted copies share all three; subsets do not.
 The frame is stored column by column, so the Newton loop's gradient, Hessian
 and scores run over contiguous n-vectors, and its line search evaluates the
 softplus with vectorized exp and log1p.  nll and nll_gradient compute the same
@@ -53,7 +54,10 @@ _MAX_MAGNITUDE = 1e150
 class LabeledDataset:
     """Rows of (feature vector, group id, binary label, sample weight).  The
     frames (_frame) and row indices (rows) are built on first use, kept, and
-    shared with with_weights copies, which differ only in weight."""
+    shared with with_weights copies, which differ only in weight.  So is
+    _plug_in, fair_algorithms' one-entry slot: the flip points, weight signs
+    and inert rows of the last plug-in rule scored on these rows, and on
+    training rows its sorted steps.  None of them reads the weights."""
 
     x: np.ndarray
     a: np.ndarray
@@ -61,6 +65,7 @@ class LabeledDataset:
     weight: np.ndarray = field(default=None)  # type: ignore[assignment]
     _frames: dict = field(default_factory=dict, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _plug_in: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)

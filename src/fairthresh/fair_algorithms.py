@@ -13,11 +13,9 @@ The pipelines differ in how the classifier at t is produced:
 - the plug-in pipeline fits regression estimates once and only moves
   decision thresholds.  Its curve is a step function with one step per
   row, so it is solved exactly from the sorted steps, and the rows on the
-  boundary are randomized to land the budget exactly.  With a prefit model
-  it keeps the training rows' scores, weights and sorted steps in one slot,
-  keyed on the dataset object, the model object and the kind, until a call
-  with another key replaces it or the dataset or model is freed; so a
-  budget sweep sorts once per measure.
+  boundary are randomized to land the budget exactly.  A dataset keeps the
+  per-row inputs of the last plug-in rule scored on it (its plug-in slot),
+  so a budget sweep predicts each row set once and sorts once per measure.
 
 Aware runs read the group id at decision time.  Blind runs fit rules on
 features alone; the group id is still used during training to measure the
@@ -26,7 +24,6 @@ disparity being controlled.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -157,29 +154,73 @@ class FairClassifier:
         return score, s * score + b
 
     def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        score, w = self.inputs(x, a)
-        return _plug_in_decisions(score, w, self.t, self.tau_plus, self.tau_minus)
+        return _plug_in_decisions(*self.inputs(x, a), self.t, self.tau_plus, self.tau_minus)
 
     __call__ = decide
 
 
-def _flip_points(score: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """t at which each row's decision flips: (2*score - 1) / w (not finite where w == 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (2.0 * score - 1.0) / w
+@dataclass(eq=False)
+class _RuleInputs:
+    """What a plug-in rule's decisions on a row set read at any t: each row's
+    flip point r = (2*score - 1) / w (0 where w == 0), whether w > 0, the
+    w == 0 rows and whether each is accepted (score > 1/2).  In a dataset's
+    plug-in slot, rule is the key: its models and kind by identity, its stats
+    by value.  On training rows run_fpir adds the sorted steps and their unit."""
+
+    flips: np.ndarray
+    positive: np.ndarray
+    inert: np.ndarray
+    kept: np.ndarray
+    rule: FairClassifier | None = None
+    steps: Breakpoints | None = None
+    scale: int = 0
+
+    @classmethod
+    def build(cls, score: np.ndarray, w: np.ndarray, rule: FairClassifier | None = None):
+        inert = np.flatnonzero(w == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flips = (2.0 * score - 1.0) / w
+        flips[inert] = 0.0
+        return cls(flips, w > 0, inert, score[inert] > 0.5, rule)
+
+    def holds(self, rule: FairClassifier) -> bool:
+        key = self.rule
+        return key.kind is rule.kind and key.stats == rule.stats and all(
+            getattr(key, m) is getattr(rule, m) for m in ("eta_groups", "eta_y", "eta_a")
+        )
+
+
+def _decide(
+    inputs: _RuleInputs, t: float, tau_plus: float = 0.0, tau_minus: float = 0.0
+) -> np.ndarray:
+    """The decision kernel: accept where r lies above t (w > 0) or below it
+    (w < 0), with tau_plus or tau_minus where r == t; w == 0 rows are set last."""
+    r, positive = inputs.flips, inputs.positive
+    f = np.where(positive, r > t, r < t).astype(float)
+    tie = np.flatnonzero(r == t)
+    f[tie] = np.where(positive[tie], tau_plus, tau_minus)
+    f[inputs.inert] = inputs.kept
+    return f
 
 
 def _plug_in_decisions(
     score: np.ndarray, w: np.ndarray, t: float, tau_plus: float = 0.0, tau_minus: float = 0.0
 ) -> np.ndarray:
-    r = _flip_points(score, w)
-    positive = w > 0
-    f = np.where(positive, r > t, r < t).astype(float)
-    tie = np.flatnonzero(r == t)
-    f[tie] = np.where(positive[tie], tau_plus, tau_minus)
-    inert = np.flatnonzero(w == 0)
-    f[inert] = score[inert] > 0.5
-    return f
+    return _decide(_RuleInputs.build(score, w), t, tau_plus, tau_minus)
+
+
+def _slot_inputs(rule: FairClassifier, data: LabeledDataset) -> _RuleInputs:
+    """rule's inputs on data's rows, read from data's plug-in slot when it
+    holds them; otherwise computed, read-only, into the slot's one entry."""
+    slot = data._plug_in
+    if slot and slot[0].holds(rule):
+        return slot[0]
+    slot.clear()  # freed before its replacement is built
+    entry = _RuleInputs.build(*rule.inputs(data.x, data.a), rule)
+    for array in (entry.flips, entry.positive, entry.inert, entry.kept):
+        array.setflags(write=False)
+    slot.append(entry)
+    return entry
 
 
 def fuds_proportions(
@@ -292,10 +333,7 @@ class _CurveState:
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
         self.rule: FairClassifier | None = None
-        self.score: np.ndarray | None = None
-        self.w: np.ndarray | None = None
-        self.steps: Breakpoints | None = None
-        self.scale = 0
+        self.inputs: _RuleInputs | None = None
 
 
 def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +352,6 @@ def _rate_gap(kind: DisparityKind, data: LabeledDataset, f: np.ndarray) -> float
     if not (rows_1.size and rows_0.size):
         return None
     return float(np.mean(f[rows_1]) - np.mean(f[rows_0]))
-
-
-def _train_disparity(state: _CurveState, decisions: np.ndarray) -> float:
-    return _rate_gap(state.config.base_kind, state.dataset, decisions)
 
 
 def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, float | int]:
@@ -347,50 +381,15 @@ def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
     data = state.dataset.with_weights(state.dataset.weight * factor)
     blind = isinstance(state.config.kind, BlindKind)
     model = fit_logistic(data) if blind else fit_group_models(data, MODE_AWARE)
-    d = _train_disparity(state, fitted_decisions(model, data))
+    d = _rate_gap(state.config.base_kind, state.dataset, fitted_decisions(model, data))
     state.payload[t] = (model, report_extra)
     state.trace.append({"call": len(state.trace), "t": t, "disparity": d, **trace_extra})
     return d
 
 
-@dataclass(frozen=True)
-class _FpirSlot:
-    """What an aware plug-in solve with a prefit model reads for each budget:
-    the training rows' scores and disparity weights, their sorted flip points
-    and n_A * n_B, the units of the sorted sums.  Keyed on the dataset and
-    model objects, through weak references, and on the kind."""
-
-    dataset: weakref.ref
-    model: weakref.ref
-    kind: DisparityKind
-    score: np.ndarray
-    w: np.ndarray
-    steps: Breakpoints
-    scale: int
-
-
-# The one slot: a later run_fpir on the same dataset, model and kind reads
-# it instead of predicting, weighing each row's step and sorting again.
-_fpir_slot: _FpirSlot | None = None
-
-
-def _forget_slot(ref: weakref.ref) -> None:
-    """Drop the slot once its dataset or model is gone."""
-    global _fpir_slot
-    slot = _fpir_slot
-    if slot is not None and (slot.dataset is ref or slot.model is ref):
-        _fpir_slot = None
-
-
 def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
-    global _fpir_slot
     ds = state.dataset
     cfg = state.config
-    slot = _fpir_slot if model is not None else None
-    if slot and slot.kind is cfg.kind and slot.dataset() is ds and slot.model() is model:
-        state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, eta_groups=model)
-        state.score, state.w, state.steps, state.scale = slot.score, slot.w, slot.steps, slot.scale
-        return
     if isinstance(cfg.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
@@ -405,55 +404,45 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     elif model.mode != MODE_AWARE:
         raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
     else:
-        slot = _fpir_slot = None  # freed before its replacement is built
         models = {"eta_groups": model}
     state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, **models)
-    state.score, state.w = state.rule.inputs(ds.x, ds.a)
+    # Only a prefit model can recur, so only its inputs go into the slot.
+    if model is None:
+        state.inputs = _RuleInputs.build(*state.rule.inputs(ds.x, ds.a))
+    else:
+        state.inputs = _slot_inputs(state.rule, ds)
 
 
 def _fpir_eval(state: _CurveState, t: float) -> float:
-    d = _train_disparity(state, _plug_in_decisions(state.score, state.w, t))
+    d = _rate_gap(state.config.base_kind, state.dataset, _decide(state.inputs, t))
     state.trace.append({"call": len(state.trace), "t": t, "disparity": d})
     return d
 
 
-def _fpir_solve(
-    state: _CurveState, model: ProbModel | None
-) -> tuple[float, Fraction, Fraction, Fraction]:
+def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction]:
     """Exact smallest-|t| plug-in rule meeting the budget on the training rows.
 
     Train disparity is a difference of two cell acceptance rates,
     k_A/n_A - k_B/n_B, so a row adds n_B (cell A) or -n_A (cell B) to
     n_A*n_B*D and every sum is an integer.  The rows are sorted unless the
-    slot already held them; with a prefit model the sort fills the slot.
+    inputs already hold the sort, which then stays with them.
     Returns t, the two boundary fractions and D, exactly.
     """
-    global _fpir_slot
-    if state.steps is None:
+    inputs = state.inputs
+    if inputs.steps is None:
         ds = state.dataset
         rows_a, rows_b = _measure_cells(state.config.base_kind, ds)
         n_a, n_b = len(rows_a), len(rows_b)
-        # A row with w == 0 never flips (accepted when score > 1/2): it joins
-        # the base and enters the sort as an inert item at 0.
-        fixed = state.w == 0
-        kept = fixed & (state.score > 0.5)
         units = np.zeros(len(ds), dtype=int)
         units[rows_a], units[rows_b] = n_b, -n_a
-        units[fixed] = 0
-        state.steps = steps = Breakpoints.sort(
-            np.where(fixed, 0.0, _flip_points(state.score, state.w)),
-            state.w > 0,
-            units,
-            base=n_b * int(kept[rows_a].sum()) - n_a * int(kept[rows_b].sum()),
-        )
-        state.scale = n_a * n_b
-        if model is not None:
-            state.score.setflags(write=False)
-            state.w.setflags(write=False)
-            key = (weakref.ref(ds, _forget_slot), weakref.ref(model, _forget_slot), state.config.kind)
-            _fpir_slot = _FpirSlot(*key, state.score, state.w, steps, state.scale)
-    t, tau_plus, tau_minus, d = state.steps.solve(Fraction(state.config.delta) * state.scale)
-    return float(t), tau_plus, tau_minus, d / state.scale
+        # A row with w == 0 never flips (accepted when score > 1/2): it joins
+        # the base and enters the sort as an inert item at 0.
+        base = int(units[inputs.inert[inputs.kept]].sum())
+        units[inputs.inert] = 0
+        inputs.steps = Breakpoints.sort(inputs.flips, inputs.positive, units, base)
+        inputs.scale = n_a * n_b
+    t, tau_plus, tau_minus, d = inputs.steps.solve(Fraction(state.config.delta) * inputs.scale)
+    return float(t), tau_plus, tau_minus, d / inputs.scale
 
 
 def _resample_feasible(state: _CurveState, t: float) -> bool:
@@ -608,30 +597,32 @@ def run_fpir(
     solve returns the smallest-|t| rule meeting the budget on the training
     rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
     train disparity lands on the budget; no tolerance applies.  The report's
-    train metrics score the solve's own scores and weights, not a second
+    train metrics score the solve's own flip points, not a second
     prediction on the training rows.
 
-    With a prefit model the training scores, weights and sorted flip points
-    stay in a module slot, read-only, while the next call uses the same
-    dataset object, model object and kind; that call only searches the
-    sorted sums for its budget.  Any other prefit call replaces the slot,
-    and it is dropped once its dataset or model is freed.  Reweighted or
-    subset copies are other datasets.  Calls without a model keep nothing.
+    With a prefit model the training rows' flip points, weight signs, inert
+    rows and sorted steps stay, read-only, in the dataset's plug-in slot
+    (shared with its with_weights copies) until a rule with other models,
+    kind or stats is scored on those rows, or the dataset is freed.  A later
+    call with the same model and kind then only searches the sorted sums for
+    its budget and compares the flip points with t_hat.  Calls without a
+    model, blind ones included, neither read nor replace the slot.
     """
     curve, state = _build_curve(dataset, config, "fpir", model=model)
-    t_hat, tau_plus, tau_minus, d = _fpir_solve(state, model)
+    t_hat, tau_plus, tau_minus, d = _fpir_solve(state)
     classifier = replace(state.rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
     result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
-    decisions = _plug_in_decisions(
-        state.score, state.w, t_hat, classifier.tau_plus, classifier.tau_minus
-    )
+    decisions = _decide(state.inputs, t_hat, classifier.tau_plus, classifier.tau_minus)
     report = _report("fpir", state, curve, result, decisions)
     report["tau_plus"], report["tau_minus"] = classifier.tau_plus, classifier.tau_minus
     return classifier, t_hat, report
 
 
 def _decision_values(classifier, test: LabeledDataset) -> np.ndarray:
-    if isinstance(classifier, ProbModel):
+    if isinstance(classifier, FairClassifier):
+        inputs = _slot_inputs(classifier, test)
+        f = _decide(inputs, classifier.t, classifier.tau_plus, classifier.tau_minus)
+    elif isinstance(classifier, ProbModel):
         # Blind models ignore the group vector.
         f = (np.asarray(predict_proba(classifier, test.x, test.a), dtype=float) > 0.5).astype(float)
     elif callable(classifier):
@@ -651,6 +642,10 @@ def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
     Rates are plug-in conditional frequencies of the test rows themselves.
     A metric whose conditioning cell is empty comes back as None, not 0.
     Fractional decisions are treated as acceptance probabilities.
+
+    A FairClassifier's flip points on the test rows are kept in test's
+    plug-in slot (see run_fpir), so evaluating rules that differ only in t
+    and the tau, as a budget sweep does, predicts those rows once.
     """
     if len(test) == 0:
         raise EstimationError("empty test set: metrics undefined")

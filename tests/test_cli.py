@@ -747,6 +747,27 @@ class TestCmdSynthetic:
             assert r["theory_accuracy"] == 1.0 - rule.risk
             assert r["theory_t"] == rule.t_star
 
+    def test_fpir_fits_the_group_model_once(self, tmp_path, monkeypatch):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return fit_group_models(*args, **kwargs)
+
+        cli = fairthresh.cli
+        monkeypatch.setattr(cli, "_METHOD_RUNNERS", {"fpir": run_fpir})
+        for module in (cli, fairthresh.fair_algorithms):
+            monkeypatch.setattr(module, "fit_group_models", counting_fit)
+        spec = ExperimentSpec(
+            command="synthetic", seed=4, delta_grid=(0.0, 0.1), out=str(tmp_path / "s.json")
+        )
+        rows = cmd_synthetic(spec)["rows"]
+        assert len(rows) == 6 and len(fits) == 1
+        # Same rows as letting run_fpir fit its own model at every budget.
+        monkeypatch.setattr(cli, "_sweep_runner", lambda method, blind, train: run_fpir)
+        assert cmd_synthetic(spec)["rows"] == rows
+        assert len(fits) == 7
+
     def test_blind_flag_rejected(self):
         # the subcommand takes no --blind flag; the guard covers direct calls
         with pytest.raises(IngestError, match="group-aware"):

@@ -19,6 +19,7 @@ import json
 import math
 import pickle
 import warnings
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -760,13 +761,13 @@ class TestFpirExactSolve:
 
 
 class TestFpirSlot:
-    """run_fpir with a prefit model keeps one slot of sorted sums, keyed on the
-    dataset, model and kind; every answer equals a fresh solve."""
+    """run_fpir with a prefit model keeps the training rows' flip points and
+    sorted sums in the dataset's one-entry plug-in slot, keyed on the rule's
+    models, kind and stats; every answer equals a fresh solve."""
 
     @staticmethod
     def fresh_copy(dataset):
-        """An equal dataset object, with the slot emptied."""
-        fair_algorithms._fpir_slot = None
+        """An equal dataset object, with an empty slot."""
         return LabeledDataset(dataset.x, dataset.a, dataset.y)
 
     def test_interleaved_keys_answer_as_fresh_solves(self, model):
@@ -782,21 +783,28 @@ class TestFpirSlot:
             for delta in (0.0, 0.02, 0.1):
                 cfg = make_config(kind, delta)
                 calls.append((cfg, prefit, run_fpir(small, cfg, model=prefit)))
-                slots.append(fair_algorithms._fpir_slot)
+                assert len(small._plug_in) == 1
+                slots.append(small._plug_in[0])
             curve = empirical_curve(small, cfg, "fpir", model=prefit)
             curves.append((cfg, prefit, [curve(t) for t in points]))
-            assert fair_algorithms._fpir_slot is slots[-1]
+            assert small._plug_in[0] is slots[-1] and len(small._plug_in) == 1
         # A slot is built on the first budget of each key and read by the rest.
         assert [slots[i] is slots[i - 1] for i in range(1, len(slots))] == [
             i % 3 != 0 for i in range(1, len(slots))
         ]
-        del slots
-        assert sum(isinstance(o, fair_algorithms._FpirSlot) for o in gc.get_objects()) <= 1
-        slot = fair_algorithms._fpir_slot
-        steps = slot.steps
-        for array in (slot.score, slot.w, steps.ratios, steps.plus, steps.minus, steps.zero):
+        # Replaced entries are freed; the dataset keeps only the last one.
+        refs = [weakref.ref(entry) for entry in slots]
+        del slots, curve
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [i >= len(refs) - 3 for i in range(len(refs))]
+        entry = small._plug_in[0]
+        steps = entry.steps
+        for array in (
+            entry.flips, entry.positive, entry.inert, entry.kept,
+            steps.ratios, steps.plus, steps.minus, steps.zero,
+        ):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[1]
+                array[:1] = array[1:2]
         for cfg, prefit, got in calls:
             want = run_fpir(self.fresh_copy(small), cfg, model=prefit)
             assert pickle.dumps(got) == pickle.dumps(want)
@@ -804,24 +812,95 @@ class TestFpirSlot:
             curve = empirical_curve(self.fresh_copy(small), cfg, "fpir", model=prefit)
             assert values == [curve(t) for t in points]
 
-    def test_slot_follows_its_key_and_dies_with_its_dataset(self, model):
+    def test_slot_follows_its_key_and_dies_with_its_dataset(self, model, monkeypatch):
         small = sample(model, 1_000, seed=9)
         prefit = fit_group_models(small, MODE_AWARE)
         cfg = make_config(DisparityKind.DO, 0.05)
-        run_fpir(small, cfg, model=prefit)
-        slot = fair_algorithms._fpir_slot
-        assert slot.dataset() is small and slot.model() is prefit
+        want = pickle.dumps(run_fpir(small, cfg, model=prefit))
+        [entry] = small._plug_in
+        assert entry.rule.eta_groups is prefit and entry.rule.kind is cfg.kind
         # Calls without a prefit model, and blind calls, leave the slot alone.
         run_fpir(small, cfg)
         run_fpir(small, make_config(BlindKind.DO_X, 0.05))
-        assert fair_algorithms._fpir_slot is slot
-        # A reweighted copy is another dataset: it gets its own slot.
+        assert small._plug_in == [entry]
+        # A reweighted copy has the same rows, and nothing in the slot reads
+        # the weights, so it shares the slot: its call predicts nothing.
         copy = small.with_weights(np.ones(len(small)))
-        run_fpir(copy, cfg, model=prefit)
-        assert fair_algorithms._fpir_slot.dataset() is copy
-        del slot, copy
+        assert copy._plug_in is small._plug_in
+        with monkeypatch.context() as patch:
+            patch.setattr(fair_algorithms, "predict_proba", None)
+            assert pickle.dumps(run_fpir(copy, cfg, model=prefit)) == want
+        assert small._plug_in[0] is entry
+        # A subset is another row set: its slot starts empty.
+        assert small.subset(np.arange(500))._plug_in == []
+        ref = weakref.ref(entry)
+        del entry, small, copy
         gc.collect()
-        assert fair_algorithms._fpir_slot is None
+        assert ref() is None
+
+
+class TestPlugInSlot:
+    """evaluate reads a FairClassifier's test-row inputs from the test set's
+    plug-in slot; a budget sweep predicts each row set once."""
+
+    def test_a_budget_sweep_predicts_each_row_set_once(self, model, monkeypatch):
+        small = sample(model, 2_000, seed=41)
+        held_out = sample(model, 1_000, seed=42)
+        prefit = fit_group_models(small, MODE_AWARE)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return predict_proba(*args, **kwargs)
+
+        monkeypatch.setattr(fair_algorithms, "predict_proba", counting)
+        for delta in np.linspace(0.0, 0.2, 40):
+            classifier, _, _ = run_fpir(small, make_config(DisparityKind.DO, delta), model=prefit)
+            evaluate(classifier, held_out)
+        assert calls == [len(small), len(held_out)]
+
+    def test_interleaved_rules_answer_as_fresh_calls(self, model):
+        small = sample(model, 2_000, seed=43)
+        tests = [sample(model, 800, seed=44), sample(model, 600, seed=45)]
+        prefits = [fit_group_models(small, MODE_AWARE, c) for c in (LEARNER, LogisticConfig(l2=1.0))]
+        dd, do, pd = ALL_KINDS
+        # Each aware step changes either the kind or the model, but for one.
+        rules = [(dd, 0), (do, 0), (do, 1), (pd, 1), (pd, 0), (dd, 1), (BlindKind.DD_X, None)]
+
+        def answer(train, test, kind, m, delta):
+            cfg = make_config(kind, delta)
+            prefit = None if m is None else prefits[m]
+            classifier, t_hat, report = run_fpir(train, cfg, model=prefit)
+            return pickle.dumps((t_hat, report, evaluate(classifier, test)))
+
+        # Each test set sees the rules in turn; the train set sees them too.
+        steps = [
+            (rule, index, delta)
+            for delta in (0.0, 0.03)
+            for r, rule in enumerate(rules)
+            for index in ((0, 1) if r % 2 else (1, 0))
+        ]
+        warm = [answer(small, tests[i], *rule, delta) for rule, i, delta in steps]
+        assert all(len(d._plug_in) == 1 for d in [small, *tests])
+        for (rule, i, delta), got in zip(steps, warm):
+            fresh = [TestFpirSlot.fresh_copy(d) for d in (small, tests[i])]
+            assert answer(*fresh, *rule, delta) == got
+
+    def test_a_rule_with_other_stats_misses_the_slot(self, model):
+        small = sample(model, 2_000, seed=46)
+        held_out = sample(model, 1_000, seed=47)
+        prefit = fit_group_models(small, MODE_AWARE)
+        classifier, _, _ = run_fpir(small, make_config(DisparityKind.PD, 0.02), model=prefit)
+        evaluate(classifier, held_out)
+        assert held_out._plug_in[0].rule is classifier
+        other = replace(classifier, stats=STATS)
+        got = evaluate(other, held_out)
+        assert held_out._plug_in[0].rule is other
+        assert got == evaluate(other, TestFpirSlot.fresh_copy(held_out))
+        assert got != evaluate(classifier, held_out)
+        np.testing.assert_array_equal(
+            fair_algorithms._decision_values(other, held_out), other.decide(held_out.x, held_out.a)
+        )
 
 
 class TestRowCache:
@@ -1013,6 +1092,18 @@ class TestFairClassifierRule:
             got = fair_algorithms._plug_in_decisions(score, w, t, tau_plus, tau_minus)
             want = nested_where_decisions(score, w, t, tau_plus, tau_minus)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_rows_with_zero_weight_win_over_ties_at_zero(self):
+        # Flip points are stored as 0 where w == 0, so at t = 0 those rows tie;
+        # the w == 0 rule must still decide them.
+        rng = np.random.default_rng(11)
+        score = rng.uniform(size=1_000)
+        w = rng.normal(size=1_000)
+        w[:100], w[100:200] = 0.0, -0.0
+        score[::25] = 0.5
+        got = fair_algorithms._plug_in_decisions(score, w, 0.0, 0.3, 0.7)
+        want = nested_where_decisions(score, w, 0.0, 0.3, 0.7)
+        assert got.tobytes() == want.tobytes()
 
     def test_aware_rule_needs_groups(self, model):
         prefit = exact_prob_model(model)
