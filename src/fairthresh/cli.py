@@ -174,10 +174,10 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
 
     Errors are those of one row-at-a-time read of the whole file: the first
     bad record raises, checked for its field count, then its label, then its
-    protected value; bad features are listed once the file is read. These
-    errors number records, the header being record 1, so after a quoted field
-    that spans lines a record's number is below its line number. ``malformed
-    CSV`` errors number physical lines.
+    protected value; bad features are listed once the file is read. Every
+    error names a physical line, the header's first being line 1: a record's
+    error the line where the record starts, also after a quoted field that
+    spans lines, and a ``malformed CSV`` error the line the reader stopped on.
     """
     path_str = str(path)
     if not Path(path).exists():
@@ -189,18 +189,18 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
         line = 0  # physical lines before the current chunk
         try:
             columns = _read_header(reader, path_str, label_col, protected_col)
-            line, record = reader.line_num, 2  # ``record``: number of the next record
+            line = reader.line_num
             blocks, bad_lines = [], []
             failure: list[Exception] = []
             lines_in = _lines_until_error(fh, failure)
             while lines := list(islice(lines_in, _CHUNK_ROWS)):
                 block = _plain_block(lines, *columns)
                 if block is not None:
-                    line, record = line + len(lines), record + len(lines)
+                    line += len(lines)
                 else:
                     reader = csv.reader(chain(lines, _lines_after(fh, failure)))
-                    block, bad, record = _read_rows(
-                        reader, len(lines), record, path_str, label_col, protected_col, columns
+                    block, bad = _read_rows(
+                        reader, len(lines), line, path_str, label_col, protected_col, columns
                     )
                     line += reader.line_num
                     bad_lines += bad
@@ -300,25 +300,26 @@ def _plain_block(
 
 
 def _read_rows(
-    reader, n_lines: int, record: int, path_str: str, label_col: str, protected_col: str, columns
+    reader, n_lines: int, line: int, path_str: str, label_col: str, protected_col: str, columns
 ):
-    """(x, a, y) and bad feature records of a chunk numpy refused, and the next record number.
+    """(x, a, y) and the start lines of bad feature records of a chunk numpy refused.
 
-    ``reader`` reads the chunk's ``n_lines`` lines, then the file after them.
-    It stops after the last record that starts on the chunk; the first of
-    them is numbered ``record``. Each record is checked before the next is
-    read: its field count, then its label, then its protected value.
+    ``reader`` reads the chunk's ``n_lines`` lines, then the file after them;
+    ``line`` physical lines come before the chunk. It stops after the last
+    record that starts on the chunk. Each record is checked before the next
+    is read: its field count, then its label, then its protected value.
     """
     width, label_ix, group_ix, feature_ix = columns
     features, groups, labels, bad = [], [], [], []  # ``features``: the rows back to back
-    for record, row in enumerate(reader, start=record):
+    start = line + 1  # the physical line where the next record starts
+    for row in reader:
         if "".join(row).strip():
             if len(row) != width:
                 raise IngestError(
-                    f"{path_str} line {record}: expected {width} fields, got {len(row)}"
+                    f"{path_str} line {start}: expected {width} fields, got {len(row)}"
                 )
-            label = _parse_binary(row[label_ix], label_col, "label", record, path_str)
-            group = _parse_binary(row[group_ix], protected_col, "protected", record, path_str)
+            label = _parse_binary(row[label_ix], label_col, "label", start, path_str)
+            group = _parse_binary(row[group_ix], protected_col, "protected", start, path_str)
             try:
                 values = [float(row[i]) for i in feature_ix]
             except ValueError:
@@ -328,11 +329,12 @@ def _read_rows(
                 groups.append(group)
                 labels.append(label)
             else:
-                bad.append(record)
+                bad.append(start)
         if reader.line_num >= n_lines:
             break
+        start = line + reader.line_num + 1
     x = np.array(features, dtype=float).reshape(-1, len(feature_ix))
-    return (x, np.array(groups, dtype=float), np.array(labels, dtype=float)), bad, record + 1
+    return (x, np.array(groups, dtype=float), np.array(labels, dtype=float)), bad
 
 
 def _split_dataset(

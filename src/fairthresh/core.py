@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -118,17 +117,6 @@ class GroupStats:
                 f"n11={n11} n10={n10} n01={n01} n00={n00}"
             )
         return cls(p11=n11 / n, p10=n10 / n, p01=n01 / n, p00=n00 / n)
-
-    @classmethod
-    def from_labels(cls, a: Iterable[int], y: Iterable[int]) -> "GroupStats":
-        a_arr = np.asarray(list(a) if not isinstance(a, np.ndarray) else a)
-        y_arr = np.asarray(list(y) if not isinstance(y, np.ndarray) else y)
-        return cls.from_counts(
-            n11=int(np.sum((a_arr == 1) & (y_arr == 1))),
-            n10=int(np.sum((a_arr == 1) & (y_arr == 0))),
-            n01=int(np.sum((a_arr == 0) & (y_arr == 1))),
-            n00=int(np.sum((a_arr == 0) & (y_arr == 0))),
-        )
 
 
 def bilinear_coeffs(kind: DisparityKind, stats: GroupStats) -> tuple[tuple, tuple]:

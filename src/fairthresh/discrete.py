@@ -205,12 +205,11 @@ def solve_randomized(
     live = [at for at in atoms if at.ratio is not None]
     # Integer contributions in units of 1/scale keep the sums cheap and exact.
     scale = math.lcm(*(at.mw.denominator for at in live))
-    t_star, tau_plus, tau_minus, _ = solve_breakpoints(
+    t_star, tau_plus, tau_minus, _ = Breakpoints.sort(
         np.array([at.ratio for at in live], dtype=object),
         np.array([at.w > 0 for at in live], dtype=bool),
         np.array([at.mw.numerator * (scale // at.mw.denominator) for at in live], dtype=object),
-        Fraction(delta) * scale,
-    )
+    ).solve(Fraction(delta) * scale)
     return RandomizedClassifier(
         accept=_accepts(atoms, t_star, tau_plus, tau_minus),
         t_star=Fraction(t_star),
@@ -224,13 +223,15 @@ class Breakpoints:
     """The distinct flip points of a randomized threshold family, ascending,
     with the sums of D that a budget search reads: at ratios[i], plus[i] and
     minus[i] total the contributions of the positive and negative side's
-    items there, and zero[i] is D with those items rejected.  The arrays
-    are read-only."""
+    items there, zero[i] is D with those items rejected, and least[i] is
+    the least |D| that accepting any fractions of them reaches.  The arrays
+    are read-only, and none depends on a budget."""
 
     ratios: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     zero: np.ndarray
+    least: np.ndarray
 
     @classmethod
     def sort(
@@ -265,24 +266,25 @@ class Breakpoints:
         del positive, contrib, starts
         # Strictly accepted at each ratio: positive items above it, negative below.
         zero = base + (plus[::-1].cumsum()[::-1] - plus) + (minus.cumsum() - minus)
-        for array in (ratios, plus, minus, zero):
+        # D at each ratio ranges over [low, high] as the fractions move.
+        low = zero + np.minimum(plus, 0) + np.minimum(minus, 0)
+        high = zero + np.maximum(plus, 0) + np.maximum(minus, 0)
+        least = np.maximum(np.maximum(low, -high), 0)
+        for array in (ratios, plus, minus, zero, least):
             array.setflags(write=False)  # one sort may serve many budgets
-        return cls(ratios, plus, minus, zero)
+        return cls(ratios, plus, minus, zero, least)
 
     def solve(self, budget: Fraction) -> tuple[object, Fraction, Fraction, Fraction]:
         """Smallest-|t| member of the family with |D| <= budget.
 
-        The ratio of least magnitude whose envelope of D meets the budget
-        wins, and the boundary fractions land D on the budget.  Returns (t,
+        The ratio of least magnitude whose least |D| meets the budget wins,
+        and the boundary fractions land D on the budget.  Returns (t,
         tau_plus, tau_minus, D); budget and D are exact rationals in the
         units of the contributions.
         """
         ratios, plus, minus, zero = self.ratios, self.plus, self.minus, self.zero
         bound = math.floor(budget)  # an integer meets the budget iff it meets its floor
-        feasible = np.flatnonzero(
-            (zero + np.minimum(plus, 0) + np.minimum(minus, 0) <= bound)
-            & (zero + np.maximum(plus, 0) + np.maximum(minus, 0) >= -bound)
-        )
+        feasible = np.flatnonzero(self.least <= bound)
         if feasible.size == 0:
             raise SolverError(f"disparity budget {float(budget)!r} unreachable at any threshold")
         k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
@@ -297,19 +299,6 @@ class Breakpoints:
             taus.append(tau)
         assert need == 0  # the envelope at k contains the target
         return ratios[k], taus[0], taus[1], target
-
-
-def solve_breakpoints(
-    ratio: np.ndarray,
-    positive: np.ndarray,
-    contrib: np.ndarray,
-    budget: Fraction,
-    base: int = 0,
-) -> tuple[object, Fraction, Fraction, Fraction]:
-    """One budget's solve of a randomized threshold family: Breakpoints.sort
-    then Breakpoints.solve.  solve_randomized uses it; the plug-in pipeline
-    keeps its sorted Breakpoints and solves each budget from them."""
-    return Breakpoints.sort(ratio, positive, contrib, base).solve(budget)
 
 
 def brute_force_oracle(

@@ -8,8 +8,9 @@ standardized internally and an intercept is always included. Every fit
 starts from zero and runs to the maximum-likelihood point of its own data,
 so a refit inside a bisection loop depends on nothing but that data.  A dataset
 caches its standardized designs ("frames"), the row indices of its groups and
-cells, and the inputs of the last plug-in rule scored on its rows (until another
-rule's replace them).  Reweighted copies share all three; subsets do not.
+cells, and the inputs of the last plug-in rule scored on its rows (every plug-in
+run, and every evaluation of a plug-in rule, reads them or replaces them with
+its own).  Reweighted copies share all three; subsets do not.
 The frame is stored column by column, so the Newton loop's gradient, Hessian
 and scores run over contiguous n-vectors, and its line search evaluates the
 softplus with vectorized exp and log1p.  nll and nll_gradient compute the same
@@ -56,8 +57,9 @@ class LabeledDataset:
     frames (_frame) and row indices (rows) are built on first use, kept, and
     shared with with_weights copies, which differ only in weight.  So is
     _plug_in, fair_algorithms' one-entry slot: the flip points, weight signs
-    and inert rows of the last plug-in rule scored on these rows, and on
-    training rows its sorted steps.  None of them reads the weights."""
+    and inert rows of the last plug-in rule that run_fpir or evaluate scored
+    on these rows, and on training rows its sorted steps.  None of them
+    reads the weights.  Groups and cells are read through rows alone."""
 
     x: np.ndarray
     a: np.ndarray
@@ -102,12 +104,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def cell_mask(self, a: int, y: int) -> np.ndarray:
-        return (self.a == a) & (self.y == y)
-
-    def cell_count(self, a: int, y: int) -> int:
-        return len(self.rows(a, y))
 
     def rows(self, a: int | None = None, y: int | None = None) -> np.ndarray:
         """Ascending, read-only indices of the rows with group a and label y
@@ -367,7 +363,7 @@ def fit_group_models(
     if mode == MODE_AWARE:
         for a in (0, 1):
             for y in (0, 1):
-                if dataset.cell_count(a, y) == 0:
+                if not len(dataset.rows(a, y)):
                     raise FitError(f"group-aware fit needs rows in cell (a={a}, y={y})")
         per_group: dict[int, LogisticParams] = {}
         for a in (0, 1):

@@ -154,7 +154,7 @@ class FairClassifier:
         return score, s * score + b
 
     def decide(self, x: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        return _plug_in_decisions(*self.inputs(x, a), self.t, self.tau_plus, self.tau_minus)
+        return _decide(_RuleInputs.build(*self.inputs(x, a)), self.t, self.tau_plus, self.tau_minus)
 
     __call__ = decide
 
@@ -163,9 +163,10 @@ class FairClassifier:
 class _RuleInputs:
     """What a plug-in rule's decisions on a row set read at any t: each row's
     flip point r = (2*score - 1) / w (0 where w == 0), whether w > 0, the
-    w == 0 rows and whether each is accepted (score > 1/2).  In a dataset's
-    plug-in slot, rule is the key: its models and kind by identity, its stats
-    by value.  On training rows run_fpir adds the sorted steps and their unit."""
+    w == 0 rows and whether each is accepted (score > 1/2).  decide builds
+    them without a rule and keeps nothing.  In a dataset's plug-in slot,
+    rule is the key: its models and kind by identity, its stats by value.
+    On training rows run_fpir adds the sorted steps and their unit."""
 
     flips: np.ndarray
     positive: np.ndarray
@@ -201,12 +202,6 @@ def _decide(
     f[tie] = np.where(positive[tie], tau_plus, tau_minus)
     f[inputs.inert] = inputs.kept
     return f
-
-
-def _plug_in_decisions(
-    score: np.ndarray, w: np.ndarray, t: float, tau_plus: float = 0.0, tau_minus: float = 0.0
-) -> np.ndarray:
-    return _decide(_RuleInputs.build(score, w), t, tau_plus, tau_minus)
 
 
 def _slot_inputs(rule: FairClassifier, data: LabeledDataset) -> _RuleInputs:
@@ -406,17 +401,7 @@ def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
     else:
         models = {"eta_groups": model}
     state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, **models)
-    # Only a prefit model can recur, so only its inputs go into the slot.
-    if model is None:
-        state.inputs = _RuleInputs.build(*state.rule.inputs(ds.x, ds.a))
-    else:
-        state.inputs = _slot_inputs(state.rule, ds)
-
-
-def _fpir_eval(state: _CurveState, t: float) -> float:
-    d = _rate_gap(state.config.base_kind, state.dataset, _decide(state.inputs, t))
-    state.trace.append({"call": len(state.trace), "t": t, "disparity": d})
-    return d
+    state.inputs = _slot_inputs(state.rule, ds)
 
 
 def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction]:
@@ -482,7 +467,9 @@ def _build_curve(
     row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}.get(method)
 
     def fn(t: float) -> float:
-        return _fpir_eval(state, t) if row_weights is None else _refit_eval(state, t, row_weights)
+        if row_weights is None:
+            return _rate_gap(config.base_kind, dataset, _decide(state.inputs, t))
+        return _refit_eval(state, t, row_weights)
 
     if method == "fuds":
         lo = _clamp_edge(state, dom[0])
@@ -600,13 +587,13 @@ def run_fpir(
     train metrics score the solve's own flip points, not a second
     prediction on the training rows.
 
-    With a prefit model the training rows' flip points, weight signs, inert
-    rows and sorted steps stay, read-only, in the dataset's plug-in slot
-    (shared with its with_weights copies) until a rule with other models,
-    kind or stats is scored on those rows, or the dataset is freed.  A later
-    call with the same model and kind then only searches the sorted sums for
-    its budget and compares the flip points with t_hat.  Calls without a
-    model, blind ones included, neither read nor replace the slot.
+    Every call, blind ones included, reads the training rows' flip points,
+    weight signs, inert rows and sorted steps from the dataset's plug-in
+    slot (shared with its with_weights copies) or fills it with them; they
+    stay, read-only, until a rule with other models, kind or stats is scored
+    on those rows, or the dataset is freed.  A call without a model fits new
+    ones, so it replaces the entry; a later call with the same prefit model
+    and kind only searches the sorted sums and compares flip points with t_hat.
     """
     curve, state = _build_curve(dataset, config, "fpir", model=model)
     t_hat, tau_plus, tau_minus, d = _fpir_solve(state)

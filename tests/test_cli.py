@@ -1154,7 +1154,10 @@ def _reference_read_rows(reader, path_str, label_col, protected_col):
         raise IngestError(f"{path_str}: no feature columns besides label and protected")
 
     features, groups, labels, bad_lines = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        # Errors name the physical line where the record starts.
+        lineno, start = start, reader.line_num + 1
         if not any(cell.strip() for cell in row):
             continue
         if len(row) != len(header):
@@ -1438,9 +1441,10 @@ class TestIngestMatchesRowParser:
         ],
     )
     def test_quoted_newlines_keep_record_numbers_across_chunks(self, tmp_path, chunk, plain):
-        # rows[4] spans lines 6-7 and rows[8] lines 11-13, so the bad label on
-        # physical line 17 is record 14. rows[4]'s last cell stays open to the
-        # end of line 6, where a one-line chunk would end it.
+        # rows[4] spans lines 6-7 and rows[8] lines 11-13, so the bad label is
+        # the 14th record and starts on physical line 17, the line reported.
+        # rows[4]'s last cell stays open to the end of line 6, where a
+        # one-line chunk would end it.
         rows = good_rows(12)
         x0, x1, y, a = rows[4].split(",")
         rows[4] = f'{x0},{x1},{y},"{a}\n"'
@@ -1449,12 +1453,35 @@ class TestIngestMatchesRowParser:
         path = write_feature_rows(tmp_path / "spans.csv", [*rows, "0.5,0.5,2,0"])
         with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", chunk):
             with plain_chunks_taken() as taken:
-                with pytest.raises(IngestError, match=re.escape("line 14: label column 'y'")):
+                with pytest.raises(IngestError, match=re.escape("line 17: label column 'y'")):
                     ingest_csv(path, "y", "a")
             # A chunk after a refused one goes to numpy again; it is refused
             # only if it holds a quoted newline or the bad label.
             assert "".join("T" if t else "F" for t in taken) == plain
             assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    @pytest.mark.parametrize(
+        "late_row, message",
+        [
+            ("0.5,0.5,1", "line 9: expected 4 fields, got 3"),
+            ("0.5,inf,1,0", "non-numeric or non-finite feature values on lines 9"),
+        ],
+        ids=["field-count", "bad-feature"],
+    )
+    def test_errors_after_a_quoted_newline_name_physical_lines(
+        self, tmp_path, chunk, late_row, message
+    ):
+        # rows[2] spans lines 4-6, so rows[5], the 7th record, starts on line 9.
+        rows = good_rows(7)
+        x0, x1, y, a = rows[2].split(",")
+        rows[2] = f'"{x0}\n\n",{x1},{y},{a}'
+        rows[5] = late_row
+        path = write_feature_rows(tmp_path / "spans.csv", rows)
+        with mock.patch.object(fairthresh.cli, "_CHUNK_ROWS", chunk):
+            with pytest.raises(IngestError, match=re.escape(message) + "$"):
+                ingest_csv(path, "y", "a")
+        assert_ingest_matches_reference(path)
 
     def test_numpy_takes_the_chunks_after_a_refused_one(self, tmp_path):
         rows = good_rows(500)

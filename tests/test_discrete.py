@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fairthresh import oracles
 from fairthresh.core import DisparityError, DisparityKind, DomainError
 from fairthresh.discrete import (
+    Breakpoints,
     FiniteDistribution,
     RandomizedClassifier,
     _candidate_positions,
@@ -28,7 +29,6 @@ from fairthresh.discrete import (
     brute_force_oracle,
     disparity_exact,
     risk_exact,
-    solve_breakpoints,
     solve_randomized,
 )
 from fairthresh.solver import SolverError
@@ -502,7 +502,8 @@ class TestSolveBreakpoints:
         ratio = np.concatenate([np.full(100, -0.0), np.linspace(-1.0, 1.0, 101)])
         positive = rng.random(ratio.size) < 0.5
         contrib = rng.integers(-3, 4, ratio.size)
-        t, tau_plus, tau_minus, d = solve_breakpoints(ratio, positive, contrib, Fraction(10**6))
+        steps = Breakpoints.sort(ratio, positive, contrib)
+        t, tau_plus, tau_minus, d = steps.solve(Fraction(10**6))
         assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
 

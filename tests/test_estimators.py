@@ -98,7 +98,7 @@ class TestDatasetValidation:
 
     def test_cell_helpers(self, rng):
         ds = random_dataset(rng, n=30)
-        total = sum(ds.cell_count(a, y) for a in (0, 1) for y in (0, 1))
+        total = sum(len(ds.rows(a, y)) for a in (0, 1) for y in (0, 1))
         assert total == len(ds)
         sub = ds.subset(np.arange(5))
         assert len(sub) == 5 and sub.dim == ds.dim
@@ -367,7 +367,7 @@ class TestFrameCache:
                 ds.with_weights(np.full(len(ds), bad))
         with pytest.raises(FitError, match="total sample weight must be positive"):
             fit_group_models(ds.with_weights(np.where(ds.a == 0, 0.0, 1.0)), MODE_AWARE)
-        gutted = ds.subset(~ds.cell_mask(1, 0))
+        gutted = ds.subset(~((ds.a == 1) & (ds.y == 0)))
         with pytest.raises(FitError, match=r"cell \(a=1, y=0\)"):
             fit_group_models(gutted.with_weights(np.ones(len(gutted))), MODE_AWARE)
 
@@ -378,7 +378,7 @@ class TestRowIndex:
 
     def test_rows_equal_the_matching_mask(self, rng):
         ds = random_dataset(rng, n=60)
-        gutted = ds.subset(~ds.cell_mask(1, 0))
+        gutted = ds.subset(~((ds.a == 1) & (ds.y == 0)))
         for data in (ds, gutted):
             for a in (0, 1, None):
                 for y in (0, 1, None):
@@ -393,7 +393,7 @@ class TestRowIndex:
                     with pytest.raises(ValueError, match="read-only"):
                         rows[...] = 0
             assert len(data._rows) == 9
-        assert gutted.rows(1, 0).size == 0 and gutted.cell_count(1, 0) == 0
+        assert gutted.rows(1, 0).size == 0
 
     def test_only_reweighted_copies_share_the_rows(self, rng):
         ds = random_dataset(rng, n=60)

@@ -125,8 +125,17 @@ def toy_dataset():
     return LabeledDataset(x=x, a=a, y=y), counts
 
 
+def cell_mask(dataset, a, y):
+    return (dataset.a == a) & (dataset.y == y)
+
+
+def cell_stats(dataset):
+    """Plug-in cell frequencies of a dataset's rows."""
+    return GroupStats.from_counts(*(len(dataset.rows(*c)) for c in CELLS))
+
+
 def cell_sources(dataset):
-    return {c: np.flatnonzero(dataset.cell_mask(*c)) for c in CELLS}
+    return {c: np.flatnonzero(cell_mask(dataset, *c)) for c in CELLS}
 
 
 class TestFudsProportions:
@@ -248,7 +257,7 @@ class TestFudsCellCounts:
 
     def test_baseline_recovers_original_counts(self):
         dataset, counts = toy_dataset()
-        stats = GroupStats.from_labels(dataset.a, dataset.y)
+        stats = cell_stats(dataset)
         props = fuds_proportions(stats, DisparityKind.DD, 0.0)
         assert fuds_cell_counts(len(dataset), props) == counts
 
@@ -265,7 +274,7 @@ class TestFudsCellCounts:
 def drawn_rows(dataset, counts):
     """Row ids a resample draws, per cell, each repeated by its multiplicity."""
     return {
-        c: np.repeat(np.flatnonzero(dataset.cell_mask(*c)), counts[dataset.cell_mask(*c)])
+        c: np.repeat(np.flatnonzero(cell_mask(dataset, *c)), counts[cell_mask(dataset, *c)])
         for c in CELLS
     }
 
@@ -280,7 +289,7 @@ class TestFudsResample:
         assert counts.shape == (len(dataset),)
         assert counts.sum() == sum(targets.values())
         for cell in CELLS:
-            mask = dataset.cell_mask(*cell)
+            mask = cell_mask(dataset, *cell)
             assert counts[mask].sum() == targets[cell]
             assert counts[mask].max() <= 1  # within the cell's size: no repeats
 
@@ -314,12 +323,12 @@ class TestFudsResample:
         drawn = drawn_rows(dataset, counts)[(0, 0)]
         assert len(drawn) == 20
         assert set(drawn) == set(cell_sources(dataset)[(0, 0)])  # all used before repeats
-        assert np.all(counts[~dataset.cell_mask(0, 0)] == 1)
+        assert np.all(counts[~cell_mask(dataset, 0, 0)] == 1)
         assert counts.sum() == sum(targets.values())
 
     def test_shrink_keeps_subset(self):
         dataset, sizes = toy_dataset()
-        mask = dataset.cell_mask(0, 1)
+        mask = cell_mask(dataset, 0, 1)
         targets = dict(sizes)
         targets[(0, 1)] = 4
         kept = fuds_resample(dataset, targets, seed=6)
@@ -337,12 +346,12 @@ class TestFudsResample:
         regrown = fuds_resample(dataset, {c: sizes[c] - 2 for c in CELLS}, seed=3)
         assert np.all(regrown <= full)
         for cell in CELLS:
-            mask = dataset.cell_mask(*cell)
+            mask = cell_mask(dataset, *cell)
             assert (full[mask] - regrown[mask]).sum() == 2
 
     def test_empty_source_with_positive_target(self):
         dataset, _ = toy_dataset()
-        gutted = dataset.subset(np.flatnonzero(~dataset.cell_mask(1, 0)))
+        gutted = dataset.subset(np.flatnonzero(~cell_mask(dataset, 1, 0)))
         targets = {(1, 1): 2, (1, 0): 1, (0, 1): 2, (0, 0): 2}
         with pytest.raises(EstimationError, match="no source rows"):
             fuds_resample(gutted, targets, seed=3)
@@ -381,7 +390,7 @@ class TestFudsResample:
         counts = fuds_resample(dataset, targets, seed=seed)
         assert counts.min() >= 0
         for cell in CELLS:
-            drawn = counts[dataset.cell_mask(*cell)]
+            drawn = counts[cell_mask(dataset, *cell)]
             assert drawn.sum() == targets[cell]
             # Every source row is drawn before any row is drawn twice.
             if targets[cell] <= sizes[cell]:
@@ -761,9 +770,9 @@ class TestFpirExactSolve:
 
 
 class TestFpirSlot:
-    """run_fpir with a prefit model keeps the training rows' flip points and
-    sorted sums in the dataset's one-entry plug-in slot, keyed on the rule's
-    models, kind and stats; every answer equals a fresh solve."""
+    """run_fpir keeps the training rows' flip points and sorted sums in the
+    dataset's one-entry plug-in slot, keyed on the rule's models, kind and
+    stats; every answer equals a fresh solve."""
 
     @staticmethod
     def fresh_copy(dataset):
@@ -801,7 +810,7 @@ class TestFpirSlot:
         steps = entry.steps
         for array in (
             entry.flips, entry.positive, entry.inert, entry.kept,
-            steps.ratios, steps.plus, steps.minus, steps.zero,
+            steps.ratios, steps.plus, steps.minus, steps.zero, steps.least,
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = array[1:2]
@@ -819,10 +828,20 @@ class TestFpirSlot:
         want = pickle.dumps(run_fpir(small, cfg, model=prefit))
         [entry] = small._plug_in
         assert entry.rule.eta_groups is prefit and entry.rule.kind is cfg.kind
-        # Calls without a prefit model, and blind calls, leave the slot alone.
+        # Calls without a prefit model, and blind calls, fit models of their
+        # own, which no entry holds, so each replaces the entry.
         run_fpir(small, cfg)
+        [own] = small._plug_in
+        assert own is not entry and own.rule.eta_groups is not prefit
         run_fpir(small, make_config(BlindKind.DO_X, 0.05))
-        assert small._plug_in == [entry]
+        [blind] = small._plug_in
+        assert blind is not own and blind.rule.kind is BlindKind.DO_X
+        del own, blind
+        # The next prefit call fills the slot again and answers as a fresh copy.
+        got = pickle.dumps(run_fpir(small, cfg, model=prefit))
+        assert got == pickle.dumps(run_fpir(self.fresh_copy(small), cfg, model=prefit)) == want
+        [entry] = small._plug_in
+        assert entry.rule.eta_groups is prefit
         # A reweighted copy has the same rows, and nothing in the slot reads
         # the weights, so it shares the slot: its call predicts nothing.
         copy = small.with_weights(np.ones(len(small)))
@@ -858,6 +877,20 @@ class TestPlugInSlot:
             classifier, _, _ = run_fpir(small, make_config(DisparityKind.DO, delta), model=prefit)
             evaluate(classifier, held_out)
         assert calls == [len(small), len(held_out)]
+
+    @pytest.mark.parametrize("kind", [DisparityKind.DO, BlindKind.DO_X], ids=lambda k: k.value)
+    def test_a_model_less_run_leaves_the_train_inputs_in_the_slot(self, model, monkeypatch, kind):
+        small = sample(model, 2_000, seed=48)
+        classifier, _, report = run_fpir(small, make_config(kind, 0.05))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return predict_proba(*args, **kwargs)
+
+        monkeypatch.setattr(fair_algorithms, "predict_proba", counting)
+        assert evaluate(classifier, small) == report["train_metrics"]
+        assert calls == []
 
     def test_interleaved_rules_answer_as_fresh_calls(self, model):
         small = sample(model, 2_000, seed=43)
@@ -1015,7 +1048,7 @@ class TestPipelineFamilies:
 def materialized_fuds(train, cfg):
     """The resampling pipeline with every resample copied into a dataset of
     its own, as np.repeat of the drawn rows: the reference for run_fuds."""
-    stats = GroupStats.from_labels(train.a, train.y)
+    stats = cell_stats(train)
     fits = {}
 
     def disparity(t):
@@ -1046,7 +1079,7 @@ class TestRefitDifferential:
         model_out, _, report = run_fcsc(train, make_config(kind, delta))
         cost = np.empty(len(train))
         for a, y in CELLS:
-            cost[train.cell_mask(a, y)] = report["cost_table"][f"{a}{y}"]
+            cost[cell_mask(train, a, y)] = report["cost_table"][f"{a}{y}"]
         fresh = LabeledDataset(x=train.x, a=train.a, y=train.y, weight=train.weight * cost)
         blind = isinstance(kind, BlindKind)
         reference = fit_logistic(fresh) if blind else fit_group_models(fresh, MODE_AWARE)
@@ -1066,6 +1099,11 @@ def nested_where_decisions(score, w, t, tau_plus, tau_minus):
         r = (2.0 * score - 1.0) / w
     f = np.where(w > 0, np.where(r == t, tau_plus, r > t), np.where(r == t, tau_minus, r < t))
     return np.where(w == 0, score > 0.5, f).astype(float)
+
+
+def plug_in_decisions(score, w, t, tau_plus, tau_minus):
+    """The decision kernel on inputs built from score and w, as decide builds them."""
+    return fair_algorithms._decide(fair_algorithms._RuleInputs.build(score, w), t, tau_plus, tau_minus)
 
 
 class TestFairClassifierRule:
@@ -1089,7 +1127,7 @@ class TestFairClassifierRule:
         assert np.any((r == t) & (w > 0)) and np.any((r == t) & (w < 0))
         assert np.any(np.signbit(w) & (w == 0)) and np.any(~np.signbit(w) & (w == 0))
         for tau_plus, tau_minus in ((0.3, 0.7), (1.0 / 3.0, 0.125), (0.0, 0.0)):
-            got = fair_algorithms._plug_in_decisions(score, w, t, tau_plus, tau_minus)
+            got = plug_in_decisions(score, w, t, tau_plus, tau_minus)
             want = nested_where_decisions(score, w, t, tau_plus, tau_minus)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -1101,7 +1139,7 @@ class TestFairClassifierRule:
         w = rng.normal(size=1_000)
         w[:100], w[100:200] = 0.0, -0.0
         score[::25] = 0.5
-        got = fair_algorithms._plug_in_decisions(score, w, 0.0, 0.3, 0.7)
+        got = plug_in_decisions(score, w, 0.0, 0.3, 0.7)
         want = nested_where_decisions(score, w, 0.0, 0.3, 0.7)
         assert got.tobytes() == want.tobytes()
 

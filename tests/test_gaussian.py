@@ -457,7 +457,7 @@ class TestSample:
         for a in (0, 1):
             for y in (0, 1):
                 p = model.stats.p(a, y)
-                p_hat = big_sample.cell_count(a, y) / n
+                p_hat = len(big_sample.rows(a, y)) / n
                 assert abs(p_hat - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
