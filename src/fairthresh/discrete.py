@@ -66,12 +66,14 @@ class FiniteDistribution:
 
     atoms: tuple[tuple[int, float, float], ...]
     # Exact terms per atom, the risk of rejecting every atom and the cell
-    # masses (p11, p10, p01, p00), built once here, and the exact atoms per
-    # kind, built once by _prepare; all kept out of eq, hash and repr.
+    # masses (p11, p10, p01, p00), built once here; per kind the exact atoms,
+    # built once by _prepare, and the unit and Breakpoints of solve_randomized,
+    # sorted once for every budget; all kept out of eq, hash and repr.
     _terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
     _reject_risk: Fraction = field(init=False, repr=False, compare=False)
     _cells: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _prepared: dict = field(init=False, repr=False, compare=False)
+    _sorted: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms) -> None:
         atoms = tuple((a, float(m), float(e)) for a, m, e in atoms)
@@ -101,6 +103,7 @@ class FiniteDistribution:
         object.__setattr__(self, "_reject_risk", sum((t.held for t in terms), _ZERO))
         object.__setattr__(self, "_cells", tuple(cells.values()))
         object.__setattr__(self, "_prepared", {})
+        object.__setattr__(self, "_sorted", {})
 
     def implied_stats(self) -> GroupStats:
         """Float view of the exact cell masses (p_{a,1} = sum of m*eta over group a)
@@ -197,19 +200,23 @@ def solve_randomized(
     weight side are then accepted with one common fraction per side, at
     most one of them strictly between 0 and 1, which lands the disparity
     exactly on its target. Finite support makes every budget attainable,
-    so this never fails.
+    so this never fails. The flip points are sorted on the first call per
+    kind and kept on dist, so later budgets pay only the solve.
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
     atoms = _prepare(dist, kind)
-    live = [at for at in atoms if at.ratio is not None]
-    # Integer contributions in units of 1/scale keep the sums cheap and exact.
-    scale = math.lcm(*(at.mw.denominator for at in live))
-    t_star, tau_plus, tau_minus, _ = Breakpoints.sort(
-        np.array([at.ratio for at in live], dtype=object),
-        np.array([at.w > 0 for at in live], dtype=bool),
-        np.array([at.mw.numerator * (scale // at.mw.denominator) for at in live], dtype=object),
-    ).solve(Fraction(delta) * scale)
+    if kind not in dist._sorted:
+        live = [at for at in atoms if at.ratio is not None]
+        # Integer contributions in units of 1/scale keep the sums cheap and exact.
+        scale = math.lcm(*(at.mw.denominator for at in live))
+        dist._sorted[kind] = scale, Breakpoints.sort(
+            np.array([at.ratio for at in live], dtype=object),
+            np.array([at.w > 0 for at in live], dtype=bool),
+            np.array([at.mw.numerator * (scale // at.mw.denominator) for at in live], dtype=object),
+        )
+    scale, steps = dist._sorted[kind]
+    t_star, tau_plus, tau_minus, _ = steps.solve(Fraction(delta) * scale)
     return RandomizedClassifier(
         accept=_accepts(atoms, t_star, tau_plus, tau_minus),
         t_star=Fraction(t_star),

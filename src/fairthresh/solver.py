@@ -10,6 +10,7 @@ tradeoff bounds.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -151,9 +152,9 @@ def solve_threshold(
     satisfies sign * D <= delta only: with a tol wider than the distance to
     the crossing, the edge can come back with D past -sign * delta.
     """
-    if delta < 0.0:
-        raise SolverError(f"delta must be nonnegative, got {delta!r}")
-    if tol <= 0.0:
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
+    if not (math.isfinite(tol) and tol > 0.0):
         raise SolverError(f"tol must be positive, got {tol!r}")
     if not curve.t_lo <= 0.0 <= curve.t_hi:
         raise BracketError(f"bracket [{curve.t_lo!r}, {curve.t_hi!r}] must contain 0")
@@ -199,14 +200,17 @@ def trace_pareto(
     deltas: Sequence[float],
     tol: float = DEFAULT_TOL,
 ) -> list[FrontierRow]:
-    """One frontier row per delta: (delta, t, risk at t, disparity at t)."""
+    """One frontier row per delta: (delta, t, risk at t, disparity at t).
+
+    The solves share one memo of D, as they share their start at 0 and the
+    bracket edge and their first midpoints: D must be a function of t alone.
+    """
     if list(deltas) != sorted(deltas):
         raise SolverError("delta grid must be sorted ascending")
-    if deltas and deltas[0] < 0.0:
-        raise SolverError("deltas must be nonnegative")
+    shared = DisparityCurve(functools.cache(curve.fn), curve.t_lo, curve.t_hi)
     rows = []
     for delta in deltas:
-        res = solve_threshold(curve, delta, tol)
+        res = solve_threshold(shared, delta, tol)
         rows.append(
             FrontierRow(
                 delta=float(delta),

@@ -286,7 +286,7 @@ class TestFiniteDistribution:
         before = (hash(dist), repr(dist))
         solve_randomized(dist, DisparityKind.DD, 0.1)
         brute_force_oracle(dist, DisparityKind.PD, 0.1)
-        assert dist._prepared
+        assert dist._prepared and dist._sorted
         assert dist == TWO_ATOM and (hash(dist), repr(dist)) == before == (hash(TWO_ATOM), repr(TWO_ATOM))
 
     def test_prepare_runs_once_per_kind_and_stats(self):
@@ -299,6 +299,27 @@ class TestFiniteDistribution:
             assert_oracle_matches_reference(dist, kind, 0.05)
             f = solve_randomized(dist, kind, 0.05)
             assert disparity_exact(dist, kind, f) == hand_disparity(dist, kind, f.accept)
+
+    def test_solve_sorts_once_per_kind(self, monkeypatch):
+        rng = random.Random(11)
+        dist = random_instance(rng)
+        budgets = (0.0, 0.05, 0.2)
+        want = {
+            (kind, delta): solve_randomized(FiniteDistribution(dist.atoms), kind, delta)
+            for kind in DisparityKind for delta in budgets
+        }
+        sorts = []
+        original = Breakpoints.sort.__func__
+
+        def counting_sort(cls, *args, **kwargs):
+            sorts.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Breakpoints, "sort", classmethod(counting_sort))
+        for delta in budgets:  # budgets outermost: each kind is revisited
+            for kind in DisparityKind:
+                assert solve_randomized(dist, kind, delta) == want[kind, delta]
+        assert len(sorts) == len(DisparityKind)
 
     def test_classifier_validation(self):
         with pytest.raises(DomainError):
@@ -489,8 +510,11 @@ class TestExactBudget:
     def test_empty_cell_rejected(self):
         # Every group-1 score is 0, so the cell (1, 1) has no mass.
         dist = FiniteDistribution([(1, 0.5, 0.0), (0, 0.5, 0.4)])
-        with pytest.raises(DisparityError, match="cell masses must be positive"):
-            solve_randomized(dist, DisparityKind.DO, 0.1)
+        # Every call raises, and none leaves a half-filled cache entry.
+        for delta in (0.0, 0.1, 0.1):
+            with pytest.raises(DisparityError, match="cell masses must be positive"):
+                solve_randomized(dist, DisparityKind.DO, delta)
+            assert dist._prepared == {} and dist._sorted == {}
 
 
 class TestSolveBreakpoints:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairthresh.core import DisparityKind
+from fairthresh.gaussian import default_model, disparity_curve_closed, risk_closed
 from fairthresh.solver import (
     DEFAULT_TOL,
     BracketError,
@@ -75,6 +77,18 @@ class TestSolveThreshold:
     def test_rejects_negative_delta(self):
         with pytest.raises(SolverError):
             solve_threshold(linear_curve(0.5, 1.0), delta=-0.1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        curve = disparity_curve_closed(default_model(), DisparityKind.DD)
+        with pytest.raises(SolverError, match="must be finite and nonnegative"):
+            solve_threshold(curve, delta)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tol_other_than_positive_finite(self, tol):
+        curve = disparity_curve_closed(default_model(), DisparityKind.DD)
+        with pytest.raises(SolverError, match="tol must be positive"):
+            solve_threshold(curve, 0.1, tol=tol)
 
     def test_rejects_bracket_without_zero(self):
         curve = DisparityCurve(fn=lambda t: -t, t_lo=0.5, t_hi=1.0)
@@ -235,6 +249,38 @@ class TestTracePareto:
         curve = linear_curve(0.5, 1.0)
         with pytest.raises(SolverError):
             trace_pareto(curve, risk_eval=lambda t: t, deltas=[0.3, 0.1])
+
+    @pytest.mark.parametrize("deltas", [[0.1, math.nan], [-0.1, 0.1]])
+    def test_budget_other_than_finite_nonnegative_rejected(self, deltas):
+        curve = disparity_curve_closed(default_model(), DisparityKind.DD)
+        with pytest.raises(SolverError, match="must be finite and nonnegative"):
+            trace_pareto(curve, risk_eval=lambda t: t, deltas=deltas)
+
+    @pytest.mark.parametrize("kind", list(DisparityKind))
+    def test_shared_frontier_matches_one_solve_per_budget(self, kind):
+        # The solves of a sweep share one memo of D; each row is still the
+        # one a solve on a fresh curve gives, and each t is evaluated once.
+        model = default_model()
+        closed = disparity_curve_closed(model, kind)
+        deltas = [round(0.001 * i, 10) for i in range(301)]
+        counting = CountingCurve(closed.fn)
+        rows = trace_pareto(
+            DisparityCurve(counting, closed.t_lo, closed.t_hi),
+            lambda t: risk_closed(model, kind, t),
+            deltas,
+        )
+        want = []
+        for delta in deltas:
+            res = solve_threshold(disparity_curve_closed(model, kind), delta)
+            want.append(FrontierRow(delta, res.t_star, risk_closed(model, kind, res.t_star), res.d_at_t))
+        assert repr(rows) == repr(want)
+        assert counting.calls <= 1600
+
+    def test_repeated_budget_keeps_one_row_per_entry(self):
+        curve = linear_curve(0.8, 1.0)
+        rows = trace_pareto(curve, risk_eval=lambda t: t * t, deltas=[0.1, 0.3, 0.3, 0.5])
+        assert [row.delta for row in rows] == [0.1, 0.3, 0.3, 0.5]
+        assert rows[1] == rows[2] == trace_pareto(curve, lambda t: t * t, [0.3])[0]
 
 
 class TestTradeoffBounds:
