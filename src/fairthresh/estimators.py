@@ -4,9 +4,11 @@ The fairness pipelines plug fitted regression functions into thresholding
 rules, and their cost-sensitive variant reweighs individual rows, so the
 learner here is a deterministic weighted logistic regression fitted by
 damped Newton steps (iteratively reweighted least squares). Features are
-standardized internally and an intercept is always included. Every fit
-starts from zero and runs to the maximum-likelihood point of its own data,
-so a refit inside a bisection loop depends on nothing but that data.  A dataset
+standardized internally and an intercept is always included. A fit starts
+from zero, or from a start in its frame, and runs to the maximum-likelihood
+point of its own data.  The pipelines start each refit one Newton step from
+their curve's t = 0 fit (_WarmStart), so a refit inside a bisection loop
+depends on nothing but its data, and the start on t alone.  A dataset
 caches its standardized designs ("frames"), the row indices of its groups and
 cells, and the inputs of the last plug-in rule scored on its rows (every plug-in
 run, and every evaluation of a plug-in rule, reads them or replaces them with
@@ -18,6 +20,7 @@ objective the plain way (np.logaddexp, a row-major product) as a reference.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -49,6 +52,11 @@ class FitError(RuntimeError):
 # package accepts: squares of such values, and their sums over a sample,
 # stay finite, so standardization and sampling never overflow.
 _MAX_MAGNITUDE = 1e150
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if np.any(w < 0) or not np.isfinite(w).all():
+        raise FitError("weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,7 @@ class LabeledDataset:
             raise FitError("labels must be 0 or 1")
         if np.any((a != 0) & (a != 1)):
             raise FitError("group ids must be 0 or 1")
-        if np.any(w < 0) or not np.isfinite(w).all():
-            raise FitError("weights must be finite and nonnegative")
+        _check_weights(w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "a", a.astype(int))
         object.__setattr__(self, "y", y.astype(int))
@@ -121,7 +128,15 @@ class LabeledDataset:
         )
 
     def with_weights(self, weight: np.ndarray) -> "LabeledDataset":
-        return replace(self, weight=weight)  # the caches are passed on, so shared
+        """A copy with new weights; only they are checked, and the caches
+        are passed on, so shared."""
+        w = np.asarray(weight, dtype=float)
+        if w.shape != self.weight.shape:
+            raise FitError("feature, group, label, and weight lengths differ")
+        _check_weights(w)
+        reweighted = copy.copy(self)
+        object.__setattr__(reweighted, "weight", w)
+        return reweighted
 
     def _frame(self, group: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The frame of all rows (group None) or of one group's rows, built once."""
@@ -152,6 +167,10 @@ class LogisticParams:
     coef: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
+
+    def theta(self) -> np.ndarray:
+        """(intercept, coef) as one vector, the order the Newton fit uses."""
+        return np.concatenate([[self.intercept], self.coef])
 
     def raw(self) -> tuple[float, np.ndarray]:
         """Equivalent (intercept, coefficients) acting on raw features."""
@@ -290,9 +309,14 @@ _MAX_HALVINGS = 40
 
 
 def _fit_params(
-    frame: tuple[np.ndarray, ...], target: np.ndarray, weight: np.ndarray, config: LogisticConfig
+    frame: tuple[np.ndarray, ...],
+    target: np.ndarray,
+    weight: np.ndarray,
+    config: LogisticConfig,
+    start: LogisticParams | None = None,
 ) -> tuple[LogisticParams, tuple[float, ...]]:
-    """Damped Newton (IRLS) fit in a standardized frame.
+    """Damped Newton (IRLS) fit in a standardized frame, from zero or from
+    start, parameters in the same frame.
 
     Each step solves the (d+1)x(d+1) Hessian system and is halved until
     the objective strictly decreases.
@@ -307,10 +331,14 @@ def _fit_params(
     ridge = _ridge(config.l2, len(mean))
     ridge_matrix = np.diag(ridge)
 
-    theta = np.zeros(len(cols))
-    z = np.zeros(cols.shape[1])
-    softplus = np.full(len(z), math.log(2.0))
-    loss = float(wn @ softplus)
+    if start is not None and not (
+        np.array_equal(start.mean, mean) and np.array_equal(start.scale, scale)
+    ):
+        raise FitError("start was not fitted in this dataset's frame")
+    theta = np.zeros(len(cols)) if start is None else start.theta()
+    z = theta @ cols
+    softplus = _softplus(z)
+    loss = float(wn @ (softplus - t * z)) + 0.5 * float(ridge @ (theta * theta))
     history = [loss]
     for _ in range(_MAX_STEPS):
         p = _sigmoid(z)
@@ -339,11 +367,21 @@ def _fit_params(
     return params, tuple(history)
 
 
-def fit_logistic(dataset: LabeledDataset, config: LogisticConfig = LogisticConfig()) -> ProbModel:
-    """Weighted logistic regression of the label on the features."""
+def fit_logistic(
+    dataset: LabeledDataset,
+    config: LogisticConfig = LogisticConfig(),
+    start: ProbModel | None = None,
+) -> ProbModel:
+    """Weighted logistic regression of the label on the features.
+
+    Newton starts from zero, or from start: a label regression in this
+    dataset's frame (a _WarmStart.start, say).  Either way it runs to the
+    same convergence test.
+    """
     if len(dataset) == 0:
         raise FitError("cannot fit on an empty dataset")
-    params, history = _fit_params(dataset._frame(), dataset.y, dataset.weight, config)
+    begin = None if start is None else start.single_params()
+    params, history = _fit_params(dataset._frame(), dataset.y, dataset.weight, config, begin)
     return ProbModel(mode=MODE_BLIND_Y, params=params, history=history)
 
 
@@ -351,12 +389,15 @@ def fit_group_models(
     dataset: LabeledDataset,
     mode: str = MODE_AWARE,
     config: LogisticConfig = LogisticConfig(),
+    start: ProbModel | None = None,
 ) -> ProbModel:
     """Fit the regression function a pipeline needs.
 
     ``aware`` fits one logistic model per group for P(Y=1 | x, a) and needs
     every (a, y) cell populated; ``blind_a`` fits P(A=1 | x) with the group
     id as the target.  fit_logistic fits the label regression P(Y=1 | x).
+    start, a model of the same mode in this dataset's frames, is where
+    Newton starts instead of zero.
     """
     if len(dataset) == 0:
         raise FitError("cannot fit on an empty dataset")
@@ -368,17 +409,74 @@ def fit_group_models(
         per_group: dict[int, LogisticParams] = {}
         for a in (0, 1):
             pick = dataset.rows(a)
+            begin = None if start is None else start.group_params(a)
             per_group[a], _ = _fit_params(
-                dataset._frame(a), dataset.y[pick], dataset.weight[pick], config
+                dataset._frame(a), dataset.y[pick], dataset.weight[pick], config, begin
             )
         return ProbModel(mode=MODE_AWARE, params=per_group)
     if mode == MODE_BLIND_A:
         for a in (0, 1):
             if not len(dataset.rows(a)):
                 raise FitError(f"group regression needs rows with a={a}")
-        params, history = _fit_params(dataset._frame(), dataset.a, dataset.weight, config)
+        begin = None if start is None else start.single_params()
+        params, history = _fit_params(dataset._frame(), dataset.a, dataset.weight, config, begin)
         return ProbModel(mode=MODE_BLIND_A, params=params, history=history)
     raise FitError(f"unknown estimator mode {mode!r}")
+
+
+class _WarmStart:
+    """Newton starts for refits that scale a dataset's weights cell by cell.
+
+    origin is a label regression (aware or blind) that the default learner
+    fitted on the dataset at its own weights.  The gradient and Hessian of
+    each fit at origin are summed per (group, label) cell once.
+    start(multipliers) weighs those sums by one multiplier per cell and
+    takes one Newton step from origin, a (d+1)x(d+1) solve per fit: the
+    step of the objective whose weights are the dataset's times the
+    multiplier of each row's cell.  A start is a function of the
+    multipliers and the data alone.
+    """
+
+    def __init__(self, dataset: LabeledDataset, origin: ProbModel) -> None:
+        self.origin = origin
+        self.ridge = _ridge(LogisticConfig().l2, dataset.dim)
+        self.ridge_matrix = np.diag(self.ridge)
+        self.parts = []
+        for g in (0, 1) if origin.mode == MODE_AWARE else (None,):
+            params = origin.single_params() if g is None else origin.group_params(g)
+            theta = params.theta()
+            cols = dataset._frame(g)[2].T
+            rows = dataset.rows(g)
+            p = _sigmoid(theta @ cols)
+            weight = dataset.weight[rows]
+            resid = weight * (p - dataset.y[rows])
+            curvature = weight * p * (1.0 - p)
+            cells = [(a, y) for a in ((1, 0) if g is None else (g,)) for y in (1, 0)]
+            mass, grads, hessians = [], [], []
+            for cell in cells:
+                at = np.searchsorted(rows, dataset.rows(*cell))
+                part = cols[:, at]
+                mass.append(float(weight[at].sum()))
+                grads.append(part @ resid[at])
+                hessians.append(((part * curvature[at]) @ part.T).ravel())
+            self.parts.append((g, params, cells, np.array(mass), np.array(grads), np.array(hessians)))
+
+    def start(self, multipliers: Mapping[tuple[int, int], float]) -> ProbModel:
+        """The Newton step from origin for weights scaled by multipliers[(a, y)]."""
+        fitted: dict[int | None, LogisticParams] = {}
+        for g, params, cells, mass, grads, hessians in self.parts:
+            m = np.array([multipliers[cell] for cell in cells], dtype=float)
+            total = float(m @ mass)
+            if not total > 0.0:  # a weightless fit raises its own error
+                fitted[g] = params
+                continue
+            theta = params.theta()
+            grad = m @ grads / total + self.ridge * theta
+            hess = (m @ hessians).reshape(len(theta), -1) / total + self.ridge_matrix
+            theta = theta - np.linalg.lstsq(hess, grad, rcond=None)[0]
+            fitted[g] = replace(params, intercept=float(theta[0]), coef=theta[1:])
+        params = fitted if self.origin.mode == MODE_AWARE else fitted[None]
+        return replace(self.origin, params=params, history=None)
 
 
 def predict_proba(

@@ -167,8 +167,8 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     search finds the best t1 for a given t2; an outer one finds t2 on the slope
     PD(best_t1(t2), t2) - delta * sign(t2) of the partial maximum (Danskin).
     """
-    if delta < 0.0:
-        raise SolverError(f"delta must be nonnegative, got {delta!r}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
     (lo1, hi1), (lo2, hi2) = _eqodds_domain(stats)
     eps1, eps2 = 1e-9 * (hi1 - lo1), 1e-9 * (hi2 - lo2)
     lo1, hi1 = lo1 + eps1, hi1 - eps1

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -47,6 +48,7 @@ from .estimators import (
     MODE_BLIND_A,
     LabeledDataset,
     ProbModel,
+    _WarmStart,
     fit_group_models,
     fit_logistic,
     fitted_decisions,
@@ -86,9 +88,10 @@ class FairFitConfig:
     fitted rule reads features only.  delta is the disparity budget and tol
     the fuds/fcsc bisection resolution (fpir, solved exactly, uses it only
     for its bracket-edge margin).  seed fixes the row ordering fuds draws
-    each cell from, the same at every t.  Every fit uses the default learner;
-    each refit starts afresh and runs to convergence, so a refit at t depends
-    only on the data the pipeline builds for t.
+    each cell from, the same at every t.  Every fit uses the default learner
+    and runs to convergence.  The t = 0 fit starts from zero; every other
+    refit starts one Newton step from it, taken for the cell weights at t
+    (estimators._WarmStart).  So a refit at t depends only on t and the data.
     """
 
     kind: DisparityKind | BlindKind
@@ -316,17 +319,23 @@ def _blind_weight_values(
 class _CurveState:
     """Companion of an empirical curve: its inputs, the fits it made and a trace.
 
-    Evaluations only record what they computed; no value depends on the
+    A refit curve keeps its fits by their cell multipliers (fuds: the cell
+    counts over the cell sizes, fcsc: the cost table), with the t = 0 fit
+    made when the curve is built, and starts each new fit from warm's
+    Newton step for the multipliers at t.  So no value depends on the
     points evaluated before it.
     """
 
     def __init__(self, dataset: LabeledDataset, config: FairFitConfig) -> None:
         self.dataset = dataset
         self.config = config
-        self.stats = GroupStats.from_counts(*(len(dataset.rows(*cell)) for cell in _CELLS))
+        self.sizes = [len(dataset.rows(*cell)) for cell in _CELLS]
+        self.stats = GroupStats.from_counts(*self.sizes)
         self.clamped = False
         self.trace: list[dict] = []
         self.payload: dict[float, tuple] = {}
+        self.fits: dict[tuple, tuple[ProbModel, float | None]] = {}
+        self.warm: _WarmStart | None = None
         self.rule: FairClassifier | None = None
         self.inputs: _RuleInputs | None = None
 
@@ -353,30 +362,54 @@ def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, floa
     return {f"{a}{y}": values[(a, y)] for a, y in _CELLS}
 
 
-def _fuds_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
-    """Draw multiplicities at t; the cell counts go into the report and trace."""
-    props = fuds_proportions(state.stats, state.config.kind, t)
-    targets = fuds_cell_counts(len(state.dataset), props)
-    counts = {"cell_counts": _cells_json(targets)}
-    return fuds_resample(state.dataset, targets, state.config.seed), counts, counts
+# A row_weights function maps (state, t) to the refit's per-cell weight
+# multipliers, which key it, a function making its per-row weight factors,
+# and the report and trace entries.
 
 
-def _fcsc_weights(state: _CurveState, t: float) -> tuple[np.ndarray, dict, dict]:
-    """Per-row misclassification costs at t; the cost table goes into the report."""
+def _fuds_weights(state: _CurveState, t: float) -> tuple[dict, Callable, dict, dict]:
+    """The cell counts at t over the cell sizes are the multipliers; the
+    factors are the draw multiplicities, drawn only for a new refit."""
+    targets = fuds_cell_counts(len(state.dataset), fuds_proportions(state.stats, state.config.kind, t))
+    scale = {cell: k / max(size, 1) for (cell, k), size in zip(targets.items(), state.sizes)}
+    factor = partial(fuds_resample, state.dataset, targets, state.config.seed)
+    report = {"cell_counts": _cells_json(targets)}
+    return scale, factor, report, report
+
+
+def _fcsc_weights(state: _CurveState, t: float) -> tuple[dict, Callable, dict, dict]:
+    """The cell costs at t are the multipliers and the factors."""
     table = {cell: cost_weights(state.config.kind, state.stats, *cell, t) for cell in _CELLS}
-    w = np.empty(len(state.dataset))
-    for cell, c in table.items():
-        w[state.dataset.rows(*cell)] = c
-    return w, {"cost_table": _cells_json(table)}, {}
+    factor = partial(_cell_values, state.dataset, table)
+    return table, factor, {"cost_table": _cells_json(table)}, {}
+
+
+def _cell_values(dataset: LabeledDataset, values: Mapping[tuple[int, int], float]) -> np.ndarray:
+    """Each row's value of its (group, label) cell."""
+    w = np.empty(len(dataset))
+    for cell, c in values.items():
+        w[dataset.rows(*cell)] = c
+    return w
+
+
+def _refit(state: _CurveState, factor: np.ndarray, start: ProbModel | None = None):
+    """The fit on the training rows with their weights times factor, and its D."""
+    data = state.dataset.with_weights(state.dataset.weight * factor)
+    if isinstance(state.config.kind, BlindKind):
+        model = fit_logistic(data, start=start)
+    else:
+        model = fit_group_models(data, MODE_AWARE, start=start)
+    return model, _rate_gap(state.config.base_kind, state.dataset, fitted_decisions(model, data))
 
 
 def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
-    """Refit on the training rows reweighted by row_weights at t; D at t."""
-    factor, report_extra, trace_extra = row_weights(state, t)
-    data = state.dataset.with_weights(state.dataset.weight * factor)
-    blind = isinstance(state.config.kind, BlindKind)
-    model = fit_logistic(data) if blind else fit_group_models(data, MODE_AWARE)
-    d = _rate_gap(state.config.base_kind, state.dataset, fitted_decisions(model, data))
+    """D at t of the refit on the training rows reweighted by row_weights at
+    t, fitted once per multiplier set from warm's step for it."""
+    multipliers, factor, report_extra, trace_extra = row_weights(state, t)
+    key = tuple(multipliers.values())
+    if key not in state.fits:
+        state.fits[key] = _refit(state, factor(), state.warm.start(multipliers))
+    model, d = state.fits[key]
     state.payload[t] = (model, report_extra)
     state.trace.append({"call": len(state.trace), "t": t, "disparity": d, **trace_extra})
     return d
@@ -475,10 +508,17 @@ def _build_curve(
         lo = _clamp_edge(state, dom[0])
         hi = _clamp_edge(state, dom[1])
         state.clamped = lo > dom[0] or hi < dom[1]
-        return DisparityCurve(fn=fn, t_lo=lo, t_hi=hi), state
-    if method == "fpir":
-        _fpir_prepare(state, model)
-    return DisparityCurve.from_domain(fn, dom), state
+        curve = DisparityCurve(fn=fn, t_lo=lo, t_hi=hi)
+    else:
+        if method == "fpir":
+            _fpir_prepare(state, model)
+        curve = DisparityCurve.from_domain(fn, dom)
+    if row_weights is not None:
+        multipliers, factor, _, _ = row_weights(state, 0.0)
+        origin = _refit(state, factor())
+        state.fits[tuple(multipliers.values())] = origin
+        state.warm = _WarmStart(dataset, origin[0])
+    return curve, state
 
 
 def empirical_curve(
@@ -490,8 +530,10 @@ def empirical_curve(
     """The disparity-versus-t curve a pipeline solves, for audits and plots.
 
     Every method's value depends on t alone, not on the points evaluated
-    before it: fuds redraws its row multiplicities from the configured seed
-    at each t, fcsc refits from scratch, and fpir moves thresholds on fixed scores.
+    before it: fuds draws its row multiplicities at t from the configured
+    seed, fuds and fcsc refit from the t = 0 fit's Newton step for the
+    cell weights at t (once per set of cell weights), and fpir moves
+    thresholds on fixed scores.  The t = 0 fit is made when the curve is built.
     """
     return _build_curve(dataset, config, method, model=model)[0]
 

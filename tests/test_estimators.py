@@ -21,6 +21,7 @@ from fairthresh.estimators import (
     LogisticConfig,
     LogisticParams,
     ProbModel,
+    _WarmStart,
     fit_group_models,
     fit_logistic,
     fitted_decisions,
@@ -315,6 +316,73 @@ class TestReachesTheOptimum:
             assert train._frame(group)[2].T.flags.c_contiguous
 
 
+class TestWarmStart:
+    """A fit can start from a model in its frame, and _WarmStart's start is
+    the Newton step, from the origin fit, of the objective whose weights
+    are scaled cell by cell."""
+
+    MULTIPLIERS = {(1, 1): 0.8, (1, 0): 0.3, (0, 1): 1.7, (0, 0): 0.45}
+
+    @staticmethod
+    def reweighted(train, multipliers):
+        factor = np.empty(len(train))
+        for cell, m in multipliers.items():
+            factor[train.rows(*cell)] = m
+        return train.with_weights(train.weight * factor)
+
+    @pytest.mark.parametrize("mode", [MODE_AWARE, MODE_BLIND_Y])
+    def test_start_is_the_newton_step_of_the_reweighted_objective(self, mode):
+        train = sample(default_model(), 4_000, seed=4248)
+        fit = fit_logistic if mode == MODE_BLIND_Y else fit_group_models
+        origin = fit(train)
+        start = _WarmStart(train, origin).start(self.MULTIPLIERS)
+        data = self.reweighted(train, self.MULTIPLIERS)
+        l2 = LogisticConfig().l2
+        for g in (0, 1) if mode == MODE_AWARE else (None,):
+            base = origin.single_params() if g is None else origin.group_params(g)
+            got = start.single_params() if g is None else start.group_params(g)
+            rows = data if g is None else data.subset(data.a == g)
+            # The gradient and Hessian of the reweighted objective, row by row.
+            g0, gw = nll_gradient(rows, base, None, l2)
+            design = np.column_stack([np.ones(len(rows)), (rows.x - base.mean) / base.scale])
+            p = 1.0 / (1.0 + np.exp(-(design @ base.theta())))
+            wn = rows.weight / rows.weight.sum()
+            hess = design.T @ (design * (wn * p * (1.0 - p))[:, None])
+            hess += np.diag([0.0] + [l2] * rows.dim)
+            want = base.theta() - np.linalg.solve(hess, np.concatenate([[g0], gw]))
+            assert np.allclose(got.theta(), want, rtol=1e-10, atol=1e-12)
+            assert got.mean is base.mean and got.scale is base.scale
+
+    @pytest.mark.parametrize("mode", [MODE_AWARE, MODE_BLIND_Y])
+    def test_a_started_fit_reaches_the_same_optimum(self, mode):
+        train = sample(default_model(), 4_000, seed=4249)
+        fit = fit_logistic if mode == MODE_BLIND_Y else fit_group_models
+        data = self.reweighted(train, self.MULTIPLIERS)
+        start = _WarmStart(train, fit(train)).start(self.MULTIPLIERS)
+        cold, warm = fit(data), fit(data, start=start)
+        for g in (0, 1) if mode == MODE_AWARE else (None,):
+            c = cold.single_params() if g is None else cold.group_params(g)
+            w = warm.single_params() if g is None else warm.group_params(g)
+            assert np.allclose(w.theta(), c.theta(), rtol=0.0, atol=1e-8)
+        assert np.array_equal(fitted_decisions(warm, data), fitted_decisions(cold, data))
+
+    def test_unit_multipliers_stay_at_the_origin(self):
+        train = sample(default_model(), 4_000, seed=4250)
+        origin = fit_group_models(train)
+        start = _WarmStart(train, origin).start(dict.fromkeys(self.MULTIPLIERS, 1.0))
+        for g in (0, 1):
+            step = start.group_params(g).theta() - origin.group_params(g).theta()
+            assert np.abs(step).max() <= 1e-9
+
+    def test_start_from_another_frame_is_refused(self, rng):
+        ds = random_dataset(rng, n=60)
+        foreign = fit_logistic(ds.subset(np.arange(50)))
+        with pytest.raises(FitError, match="start was not fitted in this dataset's frame"):
+            fit_logistic(ds, start=foreign)
+        with pytest.raises(FitError, match="per-group parameters"):
+            fit_logistic(ds, start=fit_group_models(ds))
+
+
 class TestFrameCache:
     """A dataset's standardized design is built once and never crosses datasets."""
 
@@ -365,6 +433,9 @@ class TestFrameCache:
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(FitError, match="finite and nonnegative"):
                 ds.with_weights(np.full(len(ds), bad))
+        for length in (len(ds) - 1, len(ds) + 1):
+            with pytest.raises(FitError, match="lengths differ"):
+                ds.with_weights(np.ones(length))
         with pytest.raises(FitError, match="total sample weight must be positive"):
             fit_group_models(ds.with_weights(np.where(ds.a == 0, 0.0, 1.0)), MODE_AWARE)
         gutted = ds.subset(~((ds.a == 1) & (ds.y == 0)))

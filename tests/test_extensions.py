@@ -31,7 +31,7 @@ from fairthresh.extensions import (
     solve_eqodds,
     solve_multiclass_dp,
 )
-from fairthresh.gaussian import model_from_seed
+from fairthresh.gaussian import default_model, model_from_seed
 from fairthresh.oracles import _eqodds_grid_oracle
 from fairthresh.solver import DEFAULT_TOL, DisparityCurve, SolverError, solve_threshold
 
@@ -406,6 +406,13 @@ class TestSolveEqOdds:
         dists = PowerSurvival({(1, 1): 1.0, (1, 0): 1.0, (0, 1): 1.0, (0, 0): 1.0})
         with pytest.raises(SolverError):
             solve_eqodds(dists, table_stats, -0.1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # A NaN budget once returned the unconstrained gaps, and inf (0, 0).
+        model = default_model()
+        with pytest.raises(SolverError, match="finite and nonnegative"):
+            solve_eqodds(model, model.stats, delta)
 
     def test_risk_matches_grid_oracle(self):
         dists = BetaGroupModel(SEP_PARAMS)

@@ -48,6 +48,7 @@ from fairthresh.estimators import (
     LogisticConfig,
     LogisticParams,
     ProbModel,
+    _WarmStart,
     fit_group_models,
     fit_logistic,
     nll_gradient,
@@ -279,8 +280,40 @@ def drawn_rows(dataset, counts):
     }
 
 
+def reference_fuds_draw(dataset, targets, seed):
+    """The resample drawn afresh per call, cell by cell from the seed's
+    child streams: a prefix of a permutation up to the cell's size, and
+    past it every row once plus a with-replacement draw of the rest."""
+    drawn = []
+    for child, cell in zip(np.random.SeedSequence(seed).spawn(len(CELLS)), CELLS):
+        source = np.flatnonzero(cell_mask(dataset, *cell))
+        rng = np.random.default_rng(child)
+        if targets[cell] <= source.size:
+            drawn.append(rng.permutation(source)[: targets[cell]])
+        else:
+            extra = rng.choice(source, size=targets[cell] - source.size)
+            drawn.append(np.concatenate([source, extra]))
+    return np.bincount(np.concatenate(drawn), minlength=len(dataset))
+
+
 class TestFudsResample:
     """fuds_resample returns per-row draw multiplicities over the training rows."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 906, 2**31 + 5])
+    def test_draws_equal_the_per_call_reference(self, model, seed):
+        # Targets below, at and above each cell's size.
+        rng = np.random.default_rng(seed)
+        for dataset in (toy_dataset()[0], sample(model, 2_000, seed=seed % 1000)):
+            n = len(dataset)
+            sizes = {c: int(cell_mask(dataset, *c).sum()) for c in CELLS}
+            for _ in range(12):
+                targets = {
+                    c: int(rng.choice([rng.integers(0, sizes[c]), sizes[c], rng.integers(sizes[c], n)]))
+                    for c in CELLS
+                }
+                want = reference_fuds_draw(dataset, targets, seed)
+                got = fuds_resample(dataset, targets, seed)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_cold_draw_exact_counts(self):
         dataset, _ = toy_dataset()
@@ -992,8 +1025,8 @@ class TestPipelineFamilies:
     def test_every_refit_reaches_a_stationary_point(self, train, monkeypatch):
         fits = []
 
-        def recording_fit(data, mode, config=LEARNER):
-            fitted = fit_group_models(data, mode, config)
+        def recording_fit(data, mode, config=LEARNER, **kwargs):
+            fitted = fit_group_models(data, mode, config, **kwargs)
             fits.append((data, fitted, config.l2))
             return fitted
 
@@ -1008,6 +1041,24 @@ class TestPipelineFamilies:
                 gb, gw = nll_gradient(data.subset(data.a == a), fitted.group_params(a), l2=l2)
                 worst = max(worst, math.hypot(gb, *gw))
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("kind", [DisparityKind.DD, BlindKind.PD_X], ids=lambda k: k.value)
+    def test_fuds_fits_once_per_count_vector(self, train, monkeypatch, kind):
+        fits = []
+
+        def recording(fit):
+            def wrapped(data, *args, **kwargs):
+                fits.append(data)
+                return fit(data, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(fair_algorithms, "fit_group_models", recording(fit_group_models))
+        monkeypatch.setattr(fair_algorithms, "fit_logistic", recording(fit_logistic))
+        _, _, report = run_fuds(train, FairFitConfig(kind=kind, delta=0.0))
+        counts = [tuple(entry["cell_counts"].values()) for entry in report["trace"]]
+        assert len(set(counts)) < len(counts)  # the solve revisits a count vector
+        assert len(fits) == len(set(counts))
 
     @pytest.mark.parametrize("method", ["fuds", "fcsc"])
     def test_curve_value_independent_of_call_order(self, train, method):
@@ -1075,15 +1126,34 @@ class TestRefitDifferential:
     """fuds and fcsc refit the cached training frame with reweighted rows;
     a fresh dataset built from the same rows and weights gives the same run."""
 
-    def test_fcsc_fit_equals_a_fresh_fit(self, train, kind, delta):
-        model_out, _, report = run_fcsc(train, make_config(kind, delta))
+    def test_fcsc_fit_equals_a_fresh_fit(self, train, test_set, kind, delta):
+        model_out, t_hat, report = run_fcsc(train, make_config(kind, delta))
+        costs = {(a, y): report["cost_table"][f"{a}{y}"] for a, y in CELLS}
         cost = np.empty(len(train))
-        for a, y in CELLS:
-            cost[cell_mask(train, a, y)] = report["cost_table"][f"{a}{y}"]
+        for cell, c in costs.items():
+            cost[cell_mask(train, *cell)] = c
         fresh = LabeledDataset(x=train.x, a=train.a, y=train.y, weight=train.weight * cost)
         blind = isinstance(kind, BlindKind)
-        reference = fit_logistic(fresh) if blind else fit_group_models(fresh, MODE_AWARE)
-        assert fitted_params(model_out) == fitted_params(reference)
+
+        def fit(data, start=None):
+            if blind:
+                return fit_logistic(data, start=start)
+            return fit_group_models(data, MODE_AWARE, start=start)
+
+        # Against a fit from zero: the same decisions on test and training rows.
+        reference = fit(fresh)
+        assert evaluate(model_out, test_set) == evaluate(reference, test_set)
+        assert np.array_equal(
+            predict_proba(model_out, train.x, train.a) > 0.5,
+            predict_proba(reference, train.x, train.a) > 0.5,
+        )
+        # Against a fit from the same start, the t = 0 fit's Newton step
+        # (every cost is 1/2 at t = 0, where the t = 0 fit is returned as is):
+        # the same parameters.
+        base = LabeledDataset(x=train.x, a=train.a, y=train.y, weight=train.weight)
+        origin = fit(base.with_weights(base.weight * 0.5))
+        same_start = origin if t_hat == 0.0 else fit(fresh, _WarmStart(base, origin).start(costs))
+        assert fitted_params(model_out) == fitted_params(same_start)
 
     def test_fuds_matches_a_materialized_resample(self, train, test_set, kind, delta):
         cfg = make_config(kind, delta)
