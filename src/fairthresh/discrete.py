@@ -39,6 +39,11 @@ _ORACLE_ATOM_CAP = 12
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
+def _units(q: Fraction, scale: int) -> int:
+    """q as an integer count of 1/scale; q's denominator divides scale."""
+    return q.numerator * (scale // q.denominator)
+
+
 @dataclass(frozen=True)
 class _Terms:
     """An atom's exact mass and score with its kind-free risk terms."""
@@ -65,15 +70,19 @@ class FiniteDistribution:
     """
 
     atoms: tuple[tuple[int, float, float], ...]
-    # Exact terms per atom, the risk of rejecting every atom and the cell
-    # masses (p11, p10, p01, p00), built once here; per kind the exact atoms,
-    # built once by _prepare, and the unit and Breakpoints of solve_randomized,
-    # sorted once for every budget; all kept out of eq, hash and repr.
+    # Built once here: exact terms per atom, the risk of rejecting every atom,
+    # that risk and the slopes as integer counts of 1/scale (risk_exact), and
+    # the cell masses (p11, p10, p01, p00).  Built once per kind: the exact
+    # atoms and their disparity units (_prepare), the Breakpoints of
+    # solve_randomized and the table of brute_force_oracle, each serving
+    # every budget.  All kept out of eq, hash and repr.
     _terms: tuple[_Terms, ...] = field(init=False, repr=False, compare=False)
     _reject_risk: Fraction = field(init=False, repr=False, compare=False)
+    _risk_units: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _cells: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     _prepared: dict = field(init=False, repr=False, compare=False)
     _sorted: dict = field(init=False, repr=False, compare=False)
+    _oracle: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms) -> None:
         atoms = tuple((a, float(m), float(e)) for a, m, e in atoms)
@@ -99,11 +108,16 @@ class FiniteDistribution:
         for (a, _, _), t in zip(self.atoms, terms):
             cells[a, 1] += t.held
             cells[a, 0] += t.mass - t.held
+        reject_risk = sum((t.held for t in terms), _ZERO)
+        scale = math.lcm(reject_risk.denominator, *(t.slope.denominator for t in terms))
+        slopes = tuple(_units(t.slope, scale) for t in terms)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_reject_risk", sum((t.held for t in terms), _ZERO))
+        object.__setattr__(self, "_reject_risk", reject_risk)
+        object.__setattr__(self, "_risk_units", (scale, _units(reject_risk, scale), slopes))
         object.__setattr__(self, "_cells", tuple(cells.values()))
         object.__setattr__(self, "_prepared", {})
         object.__setattr__(self, "_sorted", {})
+        object.__setattr__(self, "_oracle", {})
 
     def implied_stats(self) -> GroupStats:
         """Float view of the exact cell masses (p_{a,1} = sum of m*eta over group a)
@@ -124,7 +138,8 @@ class RandomizedClassifier:
 
     def __post_init__(self) -> None:
         for f in self.accept:
-            if not 0 <= f <= 1:
+            # A Fraction (denominator > 0) is checked on its integers.
+            if not (0 <= f.numerator <= f.denominator if type(f) is Fraction else 0 <= f <= 1):
                 raise DomainError(f"acceptance probability {f!r} outside [0, 1]")
 
 
@@ -137,51 +152,65 @@ class _Atom:
     ratio: Fraction | None  # (2*eta - 1) / w, None when w == 0
 
 
-def _prepare(dist: FiniteDistribution, kind: DisparityKind) -> tuple[_Atom, ...]:
-    """The exact atoms of dist under kind, built once per kind."""
-    atoms = dist._prepared.get(kind)
-    if atoms is None:
+def _prepare(dist: FiniteDistribution, kind: DisparityKind) -> tuple:
+    """The exact atoms of dist under kind, a scale, and each atom's disparity
+    contribution m*w as an integer count of 1/scale, built once per kind."""
+    prepared = dist._prepared.get(kind)
+    if prepared is None:
         if not all(dist._cells):
             raise DisparityError(f"all four cell masses must be positive, got {dist._cells}")
         (s0, s1), (b0, b1) = _coeff_table(kind, *dist._cells)
-        out = []
+        atoms = []
         for (a, _, _), t in zip(dist.atoms, dist._terms):
             w = (s1 * t.eta + b1) if a == 1 else (s0 * t.eta + b0)
             ratio = (2 * t.eta - 1) / w if w != 0 else None
-            out.append(_Atom(t.eta, w, mw=t.mass * w, slope=t.slope, ratio=ratio))
-        atoms = dist._prepared[kind] = tuple(out)
-    return atoms
+            atoms.append(_Atom(t.eta, w, mw=t.mass * w, slope=t.slope, ratio=ratio))
+        scale = math.lcm(*(at.mw.denominator for at in atoms))
+        units = tuple(_units(at.mw, scale) for at in atoms)
+        prepared = dist._prepared[kind] = tuple(atoms), scale, units
+    return prepared
 
 
-def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fraction:
-    """Misclassification rate sum of m*((1 - 2*eta)*f + eta), exactly."""
+def _sum_units(scale: int, whole: int, units: tuple[int, ...], accept) -> Fraction:
+    """(whole + the sum of units[i] * accept[i]) / scale, exactly: an atom
+    accepted with 1 adds an integer, a fractional one adds one Fraction."""
+    part = _ZERO
+    for u, f in zip(units, accept):
+        if f == 1:
+            whole += u
+        elif f:
+            part += u * Fraction(f)
+    return (part + whole) / scale
+
+
+def _check_cover(dist: FiniteDistribution, classifier: RandomizedClassifier) -> None:
     if len(classifier.accept) != len(dist.atoms):
         raise DomainError(
             f"classifier covers {len(classifier.accept)} atoms, distribution has {len(dist.atoms)}"
         )
-    total = dist._reject_risk
-    for t, f in zip(dist._terms, classifier.accept):
-        if f:
-            total += t.slope * Fraction(f)
-    return total
+
+
+def risk_exact(dist: FiniteDistribution, classifier: RandomizedClassifier) -> Fraction:
+    """Misclassification rate sum of m*((1 - 2*eta)*f + eta), exactly, summed
+    as integer counts of one common unit made once per distribution."""
+    _check_cover(dist, classifier)
+    return _sum_units(*dist._risk_units, classifier.accept)
 
 
 def disparity_exact(
     dist: FiniteDistribution, kind: DisparityKind, classifier: RandomizedClassifier
 ) -> Fraction:
-    """Signed disparity sum of m*w*f of a randomized classifier, exactly."""
-    if len(classifier.accept) != len(dist.atoms):
-        raise DomainError(
-            f"classifier covers {len(classifier.accept)} atoms, distribution has {len(dist.atoms)}"
-        )
-    atoms = _prepare(dist, kind)
-    return sum((at.mw * Fraction(f) for at, f in zip(atoms, classifier.accept)), Fraction(0))
+    """Signed disparity sum of m*w*f of a randomized classifier, exactly,
+    summed as integer counts of one common unit made once per kind."""
+    _check_cover(dist, classifier)
+    _, scale, units = _prepare(dist, kind)
+    return _sum_units(scale, 0, units, classifier.accept)
 
 
 def _accepts(atoms: tuple[_Atom, ...], t: Fraction, tau_plus: Fraction, tau_minus: Fraction) -> tuple[Fraction, ...]:
     out = []
     for at in atoms:
-        if at.w == 0:
+        if at.ratio is None:  # w == 0
             out.append(_ONE if at.eta > _HALF else _ZERO)
         elif at.w > 0:
             out.append(_ONE if at.ratio > t else tau_plus if at.ratio == t else _ZERO)
@@ -205,18 +234,16 @@ def solve_randomized(
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
-    atoms = _prepare(dist, kind)
+    atoms, scale, units = _prepare(dist, kind)
     if kind not in dist._sorted:
-        live = [at for at in atoms if at.ratio is not None]
         # Integer contributions in units of 1/scale keep the sums cheap and exact.
-        scale = math.lcm(*(at.mw.denominator for at in live))
-        dist._sorted[kind] = scale, Breakpoints.sort(
-            np.array([at.ratio for at in live], dtype=object),
-            np.array([at.w > 0 for at in live], dtype=bool),
-            np.array([at.mw.numerator * (scale // at.mw.denominator) for at in live], dtype=object),
+        live = [(at, u) for at, u in zip(atoms, units) if at.ratio is not None]
+        dist._sorted[kind] = Breakpoints.sort(
+            np.array([at.ratio for at, _ in live], dtype=object),
+            np.array([at.w > 0 for at, _ in live], dtype=bool),
+            np.array([u for _, u in live], dtype=object),
         )
-    scale, steps = dist._sorted[kind]
-    t_star, tau_plus, tau_minus, _ = steps.solve(Fraction(delta) * scale)
+    t_star, tau_plus, tau_minus, _ = dist._sorted[kind].solve(Fraction(delta) * scale)
     return RandomizedClassifier(
         accept=_accepts(atoms, t_star, tau_plus, tau_minus),
         t_star=Fraction(t_star),
@@ -287,25 +314,33 @@ class Breakpoints:
         The ratio of least magnitude whose least |D| meets the budget wins,
         and the boundary fractions land D on the budget.  Returns (t,
         tau_plus, tau_minus, D); budget and D are exact rationals in the
-        units of the contributions.
+        units of the contributions.  The landing runs in integers over the
+        budget's denominator; a Fraction is made only for D and for a
+        boundary fraction strictly between 0 and 1.
         """
-        ratios, plus, minus, zero = self.ratios, self.plus, self.minus, self.zero
-        bound = math.floor(budget)  # an integer meets the budget iff it meets its floor
+        ratios, plus, minus = self.ratios, self.plus, self.minus
+        n, q = budget.numerator, budget.denominator
+        bound = n // q  # an integer meets the budget iff it meets its floor
         feasible = np.flatnonzero(self.least <= bound)
         if feasible.size == 0:
             raise SolverError(f"disparity budget {float(budget)!r} unreachable at any threshold")
         k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
-        # Land as near the budget allows to D just on the side of k facing 0.
-        inner = zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0)
-        target = min(budget, max(-budget, Fraction(int(inner))))
-        need = target - int(zero[k])
+        # Land as near the budget allows to D just on the side of k facing 0;
+        # target and need count units of 1/q.
+        inner = int(self.zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0))
+        target = min(n, max(-n, inner * q))
+        need = target - int(self.zero[k]) * q
         taus = []
         for side in (int(plus[k]), int(minus[k])):
-            tau = min(Fraction(1), need / side) if need * side > 0 else Fraction(0)
-            need -= tau * side
+            if need * side <= 0:
+                tau = _ZERO
+            elif abs(need) >= abs(side) * q:
+                tau, need = _ONE, need - side * q
+            else:
+                tau, need = Fraction(need, side * q), 0
             taus.append(tau)
         assert need == 0  # the envelope at k contains the target
-        return ratios[k], taus[0], taus[1], target
+        return ratios[k], taus[0], taus[1], Fraction(target, q)
 
 
 def brute_force_oracle(
@@ -320,7 +355,9 @@ def brute_force_oracle(
     optimum sits at a vertex; all vertices are enumerated. Exact end to
     end: candidates are compared by their rank among the ratios, sums are
     integers over one common denominator, and vertex risks are compared by
-    cross-multiplication.
+    cross-multiplication. The candidates and their budget-free sums are
+    tabled on the first call per kind and kept on dist (_oracle_table), so
+    each budget pays only the vertex scan.
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
@@ -328,61 +365,19 @@ def brute_force_oracle(
         raise SolverError(
             f"oracle capped at {_ORACLE_ATOM_CAP} atoms, got {len(dist.atoms)}"
         )
+    ratios, candidates, table_scale, rows = _oracle_table(dist, kind)
+    # Every sum below is an integer count of 1/scale, a unit that also counts
+    # the budget: the table's sums are lifted to it.
     deltaf = Fraction(delta)
-    atoms = _prepare(dist, kind)
-    # Live atoms in ratio order, each with the position of its ratio (see
-    # _candidate_positions).
-    live = sorted((at for at in atoms if at.ratio is not None), key=lambda at: at.ratio)
-    ratios: list[Fraction] = []
-    positions = []
-    for at in live:
-        if not ratios or at.ratio != ratios[-1]:
-            ratios.append(at.ratio)
-        positions.append(2 * len(ratios) - 1)
-    candidates = _candidate_positions(ratios)
-
-    # Terms that do not depend on t: the risk of rejecting every atom, and
-    # the atoms with w == 0, which eta alone decides.
-    fixed_risk = dist._reject_risk + sum(
-        (at.slope for at in atoms if at.ratio is None and at.eta > _HALF), _ZERO
-    )
-    # Every sum below is an integer count of 1/scale: per live atom its
-    # disparity contribution m*w (positive on the u side) and risk slope.
-    scale = math.lcm(
-        fixed_risk.denominator,
-        deltaf.denominator,
-        *(q.denominator for at in live for q in (at.mw, at.slope)),
-    )
-
-    def units(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    terms = [(pos, units(at.mw), units(at.slope)) for pos, at in zip(positions, live)]
-    fixed, budget = units(fixed_risk), units(deltaf)
+    scale = math.lcm(table_scale, deltaf.denominator)
+    budget = _units(deltaf, scale)
+    lift = scale // table_scale
+    if lift > 1:
+        rows = [tuple(x * lift for x in row) for row in rows]
 
     # risk numerator, its denominator, candidate index, u and v numerators
     best = None
-    for index, t in enumerate(candidates):  # t is a position, compared with pos
-        base_risk = fixed
-        # Disparity slopes of u (>= 0) and v (<= 0), and their risk slopes.
-        d0 = gain_plus = gain_minus = 0
-        cost_plus = cost_minus = 0
-        for pos, mw, slope in terms:
-            if mw > 0:
-                if pos > t:
-                    base_risk += slope
-                    d0 += mw
-                elif pos == t:
-                    gain_plus += mw
-                    cost_plus += slope
-            else:
-                if pos < t:
-                    base_risk += slope
-                    d0 += mw
-                elif pos == t:
-                    gain_minus += mw
-                    cost_minus += slope
-
+    for index, (base_risk, d0, gain_plus, gain_minus, cost_plus, cost_minus) in enumerate(rows):
         # Vertices (u, v) = (un/den, vn/den) with den > 0.
         vertices = [
             (u, v, 1)
@@ -413,9 +408,68 @@ def brute_force_oracle(
     t = _ZERO if index == 0 else _candidate_value(ratios, candidates[index])
     u, v = Fraction(un, den), Fraction(vn, den)
     classifier = RandomizedClassifier(
-        accept=_accepts(atoms, t, u, v), t_star=t, tau_plus=u, tau_minus=v
+        accept=_accepts(_prepare(dist, kind)[0], t, u, v), t_star=t, tau_plus=u, tau_minus=v
     )
     return Fraction(risk, den * scale), classifier
+
+
+def _oracle_table(dist: FiniteDistribution, kind: DisparityKind) -> tuple:
+    """What brute_force_oracle reads at every budget, built once per kind:
+    the sorted distinct ratios, the candidate positions, the unit scale,
+    and per candidate the integer counts of 1/scale (base risk, d0,
+    gain_plus, gain_minus, cost_plus, cost_minus)."""
+    table = dist._oracle.get(kind)
+    if table is not None:
+        return table
+    atoms = _prepare(dist, kind)[0]
+    # Live atoms in ratio order, each with the position of its ratio (see
+    # _candidate_positions).
+    live = sorted((at for at in atoms if at.ratio is not None), key=lambda at: at.ratio)
+    ratios: list[Fraction] = []
+    positions = []
+    for at in live:
+        if not ratios or at.ratio != ratios[-1]:
+            ratios.append(at.ratio)
+        positions.append(2 * len(ratios) - 1)
+    candidates = _candidate_positions(ratios)
+
+    # Terms that do not depend on t: the risk of rejecting every atom, and
+    # the atoms with w == 0, which eta alone decides.
+    fixed_risk = dist._reject_risk + sum(
+        (at.slope for at in atoms if at.ratio is None and at.eta > _HALF), _ZERO
+    )
+    # Per live atom its disparity contribution m*w (positive on the u side)
+    # and risk slope.
+    scale = math.lcm(
+        fixed_risk.denominator, *(q.denominator for at in live for q in (at.mw, at.slope))
+    )
+    terms = [(pos, _units(at.mw, scale), _units(at.slope, scale)) for pos, at in zip(positions, live)]
+    fixed = _units(fixed_risk, scale)
+
+    rows = []
+    for t in candidates:  # t is a position, compared with pos
+        base_risk = fixed
+        # Disparity slopes of u (>= 0) and v (<= 0), and their risk slopes.
+        d0 = gain_plus = gain_minus = 0
+        cost_plus = cost_minus = 0
+        for pos, mw, slope in terms:
+            if mw > 0:
+                if pos > t:
+                    base_risk += slope
+                    d0 += mw
+                elif pos == t:
+                    gain_plus += mw
+                    cost_plus += slope
+            else:
+                if pos < t:
+                    base_risk += slope
+                    d0 += mw
+                elif pos == t:
+                    gain_minus += mw
+                    cost_minus += slope
+        rows.append((base_risk, d0, gain_plus, gain_minus, cost_plus, cost_minus))
+    table = dist._oracle[kind] = ratios, candidates, scale, rows
+    return table
 
 
 def _candidate_positions(ratios: list[Fraction]) -> list[int]:

@@ -627,7 +627,9 @@ def run_fpir(
     rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
     train disparity lands on the budget; no tolerance applies.  The report's
     train metrics score the solve's own flip points, not a second
-    prediction on the training rows.
+    prediction on the training rows, and give the measured kind's gap as
+    the solve's exact D, rounded once (a float mean of the fractional
+    decisions can round past delta).
 
     Every call, blind ones included, reads the training rows' flip points,
     weight signs, inert rows and sorted steps from the dataset's plug-in
@@ -643,6 +645,7 @@ def run_fpir(
     result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
     decisions = _decide(state.inputs, t_hat, classifier.tau_plus, classifier.tau_minus)
     report = _report("fpir", state, curve, result, decisions)
+    report["train_metrics"][config.base_kind.value] = result.d_at_t
     report["tau_plus"], report["tau_minus"] = classifier.tau_plus, classifier.tau_minus
     return classifier, t_hat, report
 

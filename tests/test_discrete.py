@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fairthresh import oracles
+from fairthresh import discrete, oracles
 from fairthresh.core import DisparityError, DisparityKind, DomainError
 from fairthresh.discrete import (
     Breakpoints,
@@ -286,7 +286,7 @@ class TestFiniteDistribution:
         before = (hash(dist), repr(dist))
         solve_randomized(dist, DisparityKind.DD, 0.1)
         brute_force_oracle(dist, DisparityKind.PD, 0.1)
-        assert dist._prepared and dist._sorted
+        assert dist._prepared and dist._sorted and dist._oracle
         assert dist == TWO_ATOM and (hash(dist), repr(dist)) == before == (hash(TWO_ATOM), repr(TWO_ATOM))
 
     def test_prepare_runs_once_per_kind_and_stats(self):
@@ -320,6 +320,32 @@ class TestFiniteDistribution:
             for kind in DisparityKind:
                 assert solve_randomized(dist, kind, delta) == want[kind, delta]
         assert len(sorts) == len(DisparityKind)
+
+    def test_oracle_tables_once_per_kind(self, monkeypatch):
+        # Dyadic scores keep the table's unit small: 0.0 shares it, and the
+        # denominators of 0.1 and 0.3 lift it.
+        dist = instance_from(random.Random(12), [0.25, 0.75, 0.625, 0.375, 0.5])
+        budgets = (0.0, 0.1, 0.3)
+        want = {
+            (kind, delta): brute_force_oracle(FiniteDistribution(dist.atoms), kind, delta)
+            for kind in DisparityKind for delta in budgets
+        }
+        builds = []
+        original = discrete._candidate_positions
+
+        def counting_positions(ratios):
+            builds.append(ratios)
+            return original(ratios)
+
+        monkeypatch.setattr(discrete, "_candidate_positions", counting_positions)
+        for delta in budgets:  # budgets outermost: each kind is revisited
+            for kind in DisparityKind:
+                risk, f = brute_force_oracle(dist, kind, delta)
+                assert (risk, f) == want[kind, delta]
+                assert (risk, f.accept, f.t_star, f.tau_plus, f.tau_minus) == (
+                    _reference_brute_force_oracle(dist, kind, delta)
+                )
+        assert len(builds) == len(DisparityKind)
 
     def test_classifier_validation(self):
         with pytest.raises(DomainError):
@@ -356,6 +382,30 @@ class TestRiskExact:
             Fraction(0),
         )
         assert risk_exact(dist, f) == want
+
+    def test_mixed_accept_types_match_hand_sums(self):
+        # An int 1 is summed as an integer, the others each as one Fraction;
+        # every rotation puts each type on every atom.
+        dist = FiniteDistribution(
+            [(1, 0.375, 0.8), (1, 0.125, 0.35), (0, 0.25, 0.6), (0, 0.25, 0.1)]
+        )
+        values = [1, 0.25, Fraction(1, 3), np.float64(0.5)]
+        for shift in range(len(values)):
+            accept = tuple(values[shift:] + values[:shift])
+            f = RandomizedClassifier(accept=accept)
+            exact = [Fraction(fa) for fa in accept]
+            risk = sum(
+                (
+                    Fraction(m) * ((1 - 2 * Fraction(e)) * fa + Fraction(e))
+                    for (_, m, e), fa in zip(dist.atoms, exact)
+                ),
+                Fraction(0),
+            )
+            got = risk_exact(dist, f)
+            assert type(got) is Fraction and got == risk
+            for kind in DisparityKind:
+                got = disparity_exact(dist, kind, f)
+                assert type(got) is Fraction and got == hand_disparity(dist, kind, exact)
 
     def test_oracle_check_cases_match_hand_sum(self):
         # The 1,800 (instance, kind, budget) cases of oracle-check's discrete
@@ -512,12 +562,82 @@ class TestExactBudget:
         dist = FiniteDistribution([(1, 0.5, 0.0), (0, 0.5, 0.4)])
         # Every call raises, and none leaves a half-filled cache entry.
         for delta in (0.0, 0.1, 0.1):
-            with pytest.raises(DisparityError, match="cell masses must be positive"):
-                solve_randomized(dist, DisparityKind.DO, delta)
-            assert dist._prepared == {} and dist._sorted == {}
+            for solve in (solve_randomized, brute_force_oracle):
+                with pytest.raises(DisparityError, match="cell masses must be positive"):
+                    solve(dist, DisparityKind.DO, delta)
+                assert dist._prepared == {} and dist._sorted == {} and dist._oracle == {}
+
+
+def _reference_landing(steps: Breakpoints, budget: Fraction):
+    """Breakpoints.solve in Fraction arithmetic, as it stood before its
+    landing moved to integers; None where that raised SolverError."""
+    ratios, plus, minus, zero = steps.ratios, steps.plus, steps.minus, steps.zero
+    feasible = np.flatnonzero(steps.least <= math.floor(budget))
+    if feasible.size == 0:
+        return None
+    k = int(feasible[np.argmin(np.abs(ratios[feasible]))])
+    inner = zero[k] + (plus[k] if ratios[k] > 0 else minus[k] if ratios[k] < 0 else 0)
+    target = min(budget, max(-budget, Fraction(int(inner))))
+    need = target - int(zero[k])
+    taus = []
+    for side in (int(plus[k]), int(minus[k])):
+        tau = min(Fraction(1), need / side) if need * side > 0 else Fraction(0)
+        need -= tau * side
+        taus.append(tau)
+    assert need == 0
+    return ratios[k], taus[0], taus[1], target
+
+
+@st.composite
+def breakpoint_items(draw):
+    """Up to 12 items on 7 ratios, so that ties fall on both weight sides and
+    at 0, with a base and a budget that is 0, an integer or a fraction."""
+    n = draw(st.integers(0, 12))
+    ratio = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    contrib = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    base = draw(st.integers(-8, 8))
+    budget = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.integers(0, 30).map(Fraction),
+        st.builds(Fraction, st.integers(0, 90), st.integers(2, 9)),
+    ))
+    return ratio, positive, contrib, base, budget
 
 
 class TestSolveBreakpoints:
+    # A tie on both sides where the positive side fills and the negative
+    # side takes the rest of a fractional budget: tau_plus 1, tau_minus 3/8.
+    @example(items=([2, 2], [True, False], [-1, -4], 5, Fraction(5, 2)), objects=True)
+    @example(items=([2, 2], [True, False], [-1, -4], 5, Fraction(5, 2)), objects=False)
+    @settings(max_examples=300, deadline=None)
+    @given(breakpoint_items(), st.booleans())
+    def test_landing_matches_the_fraction_reference(self, items, objects):
+        ratio, positive, contrib, base, budget = items
+        if objects:  # exact rationals and Python ints, as solve_randomized sorts
+            steps = Breakpoints.sort(
+                np.array([Fraction(r, 2) for r in ratio], dtype=object),
+                np.array(positive, dtype=bool),
+                np.array(contrib, dtype=object),
+                base,
+            )
+        else:  # floats and int64, as run_fpir sorts
+            steps = Breakpoints.sort(
+                np.array(ratio, dtype=float) / 2,
+                np.array(positive, dtype=bool),
+                np.array(contrib, dtype=np.int64),
+                base,
+            )
+        want = _reference_landing(steps, budget)
+        if want is None:
+            with pytest.raises(SolverError, match="unreachable"):
+                steps.solve(budget)
+            return
+        got = steps.solve(budget)
+        assert got == want
+        assert type(got[0]) is type(want[0])
+        assert all(type(q) is Fraction for q in got[1:])
+
     def test_zero_group_is_named_by_positive_zero(self):
         # A -0.0 flip point (score exactly 1/2, negative weight) shares the
         # t = 0 tie group; whichever member the sort puts first, the solve

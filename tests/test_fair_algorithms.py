@@ -740,12 +740,38 @@ class TestRunFpir:
     )
     def test_train_metrics_equal_evaluate_on_train(self, model, kind, prefit):
         # The report scores the solve's own scores; the returned rule applied
-        # to the training rows must give the same numbers to the last bit.
+        # to the training rows must give the same numbers to the last bit,
+        # apart from the measured gap (see assert_fpir_train_metrics).
         small = sample(model, 2_000, seed=31)
         prefit_model = fit_group_models(small, MODE_AWARE) if prefit else None
-        classifier, _, report = run_fpir(small, make_config(kind, 0.05), model=prefit_model)
+        cfg = make_config(kind, 0.05)
+        classifier, _, report = run_fpir(small, cfg, model=prefit_model)
         assert 0.0 < max(classifier.tau_plus, classifier.tau_minus)
-        assert report["train_metrics"] == evaluate(classifier, small)
+        assert_fpir_train_metrics(report, evaluate(classifier, small), cfg.base_kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_train_gap_within_budget_on_the_sweep_grid(self, model, kind):
+        # A float mean of the randomized decisions rounds past delta on 43 of
+        # the 120 (kind, budget) pairs of this grid (0.007500000000000062 at
+        # dd, delta = 0.0075); the reported gap is the solve's exact D, which
+        # meets it.
+        small = sample(model, 2_000, 1)
+        prefit = fit_group_models(small, MODE_AWARE)
+        for delta in [round(i * 0.0075, 6) for i in range(1, 41)]:
+            _, _, report = run_fpir(small, make_config(kind, delta), model=prefit)
+            gap = report["train_metrics"][kind.value]
+            assert abs(gap) <= delta and gap == report["disparity_at_t_hat"], delta
+
+
+def assert_fpir_train_metrics(report, measured, base_kind):
+    """An fpir report's train metrics equal evaluate on the training rows,
+    except the measured kind's gap: that is the solve's exact D rounded once,
+    within rounding of the float mean of the same decisions."""
+    got, want = dict(report["train_metrics"]), dict(measured)
+    gap = got.pop(base_kind.value)
+    assert gap == report["disparity_at_t_hat"]
+    assert gap == pytest.approx(want.pop(base_kind.value), abs=1e-12)
+    assert got == want
 
 
 def rate_disparity(kind, dataset, decisions):
@@ -914,7 +940,8 @@ class TestPlugInSlot:
     @pytest.mark.parametrize("kind", [DisparityKind.DO, BlindKind.DO_X], ids=lambda k: k.value)
     def test_a_model_less_run_leaves_the_train_inputs_in_the_slot(self, model, monkeypatch, kind):
         small = sample(model, 2_000, seed=48)
-        classifier, _, report = run_fpir(small, make_config(kind, 0.05))
+        cfg = make_config(kind, 0.05)
+        classifier, _, report = run_fpir(small, cfg)
         calls = []
 
         def counting(*args, **kwargs):
@@ -922,7 +949,7 @@ class TestPlugInSlot:
             return predict_proba(*args, **kwargs)
 
         monkeypatch.setattr(fair_algorithms, "predict_proba", counting)
-        assert evaluate(classifier, small) == report["train_metrics"]
+        assert_fpir_train_metrics(report, evaluate(classifier, small), cfg.base_kind)
         assert calls == []
 
     def test_interleaved_rules_answer_as_fresh_calls(self, model):
