@@ -12,10 +12,11 @@ The pipelines differ in how the classifier at t is produced:
   misclassification costs, bisecting t;
 - the plug-in pipeline fits regression estimates once and only moves
   decision thresholds.  Its curve is a step function with one step per
-  row, so it is solved exactly from the sorted steps, and the rows on the
-  boundary are randomized to land the budget exactly.  A dataset keeps the
-  per-row inputs of the last plug-in rule scored on it (its plug-in slot),
-  so a budget sweep predicts each row set once and sorts once per measure.
+  row, so it is solved exactly from the sorted steps, with no bisection or
+  tolerance, and the rows on the boundary are randomized to land the
+  budget exactly.  A dataset keeps the per-row inputs of the last plug-in
+  rule scored on it (its plug-in slot), so a budget sweep predicts each
+  row set once and sorts once per measure.
 
 Aware runs read the group id at decision time.  Blind runs fit rules on
 features alone; the group id is still used during training to measure the
@@ -55,7 +56,7 @@ from .estimators import (
     predict_proba,
 )
 from .discrete import Breakpoints
-from .solver import DEFAULT_TOL, DisparityCurve, SolveResult, bisect, solve_threshold
+from .solver import DEFAULT_TOL, BracketError, DisparityCurve, bisect, solve_threshold
 
 __all__ = [
     "FairFitConfig",
@@ -63,7 +64,6 @@ __all__ = [
     "fuds_proportions",
     "fuds_cell_counts",
     "fuds_resample",
-    "empirical_curve",
     "run_fuds",
     "run_fcsc",
     "run_fpir",
@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 _CELLS = ((1, 1), (1, 0), (0, 1), (0, 0))
-_METHODS = ("fuds", "fcsc", "fpir")
 # Smallest per-cell row count a refit can digest; the resampling bracket is
 # clamped so no evaluation produces an emptier cell.
 _MIN_CELL_ROWS = 1
@@ -86,12 +85,12 @@ class FairFitConfig:
 
     kind selects the disparity measure; a blind kind makes a blind run, whose
     fitted rule reads features only.  delta is the disparity budget and tol
-    the fuds/fcsc bisection resolution (fpir, solved exactly, uses it only
-    for its bracket-edge margin).  seed fixes the row ordering fuds draws
-    each cell from, the same at every t.  Every fit uses the default learner
-    and runs to convergence.  The t = 0 fit starts from zero; every other
-    refit starts one Newton step from it, taken for the cell weights at t
-    (estimators._WarmStart).  So a refit at t depends only on t and the data.
+    the fuds/fcsc bisection resolution, which fpir, solved exactly, does not
+    read.  seed fixes the row ordering fuds draws each cell from, the same
+    at every t.  Every fit uses the default learner and runs to convergence.
+    The t = 0 fit starts from zero; every other refit starts one Newton step
+    from it, taken for the cell weights at t (estimators._WarmStart).  So a
+    refit at t depends only on t and the data.
     """
 
     kind: DisparityKind | BlindKind
@@ -317,9 +316,9 @@ def _blind_weight_values(
 
 
 class _CurveState:
-    """Companion of an empirical curve: its inputs, the fits it made and a trace.
+    """Companion of a refit curve: its inputs, the fits it made and a trace.
 
-    A refit curve keeps its fits by their cell multipliers (fuds: the cell
+    The curve keeps its fits by their cell multipliers (fuds: the cell
     counts over the cell sizes, fcsc: the cost table), with the t = 0 fit
     made when the curve is built, and starts each new fit from warm's
     Newton step for the multipliers at t.  So no value depends on the
@@ -336,8 +335,6 @@ class _CurveState:
         self.payload: dict[float, tuple] = {}
         self.fits: dict[tuple, tuple[ProbModel, float | None]] = {}
         self.warm: _WarmStart | None = None
-        self.rule: FairClassifier | None = None
-        self.inputs: _RuleInputs | None = None
 
 
 def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -415,43 +412,40 @@ def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
     return d
 
 
-def _fpir_prepare(state: _CurveState, model: ProbModel | None) -> None:
-    ds = state.dataset
-    cfg = state.config
-    if isinstance(cfg.kind, BlindKind):
+def _fpir_prepare(
+    dataset: LabeledDataset, config: FairFitConfig, stats: GroupStats, model: ProbModel | None
+) -> FairClassifier:
+    """The t = 0 plug-in rule: its regressions fitted here, or the prefit model."""
+    if isinstance(config.kind, BlindKind):
         if model is not None:
             raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
-        slopes, _ = bilinear_coeffs(cfg.base_kind, state.stats)
+        slopes, _ = bilinear_coeffs(config.base_kind, stats)
         models = {
-            "eta_y": fit_logistic(ds),
-            "eta_a": fit_group_models(ds, MODE_BLIND_A),
-            "eta_groups": fit_group_models(ds, MODE_AWARE) if any(slopes) else None,
+            "eta_y": fit_logistic(dataset),
+            "eta_a": fit_group_models(dataset, MODE_BLIND_A),
+            "eta_groups": fit_group_models(dataset, MODE_AWARE) if any(slopes) else None,
         }
     elif model is None:
-        models = {"eta_groups": fit_group_models(ds, MODE_AWARE)}
+        models = {"eta_groups": fit_group_models(dataset, MODE_AWARE)}
     elif model.mode != MODE_AWARE:
         raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
     else:
         models = {"eta_groups": model}
-    state.rule = FairClassifier(kind=cfg.kind, t=0.0, stats=state.stats, **models)
-    state.inputs = _slot_inputs(state.rule, ds)
+    return FairClassifier(kind=config.kind, t=0.0, stats=stats, **models)
 
 
-def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction]:
-    """Exact smallest-|t| plug-in rule meeting the budget on the training rows.
+def _fpir_steps(inputs: _RuleInputs, dataset: LabeledDataset, kind: DisparityKind) -> Breakpoints:
+    """The sorted steps of the training rows' D, in units of 1/inputs.scale.
 
     Train disparity is a difference of two cell acceptance rates,
     k_A/n_A - k_B/n_B, so a row adds n_B (cell A) or -n_A (cell B) to
     n_A*n_B*D and every sum is an integer.  The rows are sorted unless the
     inputs already hold the sort, which then stays with them.
-    Returns t, the two boundary fractions and D, exactly.
     """
-    inputs = state.inputs
     if inputs.steps is None:
-        ds = state.dataset
-        rows_a, rows_b = _measure_cells(state.config.base_kind, ds)
+        rows_a, rows_b = _measure_cells(kind, dataset)
         n_a, n_b = len(rows_a), len(rows_b)
-        units = np.zeros(len(ds), dtype=int)
+        units = np.zeros(len(dataset), dtype=int)
         units[rows_a], units[rows_b] = n_b, -n_a
         # A row with w == 0 never flips (accepted when score > 1/2): it joins
         # the base and enters the sort as an inert item at 0.
@@ -459,8 +453,7 @@ def _fpir_solve(state: _CurveState) -> tuple[float, Fraction, Fraction, Fraction
         units[inputs.inert] = 0
         inputs.steps = Breakpoints.sort(inputs.flips, inputs.positive, units, base)
         inputs.scale = n_a * n_b
-    t, tau_plus, tau_minus, d = inputs.steps.solve(Fraction(state.config.delta) * inputs.scale)
-    return float(t), tau_plus, tau_minus, d / inputs.scale
+    return inputs.steps
 
 
 def _resample_feasible(state: _CurveState, t: float) -> bool:
@@ -486,111 +479,90 @@ def _clamp_edge(state: _CurveState, outside: float) -> float:
 
 
 def _build_curve(
-    dataset: LabeledDataset,
-    config: FairFitConfig,
-    method: str,
-    model: ProbModel | None = None,
+    dataset: LabeledDataset, config: FairFitConfig, method: str
 ) -> tuple[DisparityCurve, _CurveState]:
-    if method not in _METHODS:
-        raise DisparityError(f"method must be one of {_METHODS}, got {method!r}")
-    if method != "fpir" and model is not None:
-        raise DisparityError(f"method {method!r} refits per evaluation; pass model=None")
+    """The disparity-versus-t curve a refit pipeline bisects, and its state,
+    with the t = 0 fit made."""
     state = _CurveState(dataset, config)
     dom = natural_domain(config.base_kind, state.stats)
-    row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}.get(method)
-
-    def fn(t: float) -> float:
-        if row_weights is None:
-            return _rate_gap(config.base_kind, dataset, _decide(state.inputs, t))
-        return _refit_eval(state, t, row_weights)
-
+    row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}[method]
+    fn = partial(_refit_eval, state, row_weights=row_weights)
     if method == "fuds":
         lo = _clamp_edge(state, dom[0])
         hi = _clamp_edge(state, dom[1])
         state.clamped = lo > dom[0] or hi < dom[1]
         curve = DisparityCurve(fn=fn, t_lo=lo, t_hi=hi)
     else:
-        if method == "fpir":
-            _fpir_prepare(state, model)
         curve = DisparityCurve.from_domain(fn, dom)
-    if row_weights is not None:
-        multipliers, factor, _, _ = row_weights(state, 0.0)
-        origin = _refit(state, factor())
-        state.fits[tuple(multipliers.values())] = origin
-        state.warm = _WarmStart(dataset, origin[0])
+    multipliers, factor, _, _ = row_weights(state, 0.0)
+    origin = _refit(state, factor())
+    state.fits[tuple(multipliers.values())] = origin
+    state.warm = _WarmStart(dataset, origin[0])
     return curve, state
-
-
-def empirical_curve(
-    dataset: LabeledDataset,
-    config: FairFitConfig,
-    method: str,
-    model: ProbModel | None = None,
-) -> DisparityCurve:
-    """The disparity-versus-t curve a pipeline solves, for audits and plots.
-
-    Every method's value depends on t alone, not on the points evaluated
-    before it: fuds draws its row multiplicities at t from the configured
-    seed, fuds and fcsc refit from the t = 0 fit's Newton step for the
-    cell weights at t (once per set of cell weights), and fpir moves
-    thresholds on fixed scores.  The t = 0 fit is made when the curve is built.
-    """
-    return _build_curve(dataset, config, method, model=model)[0]
-
-
-def _at_edge(result: SolveResult, curve: DisparityCurve, tol: float) -> bool:
-    if result.t_star == 0.0:
-        return False
-    margin = max(4.0 * tol, 1e-6)
-    return curve.t_hi - result.t_star <= margin or result.t_star - curve.t_lo <= margin
 
 
 def _report(
     method: str,
-    state: _CurveState,
-    curve: DisparityCurve,
-    result: SolveResult,
+    dataset: LabeledDataset,
+    config: FairFitConfig,
+    stats: GroupStats,
+    solve: Mapping,
     decisions: np.ndarray,
+    trace: list[dict],
 ) -> dict:
-    """The run's report.  Train metrics score the decisions the caller
-    already holds for the training rows (fpir: from the solve's own scores),
-    so no rule predicts those rows a second time."""
-    cfg = state.config
+    """The run's report.  solve holds the search's fields, bracket to
+    at_bracket_edge.  Train metrics score the decisions the caller already
+    holds for the training rows (fpir: from the solve's own scores), so no
+    rule predicts those rows a second time."""
     report = {
         "method": method,
-        "kind": cfg.kind.value,
-        "mode": cfg.mode,
-        "delta": float(cfg.delta),
-        "tol": float(cfg.tol),
-        "seed": cfg.seed,
-        "n_train": len(state.dataset),
-        "stats": _cells_json({cell: state.stats.p(*cell) for cell in _CELLS}),
-        "bracket": {"lo": curve.t_lo, "hi": curve.t_hi, "clamped": state.clamped},
-        "t_hat": result.t_star,
-        "disparity_at_t_hat": result.d_at_t,
-        "iterations": result.iterations,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-        "exact": result.exact,
-        "at_bracket_edge": _at_edge(result, curve, cfg.tol),
-        "train_metrics": _metrics(decisions, state.dataset),
-        "trace": list(state.trace),
+        "kind": config.kind.value,
+        "mode": config.mode,
+        "delta": float(config.delta),
+        "tol": float(config.tol),
+        "seed": config.seed,
+        "n_train": len(dataset),
+        "stats": _cells_json({cell: stats.p(*cell) for cell in _CELLS}),
+        **solve,
+        "train_metrics": _metrics(decisions, dataset),
+        "trace": list(trace),
     }
-    if not isinstance(cfg.kind, BlindKind):
+    if not isinstance(config.kind, BlindKind):
         report["thresholds"] = {
-            "group0": threshold(cfg.kind, state.stats, 0, result.t_star),
-            "group1": threshold(cfg.kind, state.stats, 1, result.t_star),
+            "group0": threshold(config.kind, stats, 0, solve["t_hat"]),
+            "group1": threshold(config.kind, stats, 1, solve["t_hat"]),
         }
     return report
 
 
 def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
     curve, state = _build_curve(dataset, config, method)
-    result = solve_threshold(curve, config.delta, config.tol)
+    try:
+        result = solve_threshold(curve, config.delta, config.tol)
+    except BracketError as exc:
+        if config.mode != "blind":
+            raise
+        raise BracketError(
+            f"{exc}; a blind refit thresholds one logistic score at 1/2, so here it "
+            "cannot reach the budget (try --method fpir)"
+        ) from exc
     model, report_extra = state.payload[result.t_star]
-    report = _report(method, state, curve, result, fitted_decisions(model, dataset))
+    t_hat = result.t_star
+    margin = max(4.0 * config.tol, 1e-6)
+    solve = {
+        "bracket": {"lo": curve.t_lo, "hi": curve.t_hi, "clamped": state.clamped},
+        "t_hat": t_hat,
+        "disparity_at_t_hat": result.d_at_t,
+        "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "converged": result.converged,
+        "exact": result.exact,
+        "at_bracket_edge": t_hat != 0.0 and min(curve.t_hi - t_hat, t_hat - curve.t_lo) <= margin,
+    }
+    decisions = fitted_decisions(model, dataset)
+    report = _report(method, dataset, config, state.stats, solve, decisions, state.trace)
     report.update(report_extra)
-    return model, result.t_star, report
+    return model, t_hat, report
 
 
 def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel, float, dict]:
@@ -599,7 +571,8 @@ def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
 
     Returns the model fitted at the solved t (decisions threshold its
     predictions at 1/2), the solved t, and a report.  When delta already
-    holds at t = 0 the baseline fit is returned without bisection.
+    holds at t = 0 the baseline fit is returned without bisection.  A blind
+    run whose bracket cannot reach the budget raises BracketError.
     """
     return _run_refit("fuds", dataset, config)
 
@@ -609,7 +582,8 @@ def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
 
     Returns the model fitted at the solved t, the solved t, and a report
     that includes the final cost table.  At t = 0 every cost is 1/2 and
-    the fit coincides with the unconstrained one.
+    the fit coincides with the unconstrained one.  Unreachable budgets
+    raise BracketError as in run_fuds.
     """
     return _run_refit("fcsc", dataset, config)
 
@@ -626,6 +600,9 @@ def run_fpir(
     solve returns the smallest-|t| rule meeting the budget on the training
     rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
     train disparity lands on the budget; no tolerance applies.  The report's
+    bracket is the range the solve searched, from the least to the greatest
+    flip point (0 included); at_bracket_edge flags a nonzero t_hat on one of
+    its ends, where the budget was met only at the last flip point.  Its
     train metrics score the solve's own flip points, not a second
     prediction on the training rows, and give the measured kind's gap as
     the solve's exact D, rounded once (a float mean of the fractional
@@ -639,13 +616,27 @@ def run_fpir(
     ones, so it replaces the entry; a later call with the same prefit model
     and kind only searches the sorted sums and compares flip points with t_hat.
     """
-    curve, state = _build_curve(dataset, config, "fpir", model=model)
-    t_hat, tau_plus, tau_minus, d = _fpir_solve(state)
-    classifier = replace(state.rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
-    result = SolveResult(t_hat, float(d), iterations=0, evaluations=0, converged=True, exact=True)
-    decisions = _decide(state.inputs, t_hat, classifier.tau_plus, classifier.tau_minus)
-    report = _report("fpir", state, curve, result, decisions)
-    report["train_metrics"][config.base_kind.value] = result.d_at_t
+    stats = GroupStats.from_counts(*(len(dataset.rows(*cell)) for cell in _CELLS))
+    rule = _fpir_prepare(dataset, config, stats, model)
+    inputs = _slot_inputs(rule, dataset)
+    steps = _fpir_steps(inputs, dataset, config.base_kind)
+    t, tau_plus, tau_minus, d = steps.solve(Fraction(config.delta) * inputs.scale)
+    t_hat = float(t)
+    classifier = replace(rule, t=t_hat, tau_plus=float(tau_plus), tau_minus=float(tau_minus))
+    lo, hi = float(steps.ratios[0]), float(steps.ratios[-1])
+    solve = {
+        "bracket": {"lo": lo, "hi": hi, "clamped": False},
+        "t_hat": t_hat,
+        "disparity_at_t_hat": float(d / inputs.scale),
+        "iterations": 0,
+        "evaluations": 0,
+        "converged": True,
+        "exact": True,
+        "at_bracket_edge": t_hat != 0.0 and t_hat in (lo, hi),
+    }
+    decisions = _decide(inputs, t_hat, classifier.tau_plus, classifier.tau_minus)
+    report = _report("fpir", dataset, config, stats, solve, decisions, [])
+    report["train_metrics"][config.base_kind.value] = solve["disparity_at_t_hat"]
     report["tau_plus"], report["tau_minus"] = classifier.tau_plus, classifier.tau_minus
     return classifier, t_hat, report
 

@@ -34,10 +34,7 @@ from .core import (
 )
 from .estimators import (
     _MAX_MAGNITUDE,
-    MODE_AWARE,
     LabeledDataset,
-    LogisticParams,
-    ProbModel,
     _sigmoid,
 )
 from .extensions import _threshold_risk
@@ -47,7 +44,6 @@ __all__ = [
     "GaussianModel",
     "FairThresholdRule",
     "eta",
-    "exact_prob_model",
     "psi",
     "norm_cdf",
     "disparity_curve_closed",
@@ -194,32 +190,6 @@ def eta(model: GaussianModel, a: int, x: np.ndarray) -> float | np.ndarray:
     # clamp to keep the open-interval contract for far-field points.
     vals = np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
     return float(vals[0]) if single else vals
-
-
-def exact_prob_model(model: GaussianModel) -> ProbModel:
-    """Group-aware logistic model whose predictions equal eta() exactly.
-
-    With a shared isotropic noise scale, the within-group log odds of the
-    label are affine in x, so the true regression function lies inside the
-    logistic family.  Useful as a zero-estimation-error input to plug-in
-    pipelines.
-    """
-    groups: dict[int, LogisticParams] = {}
-    var = model.sigma**2
-    for a in (0, 1):
-        mu1 = model.mu(a, 1)
-        mu0 = model.mu(a, 0)
-        coef = (mu1 - mu0) / var
-        intercept = math.log(model.stats.p(a, 1) / model.stats.p(a, 0)) + (
-            float(mu0 @ mu0) - float(mu1 @ mu1)
-        ) / (2.0 * var)
-        groups[a] = LogisticParams(
-            intercept=float(intercept),
-            coef=np.asarray(coef, dtype=float),
-            mean=np.zeros(model.dim),
-            scale=np.ones(model.dim),
-        )
-    return ProbModel(MODE_AWARE, groups)
 
 
 def psi(model: GaussianModel, a: int, y: int, t: float) -> float:

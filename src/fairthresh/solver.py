@@ -26,7 +26,6 @@ __all__ = [
     "solve_threshold",
     "trace_pareto",
     "check_tradeoff_bounds",
-    "is_monotone_nonincreasing",
 ]
 
 # Bracket-width target used throughout the experiment protocol.
@@ -54,7 +53,7 @@ class DisparityCurve:
     """Evaluator t -> D(t) with the bracket on which it is defined.
 
     D must be monotone non-increasing on [t_lo, t_hi]; this is relied on,
-    not enforced (use is_monotone_nonincreasing to audit).
+    not checked.
     """
 
     fn: Callable[[float], float]
@@ -245,13 +244,3 @@ def check_tradeoff_bounds(rows: Sequence[FrontierRow], tol: float = 1e-6) -> Tra
             worst, worst_pair = violation, i
     return TradeoffCheck(ok=worst <= tol, worst_violation=worst, worst_pair=worst_pair)
 
-
-def is_monotone_nonincreasing(
-    curve: DisparityCurve, n_points: int = 64, slack: float = 0.0
-) -> bool:
-    """Sampled monotonicity audit over the curve's bracket, both ends included."""
-    if n_points < 2:
-        raise SolverError(f"need at least two sample points, got {n_points!r}")
-    ts = [curve.t_lo + (curve.t_hi - curve.t_lo) * i / (n_points - 1) for i in range(n_points)]
-    values = [curve(t) for t in ts]
-    return all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))

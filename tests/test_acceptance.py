@@ -33,7 +33,6 @@ from fairthresh.estimators import (
 from fairthresh.extensions import solve_multiclass_dp
 from fairthresh.fair_algorithms import (
     FairFitConfig,
-    empirical_curve,
     evaluate,
     fuds_proportions,
     run_fcsc,
@@ -43,13 +42,14 @@ from fairthresh.fair_algorithms import (
 from fairthresh.gaussian import (
     default_model,
     disparity_curve_closed,
-    exact_prob_model,
     model_from_seed,
     risk_closed,
     sample,
     theoretical_fair_classifier,
 )
-from fairthresh.solver import check_tradeoff_bounds, is_monotone_nonincreasing, trace_pareto
+from fairthresh.solver import check_tradeoff_bounds, trace_pareto
+
+from conftest import empirical_curve, exact_prob_model, is_monotone_nonincreasing
 
 KINDS = (DisparityKind.DD, DisparityKind.DO, DisparityKind.PD)
 DELTAS = (0.0, 0.1, 0.2, 0.3)

@@ -389,20 +389,36 @@ class TestCmdFit:
         assert doc["t_hat"] == 0.0
         assert doc["run"]["disparity_at_t_hat"] == 0.0
 
-    def test_blind_fpir_meets_a_zero_budget_that_blind_refits_miss(self, tmp_path):
-        # The blind fcsc and fuds fits exit 1 on these rows at delta 0 (target
-        # unreachable inside bracket); the blind plug-in rule exits 0.
+    @staticmethod
+    def separated_csv(tmp_path):
+        """200 rows whose label separates them: blind refits cannot reach a
+        zero pd budget on them, and the blind plug-in rule can."""
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, 200)
         y = rng.integers(0, 2, 200)
         x = 3.0 * y + 1.5 * a + rng.normal(size=200)
         path = tmp_path / "separated.csv"
         write_rows(path, ["x", "a", "y"], [[repr(float(v)), *cells] for v, *cells in zip(x, a, y)])
+        return path
+
+    def test_blind_fpir_meets_a_zero_budget_that_blind_refits_miss(self, tmp_path):
         out = tmp_path / "separated.json"
-        argv = ["fit", "--data", str(path), "--method", "fpir", "--disparity", "pd", "--blind",
-                "--delta", "0", "--out", str(out)]
+        argv = ["fit", "--data", str(self.separated_csv(tmp_path)), "--method", "fpir",
+                "--disparity", "pd", "--blind", "--delta", "0", "--out", str(out)]
         assert main(argv) == 0
         assert abs(json.loads(out.read_text())["run"]["disparity_at_t_hat"]) <= 0.0
+
+    @pytest.mark.parametrize("method", ["fuds", "fcsc"])
+    def test_blind_refit_says_why_it_misses_a_zero_budget(self, tmp_path, method):
+        argv = ["fit", "--data", str(self.separated_csv(tmp_path)), "--method", method,
+                "--disparity", "pd", "--blind", "--delta", "0", "--out", str(tmp_path / "o.json")]
+        proc = TestMainDispatch.run_fresh(argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: D(") and "target unreachable inside bracket" in line
+        assert line.endswith("a blind refit thresholds one logistic score at 1/2, so here it "
+                             "cannot reach the budget (try --method fpir)")
 
     def test_model_source_samples_study_sizes(self, data_dir, tmp_path):
         out = tmp_path / "model_fit.json"

@@ -57,7 +57,6 @@ from fairthresh.estimators import (
 from fairthresh.fair_algorithms import (
     FairClassifier,
     FairFitConfig,
-    empirical_curve,
     evaluate,
     fuds_cell_counts,
     fuds_proportions,
@@ -68,11 +67,12 @@ from fairthresh.fair_algorithms import (
 )
 from fairthresh.gaussian import (
     default_model,
-    exact_prob_model,
     sample,
     theoretical_fair_classifier,
 )
-from fairthresh.solver import DisparityCurve, solve_threshold
+from fairthresh.solver import BracketError, DisparityCurve, solve_threshold
+
+from conftest import empirical_curve, exact_prob_model
 
 STATS = GroupStats(p11=0.49, p10=0.21, p01=0.12, p00=0.18)
 ALL_KINDS = (DisparityKind.DD, DisparityKind.DO, DisparityKind.PD)
@@ -605,11 +605,6 @@ class TestRunFuds:
         assert parsed["kind"] == "dd"
         assert set(parsed["thresholds"]) == {"group0", "group1"}
 
-    def test_rejects_prefit_model(self, train):
-        cfg = make_config(DisparityKind.DD, 0.1)
-        with pytest.raises(DisparityError, match="refits"):
-            empirical_curve(train, cfg, "fuds", model=exact_prob_model(default_model()))
-
 
 class TestRunFcsc:
     def test_uniform_costs_match_unweighted_fit(self, train):
@@ -678,17 +673,31 @@ class TestRunFpir:
         _, _, report = run_fpir(train_local, cfg, model=prefit)
         assert abs(report["disparity_at_t_hat"]) <= 0.0
 
-    def test_blind_zero_budget_where_blind_refits_cannot_reach_it(self):
-        # The label separates the rows, so a blind refit cannot move its rule
-        # far enough (fcsc and fuds raise BracketError here); the blind
-        # plug-in rule reads the group posterior and meets delta = 0.
+    @staticmethod
+    def separated_rows():
+        """200 rows whose label separates them."""
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, 200)
         y = rng.integers(0, 2, 200)
         x = 3.0 * y + 1.5 * a + rng.normal(size=200)
-        dataset = LabeledDataset(x=x[:, None], a=a, y=y)
-        _, _, report = run_fpir(dataset, make_config(BlindKind.PD_X, 0.0))
+        return LabeledDataset(x=x[:, None], a=a, y=y)
+
+    def test_blind_zero_budget_where_blind_refits_cannot_reach_it(self):
+        # A blind refit cannot move its rule far enough on these rows (see
+        # the next test); the blind plug-in rule reads the group posterior
+        # and meets delta = 0.
+        _, _, report = run_fpir(self.separated_rows(), make_config(BlindKind.PD_X, 0.0))
         assert abs(report["disparity_at_t_hat"]) <= 0.0
+
+    @pytest.mark.parametrize("runner", [run_fuds, run_fcsc], ids=["fuds", "fcsc"])
+    def test_blind_refit_names_why_it_misses_the_budget(self, runner):
+        with pytest.raises(BracketError, match="unreachable inside bracket") as info:
+            runner(self.separated_rows(), make_config(BlindKind.PD_X, 0.0))
+        assert str(info.value).endswith(
+            "a blind refit thresholds one logistic score at 1/2, so here it cannot reach "
+            "the budget (try --method fpir)"
+        )
+        assert isinstance(info.value.__cause__, BracketError)
 
     def test_prefit_model_rejects_data_of_another_feature_width(self, model):
         train_local = sample(model, 2_000, seed=11)
@@ -707,31 +716,42 @@ class TestRunFpir:
             run_fpir(train, cfg_aware, model=blind_model)
 
     def test_bracket_edge_flagged_when_budget_sits_at_bracket_end(self):
-        rng = np.random.default_rng(0)
+        def params(intercept, slope):
+            return LogisticParams(
+                intercept=intercept, coef=np.array([slope]), mean=np.zeros(1), scale=np.ones(1)
+            )
+
+        # Scores clip to 1 - 1e-12 (group 1) and 1e-12 (group 0), whose flip
+        # points tie exactly at the greatest one, 0.499999999999; one group-1
+        # row scores 0.9 and flips near 0.4.  D is 1, then 0.75, so the budget
+        # 0.5 is met only at the last flip point.
         dataset = LabeledDataset(
-            x=rng.normal(size=(8, 1)),
+            x=np.array([[-37.8], [0.0], [0.0], [0.0], [0.0], [0.0], [0.0], [0.0]]),
             a=np.array([1, 1, 1, 1, 0, 0, 0, 0]),
             y=np.array([1, 0, 1, 0, 1, 0, 1, 0]),
         )
-        tol = 2.0**-15
-
-        def flat(p):
-            return LogisticParams(
-                intercept=float(np.log(p / (1.0 - p))),
-                coef=np.zeros(1),
-                mean=np.zeros(1),
-                scale=np.ones(1),
-            )
-
-        # group-1 scores sit just below the reachable threshold ceiling, so
-        # the disparity stays above budget until the last resolvable step
-        prefit = ProbModel(MODE_AWARE, {1: flat(1.0 - (1e-9 + 0.5 * tol)), 0: flat(5e-10)})
-        cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.5, seed=7, tol=tol)
+        prefit = ProbModel(MODE_AWARE, {1: params(40.0, 1.0), 0: params(-40.0, 0.0)})
+        cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.5, seed=7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, t_hat, report = run_fpir(dataset, cfg, model=prefit)
-        assert report["at_bracket_edge"] is True
-        assert report["bracket"]["hi"] - t_hat <= 4.0 * tol
+        assert report["bracket"] == {"lo": 0.0, "hi": 0.499999999999, "clamped": False}
+        assert t_hat == report["bracket"]["hi"] and report["at_bracket_edge"] is True
+        curve = empirical_curve(dataset, cfg, "fpir", model=prefit)
+        assert curve(0.3) == 1.0 and curve(np.nextafter(t_hat, 0.0)) == 0.75
+
+    def test_bracket_edge_ignores_tol(self, model):
+        # tol does not enter fpir's flag: a 4 * tol margin would flag this
+        # interior t_hat at tol 0.05.
+        small = sample(model, 2_000, 1)
+        reports = []
+        for tol in (2.0**-15, 0.05, 10.0):
+            _, t_hat, report = run_fpir(small, FairFitConfig(DisparityKind.DD, 0.05, tol=tol))
+            assert report["at_bracket_edge"] is False
+            assert report["bracket"]["lo"] < t_hat < report["bracket"]["hi"]
+            reports.append({**report, "tol": None})
+        assert t_hat == pytest.approx(0.14539, abs=1e-5)
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize(
         "kind, prefit",
@@ -826,6 +846,34 @@ class TestFpirExactSolve:
         s, b = bilinear_coeffs(kind, classifier.stats)
         label_w = np.array([s[int(a)] * float(y) + b[int(a)] for y, a in zip(small.y, small.a)])
         assert np.all((label_w == 0.0) | (np.sign(label_w) == np.sign(w)))
+
+
+def small_random_datasets(count=25, seed=30):
+    """Seeded datasets of 8-200 rows, every cell filled, whose two features
+    carry random amounts of group and label signal."""
+    rng = np.random.default_rng(seed)
+    datasets = []
+    for _ in range(count):
+        n = int(rng.integers(8, 201))
+        a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        a[:4], y[:4] = [1, 1, 0, 0], [1, 0, 1, 0]
+        shift_y, shift_a = rng.normal(scale=2.0, size=(2, 2))
+        x = rng.normal(size=(n, 2)) + shift_y * y[:, None] + shift_a * a[:, None]
+        datasets.append(LabeledDataset(x=x, a=a, y=y))
+    return datasets
+
+
+def test_fpir_report_follows_its_own_solve():
+    # t_hat lies in the range the exact solve searched, the budget holds,
+    # and tol, which the solve does not read, changes nothing but itself.
+    for dataset in small_random_datasets():
+        for kind in ALL_KINDS + BLIND_KINDS:
+            for delta in (0.0, 0.01, 0.1):
+                _, t_hat, report = run_fpir(dataset, FairFitConfig(kind, delta, tol=2.0**-15))
+                _, _, wide = run_fpir(dataset, FairFitConfig(kind, delta, tol=0.5))
+                assert report["bracket"]["lo"] <= t_hat <= report["bracket"]["hi"]
+                assert abs(report["disparity_at_t_hat"]) <= delta
+                assert {**report, "tol": 0.5} == wide
 
 
 class TestFpirSlot:
@@ -1116,11 +1164,6 @@ class TestPipelineFamilies:
             gap = evaluate(classifier, test_set)[metric]
             assert abs(gap - 0.1) <= 0.05
             assert "thresholds" not in report
-
-    def test_invalid_method_name(self, train):
-        cfg = make_config(DisparityKind.DD, 0.1)
-        with pytest.raises(DisparityError, match="method"):
-            empirical_curve(train, cfg, "grid-search")
 
 
 def materialized_fuds(train, cfg):

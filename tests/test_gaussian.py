@@ -27,7 +27,6 @@ from fairthresh.gaussian import (
     default_model,
     disparity_curve_closed,
     eta,
-    exact_prob_model,
     load_model,
     model_from_seed,
     norm_cdf,
@@ -37,6 +36,8 @@ from fairthresh.gaussian import (
     save_model,
     theoretical_fair_classifier,
 )
+
+from conftest import exact_prob_model
 
 # Standard normal CDF reference values, 22 significant digits.
 PHI_TABLE = [

@@ -17,10 +17,11 @@ from fairthresh.solver import (
     SolverError,
     bisect,
     check_tradeoff_bounds,
-    is_monotone_nonincreasing,
     solve_threshold,
     trace_pareto,
 )
+
+from conftest import is_monotone_nonincreasing
 
 
 def linear_curve(d0: float, slope: float, lo: float = -1.0, hi: float = 1.0) -> DisparityCurve:
