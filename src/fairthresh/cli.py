@@ -85,7 +85,7 @@ class IngestError(DisparityError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of one CLI invocation."""
+    """Validated description of one CLI invocation; its defaults are the CLI's."""
 
     command: str
     data: str | None = None
@@ -592,49 +592,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_out: bool = True, with_tol: bool = True) -> None:
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"base seed (default: ${SEED_ENV} or 0)",
-        )
+        p.add_argument("--seed", type=int, help=f"base seed (default: ${SEED_ENV} or 0)")
         if with_tol:
             p.add_argument(
                 "--tol",
                 type=float,
-                default=DEFAULT_TOL,
                 help="bisection tolerance of fuds, fcsc and closed-form frontiers "
                 "(fpir solves exactly)",
             )
         if with_out:
-            p.add_argument("--out", default=None, help="output path (default: stdout)")
+            p.add_argument("--out", help="output path (default: stdout)")
 
     def add_data(p: argparse.ArgumentParser) -> None:
         p.add_argument("--data", required=True, help="CSV dataset or saved model (.json)")
-        p.add_argument("--label-col", default="y", help="label column name (CSV)")
-        p.add_argument("--protected-col", default="a", help="protected column name (CSV)")
-        p.add_argument(
-            "--split", type=float, default=0.7, help="train fraction for CSV sources"
-        )
+        p.add_argument("--label-col", help="label column name (CSV)")
+        p.add_argument("--protected-col", help="protected column name (CSV)")
+        p.add_argument("--split", type=float, help="train fraction for CSV sources")
 
     def add_method(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--method", choices=tuple(_METHOD_RUNNERS), default="fpir")
-        p.add_argument(
-            "--disparity", dest="kind_name", choices=tuple(_KIND_NAMES), default="dd"
-        )
+        p.add_argument("--method", choices=tuple(_METHOD_RUNNERS))
+        p.add_argument("--disparity", dest="kind_name", choices=tuple(_KIND_NAMES))
         p.add_argument(
             "--blind",
             action="store_true",
             help="control the measure without using the group at prediction time",
         )
 
-    fit = sub.add_parser("fit", help="train one pipeline and write a JSON report")
+    # Absent options stay out of the namespace: ExperimentSpec holds the defaults.
+    add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+
+    fit = add_parser("fit", help="train one pipeline and write a JSON report")
     add_data(fit)
     add_method(fit)
-    fit.add_argument("--delta", type=float, default=0.1, help="disparity budget")
+    fit.add_argument("--delta", type=float, help="disparity budget")
     add_common(fit)
 
-    frontier = sub.add_parser("frontier", help="sweep budgets into a CSV frontier")
+    frontier = add_parser("frontier", help="sweep budgets into a CSV frontier")
     add_data(frontier)
     add_method(frontier)
     frontier.add_argument(
@@ -645,26 +638,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(frontier)
 
-    synthetic = sub.add_parser(
-        "synthetic", help="desk-scale study on the bundled synthetic model"
-    )
-    synthetic.add_argument("--data", default=None, help="saved model (.json); default bundled")
+    synthetic = add_parser("synthetic", help="desk-scale study on the bundled synthetic model")
+    synthetic.add_argument("--data", help="saved model (.json); default bundled")
     synthetic.add_argument(
         "--delta-grid",
         type=_parse_delta_grid,
-        default=None,
         help="comma-separated ascending budgets (default 0,0.1,0.2,0.3)",
     )
     add_common(synthetic)
 
-    oracle = sub.add_parser("oracle-check", help="run solver-versus-oracle suites")
+    oracle = add_parser("oracle-check", help="run solver-versus-oracle suites")
     add_common(oracle, with_out=False, with_tol=False)
 
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed if "seed" in args else _env_seed()
     return ExperimentSpec(**{**vars(args), "seed": seed})
 
 

@@ -6,10 +6,10 @@ t on the original training rows, where the group ids and labels are
 observed, so the same plug-in estimate drives aware and blind runs alike.
 The pipelines differ in how the classifier at t is produced:
 
-- the resampling pipeline weighs each training row by its multiplicity in a
-  draw at tilted cell proportions and refits an unconstrained learner, bisecting t;
-- the cost-reweighting pipeline refits on the original rows with per-cell
-  misclassification costs, bisecting t;
+- the resampling (fuds) and cost-reweighting (fcsc) pipelines bisect t on
+  one refit curve: an unconstrained learner refit with each (group, label)
+  cell's rows reweighted at t, by their multiplicities in a draw at tilted
+  cell proportions (fuds) or by the cell's misclassification cost (fcsc);
 - the plug-in pipeline fits regression estimates once and only moves
   decision thresholds.  Its curve is a step function with one step per
   row, so it is solved exactly from the sorted steps, with no bisection or
@@ -315,28 +315,6 @@ def _blind_weight_values(
     return values
 
 
-class _CurveState:
-    """Companion of a refit curve: its inputs, the fits it made and a trace.
-
-    The curve keeps its fits by their cell multipliers (fuds: the cell
-    counts over the cell sizes, fcsc: the cost table), with the t = 0 fit
-    made when the curve is built, and starts each new fit from warm's
-    Newton step for the multipliers at t.  So no value depends on the
-    points evaluated before it.
-    """
-
-    def __init__(self, dataset: LabeledDataset, config: FairFitConfig) -> None:
-        self.dataset = dataset
-        self.config = config
-        self.sizes = [len(dataset.rows(*cell)) for cell in _CELLS]
-        self.stats = GroupStats.from_counts(*self.sizes)
-        self.clamped = False
-        self.trace: list[dict] = []
-        self.payload: dict[float, tuple] = {}
-        self.fits: dict[tuple, tuple[ProbModel, float | None]] = {}
-        self.warm: _WarmStart | None = None
-
-
 def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of the two cells a measure compares, group 1 then group 0.
 
@@ -359,28 +337,6 @@ def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, floa
     return {f"{a}{y}": values[(a, y)] for a, y in _CELLS}
 
 
-# A row_weights function maps (state, t) to the refit's per-cell weight
-# multipliers, which key it, a function making its per-row weight factors,
-# and the report and trace entries.
-
-
-def _fuds_weights(state: _CurveState, t: float) -> tuple[dict, Callable, dict, dict]:
-    """The cell counts at t over the cell sizes are the multipliers; the
-    factors are the draw multiplicities, drawn only for a new refit."""
-    targets = fuds_cell_counts(len(state.dataset), fuds_proportions(state.stats, state.config.kind, t))
-    scale = {cell: k / max(size, 1) for (cell, k), size in zip(targets.items(), state.sizes)}
-    factor = partial(fuds_resample, state.dataset, targets, state.config.seed)
-    report = {"cell_counts": _cells_json(targets)}
-    return scale, factor, report, report
-
-
-def _fcsc_weights(state: _CurveState, t: float) -> tuple[dict, Callable, dict, dict]:
-    """The cell costs at t are the multipliers and the factors."""
-    table = {cell: cost_weights(state.config.kind, state.stats, *cell, t) for cell in _CELLS}
-    factor = partial(_cell_values, state.dataset, table)
-    return table, factor, {"cost_table": _cells_json(table)}, {}
-
-
 def _cell_values(dataset: LabeledDataset, values: Mapping[tuple[int, int], float]) -> np.ndarray:
     """Each row's value of its (group, label) cell."""
     w = np.empty(len(dataset))
@@ -389,27 +345,86 @@ def _cell_values(dataset: LabeledDataset, values: Mapping[tuple[int, int], float
     return w
 
 
-def _refit(state: _CurveState, factor: np.ndarray, start: ProbModel | None = None):
-    """The fit on the training rows with their weights times factor, and its D."""
-    data = state.dataset.with_weights(state.dataset.weight * factor)
-    if isinstance(state.config.kind, BlindKind):
-        model = fit_logistic(data, start=start)
-    else:
-        model = fit_group_models(data, MODE_AWARE, start=start)
-    return model, _rate_gap(state.config.base_kind, state.dataset, fitted_decisions(model, data))
+class _RefitCurve:
+    """D at t of the learner refit on the training rows with each (group,
+    label) cell's weights scaled at t: by its resample count over its size
+    for fuds (the rows weighted by their draw multiplicities), by its cost
+    for fcsc.  Each call adds a trace entry.  fits keeps each fit and its D
+    by the cell multipliers, with the t = 0 fit made here; every other fit
+    starts from warm's Newton step for its multipliers.  So no value
+    depends on the points evaluated before it, and at(t) reads back the fit
+    at an evaluated t.
+    """
+
+    def __init__(self, dataset: LabeledDataset, config: FairFitConfig, method: str) -> None:
+        self.dataset, self.config, self.method = dataset, config, method
+        self.sizes = [len(dataset.rows(*cell)) for cell in _CELLS]
+        self.stats = GroupStats.from_counts(*self.sizes)
+        self.trace: list[dict] = []
+        multipliers, factor, _ = self._weights(0.0)
+        origin = self._fit(factor())
+        self.fits = {tuple(multipliers.values()): origin}
+        self.warm = _WarmStart(dataset, origin[0])
+
+    def _counts(self, t: float) -> dict[tuple[int, int], int]:
+        return fuds_cell_counts(len(self.dataset), fuds_proportions(self.stats, self.config.kind, t))
+
+    def _weights(self, t: float) -> tuple[dict, Callable[[], np.ndarray], dict]:
+        """The cell multipliers at t, a function making the rows' weight
+        factors (called only for a new fit) and the report's entry for t."""
+        if self.method == "fcsc":
+            table = {cell: cost_weights(self.config.kind, self.stats, *cell, t) for cell in _CELLS}
+            factor = partial(_cell_values, self.dataset, table)
+            return table, factor, {"cost_table": _cells_json(table)}
+        targets = self._counts(t)
+        scale = {cell: k / size for (cell, k), size in zip(targets.items(), self.sizes)}
+        factor = partial(fuds_resample, self.dataset, targets, self.config.seed)
+        return scale, factor, {"cell_counts": _cells_json(targets)}
+
+    def viable(self, t: float) -> bool:
+        """Whether every cell of the resample at t keeps _MIN_CELL_ROWS rows."""
+        try:
+            return min(self._counts(t).values()) >= _MIN_CELL_ROWS
+        except DomainError:
+            return False
+
+    def _fit(self, factor: np.ndarray, start: ProbModel | None = None):
+        """The fit on the training rows with their weights times factor, and its D."""
+        data = self.dataset.with_weights(self.dataset.weight * factor)
+        if isinstance(self.config.kind, BlindKind):
+            model = fit_logistic(data, start=start)
+        else:
+            model = fit_group_models(data, MODE_AWARE, start=start)
+        return model, _rate_gap(self.config.base_kind, self.dataset, fitted_decisions(model, data))
+
+    def __call__(self, t: float) -> float:
+        multipliers, factor, entry = self._weights(t)
+        key = tuple(multipliers.values())
+        if key not in self.fits:
+            self.fits[key] = self._fit(factor(), self.warm.start(multipliers))
+        d = self.fits[key][1]
+        traced = entry if self.method == "fuds" else {}
+        self.trace.append({"call": len(self.trace), "t": t, "disparity": d, **traced})
+        return d
+
+    def at(self, t: float) -> tuple[ProbModel, dict]:
+        """The fit at an evaluated t and its report entry: no refit, no trace."""
+        multipliers, _, entry = self._weights(t)
+        return self.fits[tuple(multipliers.values())][0], entry
 
 
-def _refit_eval(state: _CurveState, t: float, row_weights: Callable) -> float:
-    """D at t of the refit on the training rows reweighted by row_weights at
-    t, fitted once per multiplier set from warm's step for it."""
-    multipliers, factor, report_extra, trace_extra = row_weights(state, t)
-    key = tuple(multipliers.values())
-    if key not in state.fits:
-        state.fits[key] = _refit(state, factor(), state.warm.start(multipliers))
-    model, d = state.fits[key]
-    state.payload[t] = (model, report_extra)
-    state.trace.append({"call": len(state.trace), "t": t, "disparity": d, **trace_extra})
-    return d
+def _build_curve(dataset: LabeledDataset, config: FairFitConfig, method: str) -> DisparityCurve:
+    """The refit curve a pipeline bisects, with its t = 0 fit made.  fcsc's
+    bracket is the natural domain, edges shrunk.  fuds's is clamped to where
+    every resampled cell stays viable, which moves both edges (at each, one
+    cell's tilted cost is 0); viability is monotone from the always viable
+    t = 0 toward either edge, so one 60-step bisection finds each end."""
+    refit = _RefitCurve(dataset, config, method)
+    dom = natural_domain(config.base_kind, refit.stats)
+    if method == "fcsc":
+        return DisparityCurve.from_domain(refit, dom)
+    lo, hi = (bisect(refit.viable, 0.0, edge, steps=60)[0] for edge in dom)
+    return DisparityCurve(fn=refit, t_lo=lo, t_hi=hi)
 
 
 def _fpir_prepare(
@@ -456,51 +471,6 @@ def _fpir_steps(inputs: _RuleInputs, dataset: LabeledDataset, kind: DisparityKin
     return inputs.steps
 
 
-def _resample_feasible(state: _CurveState, t: float) -> bool:
-    try:
-        props = fuds_proportions(state.stats, state.config.kind, t)
-    except DomainError:
-        return False
-    counts = fuds_cell_counts(len(state.dataset), props)
-    return min(counts.values()) >= _MIN_CELL_ROWS
-
-
-def _clamp_edge(state: _CurveState, outside: float) -> float:
-    """Pull a domain endpoint inward until every resampled cell stays viable.
-
-    Feasibility is monotone from 0 toward either endpoint (each cell's
-    tilted mass is monotone in t), so a binary search from the always
-    feasible baseline finds the boundary.
-    """
-    if _resample_feasible(state, outside):
-        return outside
-    good, _ = bisect(lambda t: _resample_feasible(state, t), 0.0, outside, steps=60)
-    return good
-
-
-def _build_curve(
-    dataset: LabeledDataset, config: FairFitConfig, method: str
-) -> tuple[DisparityCurve, _CurveState]:
-    """The disparity-versus-t curve a refit pipeline bisects, and its state,
-    with the t = 0 fit made."""
-    state = _CurveState(dataset, config)
-    dom = natural_domain(config.base_kind, state.stats)
-    row_weights = {"fuds": _fuds_weights, "fcsc": _fcsc_weights}[method]
-    fn = partial(_refit_eval, state, row_weights=row_weights)
-    if method == "fuds":
-        lo = _clamp_edge(state, dom[0])
-        hi = _clamp_edge(state, dom[1])
-        state.clamped = lo > dom[0] or hi < dom[1]
-        curve = DisparityCurve(fn=fn, t_lo=lo, t_hi=hi)
-    else:
-        curve = DisparityCurve.from_domain(fn, dom)
-    multipliers, factor, _, _ = row_weights(state, 0.0)
-    origin = _refit(state, factor())
-    state.fits[tuple(multipliers.values())] = origin
-    state.warm = _WarmStart(dataset, origin[0])
-    return curve, state
-
-
 def _report(
     method: str,
     dataset: LabeledDataset,
@@ -536,7 +506,7 @@ def _report(
 
 
 def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
-    curve, state = _build_curve(dataset, config, method)
+    curve = _build_curve(dataset, config, method)
     try:
         result = solve_threshold(curve, config.delta, config.tol)
     except BracketError as exc:
@@ -546,11 +516,11 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
             f"{exc}; a blind refit thresholds one logistic score at 1/2, so here it "
             "cannot reach the budget (try --method fpir)"
         ) from exc
-    model, report_extra = state.payload[result.t_star]
     t_hat = result.t_star
+    model, report_extra = curve.fn.at(t_hat)
     margin = max(4.0 * config.tol, 1e-6)
     solve = {
-        "bracket": {"lo": curve.t_lo, "hi": curve.t_hi, "clamped": state.clamped},
+        "bracket": {"lo": curve.t_lo, "hi": curve.t_hi, "clamped": method == "fuds"},
         "t_hat": t_hat,
         "disparity_at_t_hat": result.d_at_t,
         "iterations": result.iterations,
@@ -560,7 +530,7 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
         "at_bracket_edge": t_hat != 0.0 and min(curve.t_hi - t_hat, t_hat - curve.t_lo) <= margin,
     }
     decisions = fitted_decisions(model, dataset)
-    report = _report(method, dataset, config, state.stats, solve, decisions, state.trace)
+    report = _report(method, dataset, config, curve.fn.stats, solve, decisions, curve.fn.trace)
     report.update(report_extra)
     return model, t_hat, report
 
@@ -571,8 +541,9 @@ def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
 
     Returns the model fitted at the solved t (decisions threshold its
     predictions at 1/2), the solved t, and a report.  When delta already
-    holds at t = 0 the baseline fit is returned without bisection.  A blind
-    run whose bracket cannot reach the budget raises BracketError.
+    holds at t = 0 the baseline fit is returned without bisection.  Its
+    bracket stops short of both domain edges, where a cell would empty.
+    A blind run whose bracket cannot reach the budget raises BracketError.
     """
     return _run_refit("fuds", dataset, config)
 

@@ -31,8 +31,6 @@ __all__ = [
 # Bracket-width target used throughout the experiment protocol.
 DEFAULT_TOL = 2.0 ** -15
 
-# Default outer bracket; intersected with each measure's natural domain.
-_DEFAULT_BRACKET = (-1.0, 1.0)
 _DOMAIN_SHRINK = 1e-9
 
 # Attainment flag: returned disparity within this distance of the target
@@ -71,14 +69,12 @@ class DisparityCurve:
     def from_domain(
         cls, fn: Callable[[float], float], domain: tuple[float, float]
     ) -> "DisparityCurve":
-        """Intersect the default bracket with a natural domain, edges shrunk.
+        """The natural domain, edges shrunk.
 
         The shrink keeps evaluations away from domain endpoints where group
         thresholds reach 0 or 1.
         """
-        lo = max(_DEFAULT_BRACKET[0], domain[0] + _DOMAIN_SHRINK)
-        hi = min(_DEFAULT_BRACKET[1], domain[1] - _DOMAIN_SHRINK)
-        return cls(fn=fn, t_lo=lo, t_hi=hi)
+        return cls(fn=fn, t_lo=domain[0] + _DOMAIN_SHRINK, t_hi=domain[1] - _DOMAIN_SHRINK)
 
 
 @dataclass(frozen=True)

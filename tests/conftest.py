@@ -89,7 +89,7 @@ def empirical_curve(dataset, config, method, model=None) -> DisparityCurve:
     it reads and fills no plug-in slot.
     """
     if method != "fpir":
-        return fair_algorithms._build_curve(dataset, config, method)[0]
+        return fair_algorithms._build_curve(dataset, config, method)
     kind = config.base_kind
     stats = GroupStats.from_counts(*(len(dataset.rows(*c)) for c in fair_algorithms._CELLS))
     rule = fair_algorithms._fpir_prepare(dataset, config, stats, model)

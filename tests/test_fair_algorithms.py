@@ -876,6 +876,38 @@ def test_fpir_report_follows_its_own_solve():
                 assert {**report, "tol": 0.5} == wide
 
 
+def test_refit_report_follows_its_own_solve():
+    # The report of a fuds/fcsc run is that of the fit its bisection
+    # returned: t_hat's trace entry, cell counts and cost table, and the
+    # train gap of the returned model.  A blind run raises nothing but
+    # BracketError.
+    model = default_model()
+    for seed, n in enumerate(range(60, 401, 40)):
+        dataset = sample(model, n, seed=seed)
+        stats = cell_stats(dataset)
+        for method, runner in (("fuds", run_fuds), ("fcsc", run_fcsc)):
+            for kind in ALL_KINDS + BLIND_KINDS:
+                for delta in (0.0, 0.01, 0.1):
+                    config = make_config(kind, delta, seed=seed)
+                    try:
+                        _, t_hat, report = runner(dataset, config)
+                    except BracketError:
+                        assert isinstance(kind, BlindKind)
+                        continue
+                    bracket, trace = report["bracket"], report["trace"]
+                    assert bracket["lo"] <= t_hat <= bracket["hi"]
+                    assert bracket["clamped"] is (method == "fuds")
+                    assert len(trace) == report["evaluations"]
+                    [entry] = [e for e in trace if e["t"] == t_hat]
+                    disparity = report["train_metrics"][config.base_kind.value]
+                    assert entry["disparity"] == report["disparity_at_t_hat"] == disparity
+                    if method == "fuds":
+                        assert entry["cell_counts"] == report["cell_counts"]
+                    else:
+                        costs = {f"{a}{y}": cost_weights(kind, stats, a, y, t_hat) for a, y in CELLS}
+                        assert report["cost_table"] == costs
+
+
 class TestFpirSlot:
     """run_fpir keeps the training rows' flip points and sorted sums in the
     dataset's one-entry plug-in slot, keyed on the rule's models, kind and

@@ -343,10 +343,10 @@ class TestMonotoneAudit:
 
 
 class TestFromDomain:
-    def test_intersection_with_default_bracket(self):
+    def test_wide_domain_shrunk_not_cut(self):
         curve = DisparityCurve.from_domain(lambda t: -t, (-3.0, 0.4))
-        assert curve.t_lo == -1.0
-        assert curve.t_hi == pytest.approx(0.4 - 1e-9)
+        assert curve.t_lo == -3.0 + 1e-9
+        assert curve.t_hi == 0.4 - 1e-9
 
     def test_narrow_domain_shrunk(self):
         curve = DisparityCurve.from_domain(lambda t: -t, (-0.12, 0.49))
