@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .gaussian import (
     load_model,
     risk_closed,
     sample,
-    theoretical_fair_classifier,
     threshold_disparity,
 )
 from .oracles import check_discrete_suite, check_eqodds_suite, check_grid_suite
@@ -68,7 +67,7 @@ _METHOD_RUNNERS = {"fuds": run_fuds, "fcsc": run_fcsc, "fpir": run_fpir}
 _KIND_NAMES = {"dd": DisparityKind.DD, "do": DisparityKind.DO, "pd": DisparityKind.PD}
 _BLIND_NAMES = {"dd": BlindKind.DD_X, "do": BlindKind.DO_X, "pd": BlindKind.PD_X}
 
-# Learner of the frontier's prefit group model: the library default, which
+# Learner of a sweep's prefit fpir group model: the library default, which
 # the pipelines use for every fit. The Newton learner converges on every fit
 # with no budget to tune.
 _CLI_LEARNER = LogisticConfig()
@@ -349,9 +348,10 @@ def _split_dataset(
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
-def _sample_seeds(seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    return int(state[0]), int(state[1])
+def _model_samples(model, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """The desk-scale train/test pair drawn from a model for a seed."""
+    train_seed, test_seed = map(int, np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
+    return sample(model, _MODEL_TRAIN_N, train_seed), sample(model, _MODEL_TEST_N, test_seed)
 
 
 def _load_source(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset, str]:
@@ -364,11 +364,7 @@ def _load_source(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset, 
     if spec.data is None:
         raise IngestError(f"command {spec.command!r} needs --data")
     if spec.data.endswith(".json"):
-        model = load_model(spec.data)
-        train_seed, test_seed = _sample_seeds(spec.seed)
-        train = sample(model, _MODEL_TRAIN_N, train_seed)
-        test = sample(model, _MODEL_TEST_N, test_seed)
-        return train, test, "model"
+        return (*_model_samples(load_model(spec.data), spec.seed), "model")
     dataset = ingest_csv(spec.data, spec.label_col, spec.protected_col)
     train, test = _split_dataset(dataset, spec.split, spec.seed)
     return train, test, "csv"
@@ -378,12 +374,35 @@ def _pipeline_config(spec: ExperimentSpec, delta: float, seed: int) -> FairFitCo
     return FairFitConfig(kind=spec.kind, delta=delta, tol=spec.tol, seed=seed)
 
 
+def _write(out: str | None, emit: Callable[[TextIO], object]) -> None:
+    """Call emit on stdout, or on the file out, opened for writing."""
+    if out is None:
+        emit(sys.stdout)
+    else:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            emit(fh)
+
+
 def _write_json(document: dict, out: str | None) -> None:
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    _write(out, lambda fh: fh.write(text))
+
+
+def _sweep(method: str, blind: bool, train: LabeledDataset, test: LabeledDataset,
+           configs: Iterable[FairFitConfig]) -> Iterator[tuple[float, dict, dict]]:
+    """(t_hat, report, test metrics) of the method fitted on train, per config.
+
+    fpir's group model does not depend on the budget, so an aware fpir sweep
+    fits it once, not once per config, and the later configs read the
+    plug-in slots of the train and test sets.  Blind runs fit their own
+    regressions.
+    """
+    run = _METHOD_RUNNERS[method]
+    if method == "fpir" and not blind:
+        run = functools.partial(run, model=fit_group_models(train, MODE_AWARE, _CLI_LEARNER))
+    for config in configs:
+        classifier, t_hat, report = run(train, config)
+        yield t_hat, report, evaluate(classifier, test)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,7 @@ def cmd_fit(spec: ExperimentSpec) -> dict:
     """Train the chosen pipeline and report train diagnostics + test metrics."""
     train, test, source = _load_source(spec)
     config = _pipeline_config(spec, spec.delta, spec.seed)
-    classifier, t_hat, report = _METHOD_RUNNERS[spec.method](train, config)
+    [(t_hat, report, metrics)] = _sweep(spec.method, spec.blind, train, test, [config])
     document = {
         "command": "fit",
         "data": spec.data,
@@ -411,7 +430,7 @@ def cmd_fit(spec: ExperimentSpec) -> dict:
         "dim": train.dim,
         "t_hat": t_hat,
         "run": report,
-        "test_metrics": evaluate(classifier, test),
+        "test_metrics": metrics,
     }
     _write_json(document, spec.out)
     return document
@@ -422,48 +441,37 @@ def _frontier_child_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, 2, index]).generate_state(1)[0])
 
 
+def _closed_frontier(model, kind: DisparityKind, deltas, tol: float):
+    """The closed-form optimum at each budget, from one memoized sweep of D."""
+    curve = disparity_curve_closed(model, kind)
+    return trace_pareto(curve, lambda t: risk_closed(model, kind, t), deltas, tol=tol)
+
+
 def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     """Closed-form rows; each row's three gaps are those of its own rule."""
     if spec.blind:
         raise IngestError("closed-form frontiers cover the group-aware measures only")
     model = load_model(spec.data)
     kind = _KIND_NAMES[spec.kind_name]
-    curve = disparity_curve_closed(model, kind)
-    rows = trace_pareto(
-        curve, lambda t: risk_closed(model, kind, t), list(spec.delta_grid), tol=spec.tol
-    )
     gaps = [threshold_disparity(model, k) for k in _KIND_NAMES.values()]
     out_rows = []
-    for row in rows:
+    for row in _closed_frontier(model, kind, spec.delta_grid, spec.tol):
         thr = [core.threshold(kind, model.stats, a, row.t) for a in (0, 1)]
         out_rows.append([row.delta, row.t, 1.0 - row.risk, *(gap(thr) for gap in gaps)])
     return out_rows
 
 
-def _sweep_runner(method: str, blind: bool, train: LabeledDataset):
-    """The runner a budget sweep on train calls.  fpir's group model does not
-    depend on the budget, so it is fitted once here, not once per budget,
-    and the later budgets read the plug-in slots of the train and test sets.
-    Blind runs fit their own regressions."""
-    if method == "fpir" and not blind:
-        return functools.partial(run_fpir, model=fit_group_models(train, MODE_AWARE, _CLI_LEARNER))
-    return _METHOD_RUNNERS[method]
-
-
 def _empirical_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     train, test, _ = _load_source(spec)
-    run = _sweep_runner(spec.method, spec.blind, train)
-    out_rows = []
     # Each point has its own index-derived seed, so a point's output does
     # not depend on the other points in the grid.
-    for index, delta in enumerate(spec.delta_grid):
-        config = _pipeline_config(spec, delta, _frontier_child_seed(spec.seed, index))
-        classifier, t_hat, _ = run(train, config)
-        metrics = evaluate(classifier, test)
-        out_rows.append(
-            [delta, t_hat, metrics["accuracy"], metrics["dd"], metrics["do"], metrics["pd"]]
-        )
-    return out_rows
+    configs = [
+        _pipeline_config(spec, delta, _frontier_child_seed(spec.seed, index))
+        for index, delta in enumerate(spec.delta_grid)
+    ]
+    sweep = _sweep(spec.method, spec.blind, train, test, configs)
+    return [[c.delta, t, m["accuracy"], m["dd"], m["do"], m["pd"]]
+            for c, (t, _, m) in zip(configs, sweep)]
 
 
 def cmd_frontier(spec: ExperimentSpec) -> list[list[object]]:
@@ -483,11 +491,7 @@ def cmd_frontier(spec: ExperimentSpec) -> list[list[object]]:
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
 
-    if spec.out is None:
-        emit(sys.stdout)
-    else:
-        with open(spec.out, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
+    _write(spec.out, emit)
     return rows
 
 
@@ -501,36 +505,21 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
         raise IngestError("synthetic runs the group-aware study")
     model = default_model() if spec.data is None else load_model(spec.data)
     deltas = spec.delta_grid if spec.delta_grid is not None else _SYNTHETIC_DELTAS
-    train_seed, test_seed = _sample_seeds(spec.seed)
-    train = sample(model, _MODEL_TRAIN_N, train_seed)
-    test = sample(model, _MODEL_TEST_N, test_seed)
-    references = {
-        (name, delta): theoretical_fair_classifier(model, kind, delta)
-        for name, kind in _KIND_NAMES.items()
-        for delta in deltas
-    }
+    train, test = _model_samples(model, spec.seed)
+    # The references solve at the default tolerance, whatever --tol is.
+    references = [(name, ref) for name, kind in _KIND_NAMES.items()
+                  for ref in _closed_frontier(model, kind, deltas, DEFAULT_TOL)]
+    configs = [FairFitConfig(_KIND_NAMES[name], ref.delta, spec.tol, spec.seed)
+               for name, ref in references]
     rows = []
     for method in _METHOD_RUNNERS:
-        run = _sweep_runner(method, False, train)
-        for name, kind in _KIND_NAMES.items():
-            for delta in deltas:
-                config = FairFitConfig(kind=kind, delta=delta, tol=spec.tol, seed=spec.seed)
-                classifier, t_hat, _ = run(train, config)
-                metrics = evaluate(classifier, test)
-                reference = references[(name, delta)]
-                rows.append(
-                    {
-                        "method": method,
-                        "disparity": name,
-                        "delta": delta,
-                        "t_hat": t_hat,
-                        "accuracy": metrics["accuracy"],
-                        "achieved": metrics[name],
-                        "theory_t": reference.t_star,
-                        "theory_accuracy": 1.0 - reference.risk,
-                        "theory_disparity": reference.disparity,
-                    }
-                )
+        sweep = _sweep(method, False, train, test, configs)
+        for (name, ref), (t_hat, _, metrics) in zip(references, sweep):
+            rows.append({
+                "method": method, "disparity": name, "delta": ref.delta, "t_hat": t_hat,
+                "accuracy": metrics["accuracy"], "achieved": metrics[name], "theory_t": ref.t,
+                "theory_accuracy": 1.0 - ref.risk, "theory_disparity": ref.disparity,
+            })
     document = {
         "command": "synthetic",
         "seed": spec.seed,

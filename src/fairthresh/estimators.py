@@ -467,9 +467,6 @@ class _WarmStart:
         for g, params, cells, mass, grads, hessians in self.parts:
             m = np.array([multipliers[cell] for cell in cells], dtype=float)
             total = float(m @ mass)
-            if not total > 0.0:  # a weightless fit raises its own error
-                fitted[g] = params
-                continue
             theta = params.theta()
             grad = m @ grads / total + self.ridge * theta
             hess = (m @ hessians).reshape(len(theta), -1) / total + self.ridge_matrix

@@ -510,11 +510,15 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
     try:
         result = solve_threshold(curve, config.delta, config.tol)
     except BracketError as exc:
-        if config.mode != "blind":
+        if config.mode == "blind":
+            cause, other = "a blind refit thresholds one logistic score at 1/2", "fpir"
+        elif method == "fuds":
+            cause = "the fuds bracket ends where a resampled (group, label) cell would empty"
+            other = "fcsc or fpir"
+        else:
             raise
         raise BracketError(
-            f"{exc}; a blind refit thresholds one logistic score at 1/2, so here it "
-            "cannot reach the budget (try --method fpir)"
+            f"{exc}; {cause}, so here it cannot reach the budget (try --method {other})"
         ) from exc
     t_hat = result.t_star
     model, report_extra = curve.fn.at(t_hat)
@@ -543,7 +547,8 @@ def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
     predictions at 1/2), the solved t, and a report.  When delta already
     holds at t = 0 the baseline fit is returned without bisection.  Its
     bracket stops short of both domain edges, where a cell would empty.
-    A blind run whose bracket cannot reach the budget raises BracketError.
+    A run whose bracket cannot reach the budget raises BracketError, which
+    names the cause.
     """
     return _run_refit("fuds", dataset, config)
 
@@ -554,7 +559,7 @@ def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
     Returns the model fitted at the solved t, the solved t, and a report
     that includes the final cost table.  At t = 0 every cost is 1/2 and
     the fit coincides with the unconstrained one.  Unreachable budgets
-    raise BracketError as in run_fuds.
+    raise BracketError, which names the cause on blind runs.
     """
     return _run_refit("fcsc", dataset, config)
 

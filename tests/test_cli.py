@@ -420,6 +420,23 @@ class TestCmdFit:
         assert line.endswith("a blind refit thresholds one logistic score at 1/2, so here it "
                              "cannot reach the budget (try --method fpir)")
 
+    def test_fuds_says_why_it_misses_a_zero_budget(self, tmp_path, model):
+        ds = sample(model, 94, seed=2)
+        path = tmp_path / "s94.csv"
+        write_rows(path, ["x0", "x1", "y", "a"],
+                   [[repr(float(u)), repr(float(v)), y, a] for (u, v), y, a in zip(ds.x, ds.y, ds.a)])
+        argv = ["fit", "--data", str(path), "--disparity", "dd", "--delta", "0", "--seed", "2",
+                "--out", str(tmp_path / "o.json")]
+        proc = TestMainDispatch.run_fresh([*argv, "--method", "fuds"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: D(") and "target unreachable inside bracket" in line
+        assert line.endswith("the fuds bracket ends where a resampled (group, label) cell would "
+                             "empty, so here it cannot reach the budget (try --method fcsc or fpir)")
+        for method in ("fcsc", "fpir"):
+            assert main([*argv, "--method", method]) == 0
+
     def test_model_source_samples_study_sizes(self, data_dir, tmp_path):
         out = tmp_path / "model_fit.json"
         code = main(
@@ -756,12 +773,14 @@ class TestCmdSynthetic:
         assert sum(deviations) / len(deviations) <= 0.03
         for r in rows:
             assert r["accuracy"] >= r["theory_accuracy"] - 0.015
-        for r in rows[:3]:
+        # The references are the default-tolerance rules, whatever --tol is.
+        for r in rows:
             rule = theoretical_fair_classifier(
                 model, DisparityKind(r["disparity"]), r["delta"]
             )
             assert r["theory_accuracy"] == 1.0 - rule.risk
             assert r["theory_t"] == rule.t_star
+            assert r["theory_disparity"] == rule.disparity
 
     def test_fpir_fits_the_group_model_once(self, tmp_path, monkeypatch):
         fits = []
@@ -780,7 +799,12 @@ class TestCmdSynthetic:
         rows = cmd_synthetic(spec)["rows"]
         assert len(rows) == 6 and len(fits) == 1
         # Same rows as letting run_fpir fit its own model at every budget.
-        monkeypatch.setattr(cli, "_sweep_runner", lambda method, blind, train: run_fpir)
+        def refitting_sweep(method, blind, train, test, configs):
+            for config in configs:
+                classifier, t_hat, report = run_fpir(train, config)
+                yield t_hat, report, evaluate(classifier, test)
+
+        monkeypatch.setattr(cli, "_sweep", refitting_sweep)
         assert cmd_synthetic(spec)["rows"] == rows
         assert len(fits) == 7
 

@@ -605,6 +605,22 @@ class TestRunFuds:
         assert parsed["kind"] == "dd"
         assert set(parsed["thresholds"]) == {"group0", "group1"}
 
+    def test_names_why_it_misses_a_zero_budget(self, model):
+        # The bracket stops where a resampled cell would empty, before the
+        # resample's gap reaches 0.  fcsc's bracket reaches past the budget
+        # (its step curve jumps over 0) and fpir lands on it.
+        small = sample(model, 94, seed=1)
+        cfg = FairFitConfig(kind=DisparityKind.PD, delta=0.0, seed=1)
+        with pytest.raises(BracketError, match="unreachable inside bracket") as info:
+            run_fuds(small, cfg)
+        assert str(info.value).endswith(
+            "the fuds bracket ends where a resampled (group, label) cell would empty, so here "
+            "it cannot reach the budget (try --method fcsc or fpir)"
+        )
+        assert isinstance(info.value.__cause__, BracketError)
+        assert run_fcsc(small, cfg)[2]["disparity_at_t_hat"] < 0.0
+        assert run_fpir(small, cfg)[2]["disparity_at_t_hat"] == 0.0
+
 
 class TestRunFcsc:
     def test_uniform_costs_match_unweighted_fit(self, train):
