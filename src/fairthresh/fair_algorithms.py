@@ -315,22 +315,32 @@ def _blind_weight_values(
     return values
 
 
-def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of the two cells a measure compares, group 1 then group 0.
+# The label of the rows each measure compares across groups (None: all rows).
+_MEASURE_LABEL = {DisparityKind.DD: None, DisparityKind.DO: 1, DisparityKind.PD: 0}
 
+
+def _measure_cells(kind: DisparityKind, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the two cells a measure compares, group 1 then group 0:
     DD compares whole groups, DO their label-1 rows, PD their label-0 rows;
-    the measure is the first cell's acceptance rate minus the second's.
-    """
-    y = None if kind is DisparityKind.DD else int(kind is DisparityKind.DO)
+    the measure is the first cell's acceptance rate minus the second's."""
+    y = _MEASURE_LABEL[kind]
     return data.rows(1, y), data.rows(0, y)
 
 
+def _tally(f: np.ndarray, rows: np.ndarray) -> tuple[float, int]:
+    """f's sum over the ascending rows, the pairwise sum np.mean takes, and their count."""
+    return np.add.reduce(f[rows]), rows.size
+
+
+def _gap(one: tuple[float, int], zero: tuple[float, int]) -> float | None:
+    """k1/n1 - k0/n0 of two tallies; None if a cell is empty."""
+    (k1, n1), (k0, n0) = one, zero
+    return float(k1 / n1 - k0 / n0) if n1 and n0 else None
+
+
 def _rate_gap(kind: DisparityKind, data: LabeledDataset, f: np.ndarray) -> float | None:
-    """The measure as a gap of two acceptance rates; None if a cell is empty."""
-    rows_1, rows_0 = _measure_cells(kind, data)
-    if not (rows_1.size and rows_0.size):
-        return None
-    return float(np.mean(f[rows_1]) - np.mean(f[rows_0]))
+    """The measure as a gap of two masked-mean acceptance rates; None if a cell is empty."""
+    return _gap(*(_tally(f, rows) for rows in _measure_cells(kind, data)))
 
 
 def _cells_json(values: Mapping[tuple[int, int], float | int]) -> dict[str, float | int]:
@@ -510,11 +520,14 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
     try:
         result = solve_threshold(curve, config.delta, config.tol)
     except BracketError as exc:
-        if config.mode == "blind":
-            cause, other = "a blind refit thresholds one logistic score at 1/2", "fpir"
-        elif method == "fuds":
+        blind = "a blind refit thresholds one logistic score at 1/2"
+        if method == "fuds":
             cause = "the fuds bracket ends where a resampled (group, label) cell would empty"
+            if config.mode == "blind":
+                cause += f", and {blind}"
             other = "fcsc or fpir"
+        elif config.mode == "blind":
+            cause, other = blind, "fpir"
         else:
             raise
         raise BracketError(
@@ -638,9 +651,11 @@ def _decision_values(classifier, test: LabeledDataset) -> np.ndarray:
 def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
     """Accuracy and the three disparity gaps of a classifier on a test set.
 
-    Rates are plug-in conditional frequencies of the test rows themselves.
-    A metric whose conditioning cell is empty comes back as None, not 0.
-    Fractional decisions are treated as acceptance probabilities.
+    Rates are plug-in conditional frequencies of the test rows, read from
+    sums of the decisions over each (group, label) cell and group: every gap
+    is the same float as a difference of masked means, and accuracy is
+    exact for 0/1 decisions.  A metric whose conditioning cell is empty is
+    None, not 0.  Fractional decisions are acceptance probabilities.
 
     A FairClassifier's flip points on the test rows are kept in test's
     plug-in slot (see run_fpir), so evaluating rules that differ only in t
@@ -652,9 +667,12 @@ def evaluate(classifier, test: LabeledDataset) -> dict[str, float | None]:
 
 
 def _metrics(f: np.ndarray, data: LabeledDataset) -> dict[str, float | None]:
-    """Accuracy and the three disparity gaps of decisions f on data's rows."""
-    y = data.y.astype(float)
+    """Accuracy and the three disparity gaps of decisions f on data's rows,
+    from f's tallies over the four (group, label) cells and the two groups:
+    accuracy is the label-1 sums plus the label-0 sizes minus sums, over n."""
+    tally = {(a, y): _tally(f, data.rows(a, y)) for a in (1, 0) for y in (1, 0, None)}
+    correct = sum(k if y else n - k for (_, y), (k, n) in tally.items() if y is not None)
     return {
-        "accuracy": float(np.mean(f * y + (1.0 - f) * (1.0 - y))),
-        **{kind.value: _rate_gap(kind, data, f) for kind in DisparityKind},
+        "accuracy": float(correct / len(data)),
+        **{kind.value: _gap(tally[1, y], tally[0, y]) for kind, y in _MEASURE_LABEL.items()},
     }

@@ -408,8 +408,18 @@ class TestCmdFit:
         assert main(argv) == 0
         assert abs(json.loads(out.read_text())["run"]["disparity_at_t_hat"]) <= 0.0
 
-    @pytest.mark.parametrize("method", ["fuds", "fcsc"])
-    def test_blind_refit_says_why_it_misses_a_zero_budget(self, tmp_path, method):
+    @pytest.mark.parametrize(
+        "method, ending",
+        [
+            ("fuds", "the fuds bracket ends where a resampled (group, label) cell would empty, "
+                     "and a blind refit thresholds one logistic score at 1/2, so here it "
+                     "cannot reach the budget (try --method fcsc or fpir)"),
+            ("fcsc", "a blind refit thresholds one logistic score at 1/2, so here it cannot "
+                     "reach the budget (try --method fpir)"),
+        ],
+        ids=["fuds", "fcsc"],
+    )
+    def test_blind_refit_says_why_it_misses_a_zero_budget(self, tmp_path, method, ending):
         argv = ["fit", "--data", str(self.separated_csv(tmp_path)), "--method", method,
                 "--disparity", "pd", "--blind", "--delta", "0", "--out", str(tmp_path / "o.json")]
         proc = TestMainDispatch.run_fresh(argv)
@@ -417,25 +427,35 @@ class TestCmdFit:
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: D(") and "target unreachable inside bracket" in line
-        assert line.endswith("a blind refit thresholds one logistic score at 1/2, so here it "
-                             "cannot reach the budget (try --method fpir)")
+        assert line.endswith(ending)
 
-    def test_fuds_says_why_it_misses_a_zero_budget(self, tmp_path, model):
+    @staticmethod
+    def assert_fuds_misses_a_zero_budget(tmp_path, model, blind):
+        # fuds's clamped bracket stops short of a zero dd budget on these rows;
+        # fcsc's and fpir's reach it, blind ones too.
         ds = sample(model, 94, seed=2)
         path = tmp_path / "s94.csv"
         write_rows(path, ["x0", "x1", "y", "a"],
                    [[repr(float(u)), repr(float(v)), y, a] for (u, v), y, a in zip(ds.x, ds.y, ds.a)])
         argv = ["fit", "--data", str(path), "--disparity", "dd", "--delta", "0", "--seed", "2",
-                "--out", str(tmp_path / "o.json")]
+                "--out", str(tmp_path / "o.json"), *(["--blind"] if blind else [])]
         proc = TestMainDispatch.run_fresh([*argv, "--method", "fuds"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: D(") and "target unreachable inside bracket" in line
-        assert line.endswith("the fuds bracket ends where a resampled (group, label) cell would "
-                             "empty, so here it cannot reach the budget (try --method fcsc or fpir)")
+        cause = "the fuds bracket ends where a resampled (group, label) cell would empty"
+        if blind:
+            cause += ", and a blind refit thresholds one logistic score at 1/2"
+        assert line.endswith(f"{cause}, so here it cannot reach the budget (try --method fcsc or fpir)")
         for method in ("fcsc", "fpir"):
             assert main([*argv, "--method", method]) == 0
+
+    def test_fuds_says_why_it_misses_a_zero_budget(self, tmp_path, model):
+        self.assert_fuds_misses_a_zero_budget(tmp_path, model, blind=False)
+
+    def test_blind_fuds_names_its_bracket_before_the_blind_score(self, tmp_path, model):
+        self.assert_fuds_misses_a_zero_budget(tmp_path, model, blind=True)
 
     def test_model_source_samples_study_sizes(self, data_dir, tmp_path):
         out = tmp_path / "model_fit.json"

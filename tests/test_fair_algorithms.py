@@ -705,14 +705,21 @@ class TestRunFpir:
         _, _, report = run_fpir(self.separated_rows(), make_config(BlindKind.PD_X, 0.0))
         assert abs(report["disparity_at_t_hat"]) <= 0.0
 
-    @pytest.mark.parametrize("runner", [run_fuds, run_fcsc], ids=["fuds", "fcsc"])
-    def test_blind_refit_names_why_it_misses_the_budget(self, runner):
+    @pytest.mark.parametrize(
+        "runner, ending",
+        [
+            (run_fuds, "the fuds bracket ends where a resampled (group, label) cell would "
+                       "empty, and a blind refit thresholds one logistic score at 1/2, so here "
+                       "it cannot reach the budget (try --method fcsc or fpir)"),
+            (run_fcsc, "a blind refit thresholds one logistic score at 1/2, so here it cannot "
+                       "reach the budget (try --method fpir)"),
+        ],
+        ids=["fuds", "fcsc"],
+    )
+    def test_blind_refit_names_why_it_misses_the_budget(self, runner, ending):
         with pytest.raises(BracketError, match="unreachable inside bracket") as info:
             runner(self.separated_rows(), make_config(BlindKind.PD_X, 0.0))
-        assert str(info.value).endswith(
-            "a blind refit thresholds one logistic score at 1/2, so here it cannot reach "
-            "the budget (try --method fpir)"
-        )
+        assert str(info.value).endswith(ending)
         assert isinstance(info.value.__cause__, BracketError)
 
     def test_prefit_model_rejects_data_of_another_feature_width(self, model):
@@ -1430,6 +1437,48 @@ class TestEvaluate:
                 else:
                     assert metrics[kind.value] is None
         assert metrics["do"] is None and metrics["dd"] is not None
+
+    @staticmethod
+    def contract_datasets():
+        """Eight seeded datasets of 5 to 2,000 rows: the first has no (group 0,
+        label 1) row, the second no group-0 row."""
+        rng = np.random.default_rng(34)
+        sets = [
+            (np.array([1, 1, 0, 1, 0]), np.array([1, 0, 0, 1, 0])),
+            (np.ones(9, dtype=int), rng.integers(0, 2, 9)),
+        ]
+        for n in (12, 37, 150, 611, 1_333, 2_000):
+            a = rng.integers(0, 2, n)
+            sets.append((a, (rng.uniform(size=n) < 0.3 + 0.4 * rng.uniform()).astype(int)))
+        return [LabeledDataset(x=np.zeros((len(a), 1)), a=a, y=y) for a, y in sets]
+
+    @staticmethod
+    def mask_gaps(data, f):
+        """Each measure's masked-mean gap, None where a compared cell is empty."""
+        gaps = {}
+        for kind in ALL_KINDS:
+            rows = True if kind is DisparityKind.DD else data.y == (kind is DisparityKind.DO)
+            mask_1, mask_0 = rows & (data.a == 1), rows & (data.a == 0)
+            both = mask_1.any() and mask_0.any()
+            gaps[kind.value] = np.mean(f[mask_1]) - np.mean(f[mask_0]) if both else None
+        return gaps
+
+    def test_metrics_equal_a_mask_reference(self):
+        rng = np.random.default_rng(35)
+        datasets = self.contract_datasets()
+        for data in datasets:
+            n = len(data)
+            crisp = (rng.uniform(size=n) < rng.uniform()).astype(float)
+            metrics = evaluate(lambda x, a, f=crisp: f, data)
+            assert metrics == {"accuracy": np.mean(crisp == data.y), **self.mask_gaps(data, crisp)}
+            fractional = rng.uniform(size=n)
+            fractional[rng.uniform(size=n) < 0.2] = rng.integers(0, 2)
+            metrics = evaluate(lambda x, a, f=fractional: f, data)
+            accuracy = metrics.pop("accuracy")
+            assert metrics == self.mask_gaps(data, fractional)
+            exact = sum(Fraction(v) if y else 1 - Fraction(v) for v, y in zip(fractional, data.y))
+            assert abs(Fraction(accuracy) - exact / n) <= 1e-15
+        assert datasets[0].rows(0, 1).size == 0 and datasets[1].rows(0).size == 0
 
     def test_prob_model_dispatch(self, train, test_set):
         aware = fit_group_models(train, MODE_AWARE, LEARNER)
