@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import core
+from . import core, estimators
 from .core import BlindKind, DisparityError, DisparityKind
 from .estimators import MODE_AWARE, FitError, LabeledDataset, LogisticConfig, fit_group_models
 from .fair_algorithms import FairFitConfig, evaluate, run_fcsc, run_fpir, run_fuds
@@ -161,7 +161,7 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
     """Read a UTF-8 header CSV into a dataset.
 
     All columns other than the label and protected columns are features and
-    must parse as finite reals; rows violating that are reported together.
+    must be numbers within +-1e150; rows violating that are reported together.
     Label and protected values must be 0 or 1. Blank rows are skipped. A
     leading UTF-8 byte-order mark is dropped.
 
@@ -216,7 +216,8 @@ def ingest_csv(path: str | Path, label_col: str, protected_col: str) -> LabeledD
         shown = ", ".join(str(n) for n in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
         raise IngestError(
-            f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
+            f"{path_str}: feature values that are not numbers within "
+            f"+-{estimators._MAX_MAGNITUDE:g} on lines {shown}{more}"
         )
     if not any(len(labels) for _, _, labels in blocks):
         raise IngestError(f"{path_str}: no data rows")
@@ -272,7 +273,7 @@ def _plain_block(
     empty line, a spelling that ``float`` reads and numpy does not (``1_0``,
     non-ASCII digits) and any unparsable cell make loadtxt raise. The chunk
     is kept only if each line gives one row as wide as the header, labels
-    and groups are 0 or 1, features are finite, and no line is longer than
+    and groups are 0 or 1, features within +-1e150, and no line is longer than
     the csv module's field size limit. On such a chunk numpy and ``float``
     read the same doubles.
     """
@@ -293,7 +294,7 @@ def _plain_block(
     labels, groups = table[:, label_ix].copy(), table[:, group_ix].copy()
     x = table.take(feature_ix, axis=1)
     binary = np.isin(labels, (0.0, 1.0)) & np.isin(groups, (0.0, 1.0))
-    if not (binary.all() and np.isfinite(x).all()):
+    if not (binary.all() and (np.abs(x) <= estimators._MAX_MAGNITUDE).all()):
         return None
     return x, groups, labels
 
@@ -323,7 +324,7 @@ def _read_rows(
                 values = [float(row[i]) for i in feature_ix]
             except ValueError:
                 values = [math.nan]
-            if all(map(math.isfinite, values)):
+            if all(abs(v) <= estimators._MAX_MAGNITUDE for v in values):
                 features += values
                 groups.append(group)
                 labels.append(label)

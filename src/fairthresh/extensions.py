@@ -4,18 +4,19 @@ Two extensions of the single-measure machinery:
 
 - equalized odds: control opportunity and predictive-equality differences
   simultaneously with a two-parameter family of group thresholds whose
-  multipliers maximize the Lagrangian dual, by nested one-dimensional searches;
+  multipliers maximize the Lagrangian dual, by nested budget searches;
 - perfect demographic parity for a K-group protected attribute.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .core import DisparityKind, DomainError, GroupStats, bilinear_coeffs, natural_domain
 from .core import _affine_threshold
-from .solver import SolverError, bisect
+from .solver import BracketError, DisparityCurve, SolverError, bisect, solve_threshold
 
 __all__ = [
     "GroupLabelSurvival",
@@ -144,18 +145,16 @@ def eqodds_risk(dists: GroupLabelSurvival, stats: GroupStats, t1: float, t2: flo
     return _threshold_risk(dists, stats, [_group_threshold(stats, a, t1, t2) for a in (0, 1)])
 
 
-def _dual_argmax(slope: Callable[[float], float], lo: float, hi: float, delta: float) -> float:
-    """Maximizer on [lo, hi] of a concave function with derivative slope(t) - delta * sign(t),
-    slope non-increasing: 0 when |slope(0)| <= delta, else the point on slope(0)'s side
-    where |slope| comes down to delta, or that side's end when it never does."""
-    s0 = slope(0.0)
-    if abs(s0) <= delta:
-        return 0.0
-    sign, edge = (1.0, hi) if s0 > delta else (-1.0, lo)
-    if sign * slope(edge) >= delta:
-        return edge
-    good, bad = bisect(lambda t: sign * slope(t) > delta, 0.0, edge, steps=80)
-    return 0.5 * (good + bad)
+def _dual_argmax(
+    slope: Callable[[float], float], domain: tuple[float, float], delta: float
+) -> float:
+    """Maximizer of a concave function with derivative slope(t) - delta * sign(t), slope
+    non-increasing: solve_threshold's t, or the shrunk domain's end on slope(0)'s side."""
+    curve = DisparityCurve.from_domain(functools.cache(slope), domain)
+    try:
+        return solve_threshold(curve, delta, tol=2.0 ** -80).t_star  # 80 halvings at most
+    except BracketError:
+        return curve.t_hi if curve(0.0) > delta else curve.t_lo
 
 
 def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> EqOddsThresholds:
@@ -166,21 +165,17 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     g(t1, t2) = min_f [R + t1 * DO + t2 * PD] - delta * (|t1| + |t2|). An inner
     search finds the best t1 for a given t2; an outer one finds t2 on the slope
     PD(best_t1(t2), t2) - delta * sign(t2) of the partial maximum (Danskin).
+    Both run on solve_threshold, so a returned pair meets a budget delta > 0.
     """
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
-    (lo1, hi1), (lo2, hi2) = _eqodds_domain(stats)
-    eps1, eps2 = 1e-9 * (hi1 - lo1), 1e-9 * (hi2 - lo2)
-    lo1, hi1 = lo1 + eps1, hi1 - eps1
-    lo2, hi2 = lo2 + eps2, hi2 - eps2
+    do_domain, pd_domain = _eqodds_domain(stats)
 
     def best_t1(t2: float) -> float:
         return _dual_argmax(
-            lambda t1: eqodds_disparities(dists, stats, t1, t2)[0], lo1, hi1, delta
+            lambda t1: eqodds_disparities(dists, stats, t1, t2)[0], do_domain, delta
         )
 
     t2 = _dual_argmax(
-        lambda t2: eqodds_disparities(dists, stats, best_t1(t2), t2)[1], lo2, hi2, delta
+        lambda t2: eqodds_disparities(dists, stats, best_t1(t2), t2)[1], pd_domain, delta
     )
     t1 = best_t1(t2)
     do, pd = eqodds_disparities(dists, stats, t1, t2)

@@ -543,7 +543,6 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "converged": result.converged,
-        "exact": result.exact,
         "at_bracket_edge": t_hat != 0.0 and min(curve.t_hi - t_hat, t_hat - curve.t_lo) <= margin,
     }
     decisions = fitted_decisions(model, dataset)
@@ -620,7 +619,6 @@ def run_fpir(
         "iterations": 0,
         "evaluations": 0,
         "converged": True,
-        "exact": True,
         "at_bracket_edge": t_hat != 0.0 and t_hat in (lo, hi),
     }
     decisions = _decide(inputs, t_hat, classifier.tau_plus, classifier.tau_minus)

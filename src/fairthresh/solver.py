@@ -1,12 +1,12 @@
 """Monotone bisection over disparity curves.
 
-bisect is the package's one halving routine: every monotone one-dimensional
-search (the solve below, the fuds bracket clamp, the equalized-odds and
-multi-group solvers in extensions) calls it.  The central solve: given a
-monotone non-increasing curve t -> D(t) and a tolerance level delta, find
-the smallest |t| with |D(t)| <= delta.  Built on top of it: Pareto-frontier
-tracing over a delta grid and a verifier for the frontier's adjacent-point
-tradeoff bounds.
+bisect is the package's one halving routine: the solve below, the fuds
+bracket clamp and the multi-group solver in extensions call it.  The solve
+is the package's one budget search (fuds, fcsc, the closed-form frontiers
+and the equalized-odds dual run on it): given a monotone non-increasing
+curve t -> D(t) and a tolerance level delta, find the smallest |t| with
+|D(t)| <= delta.  Built on top of it: Pareto-frontier tracing over a delta
+grid and a verifier for the frontier's adjacent-point tradeoff bounds.
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ __all__ = [
 DEFAULT_TOL = 2.0 ** -15
 
 _DOMAIN_SHRINK = 1e-9
-
-# Attainment flag: returned disparity within this distance of the target
-# counts as exact; step curves with larger jumps get exact=False.
-_EXACT_SLACK = 1e-2
 
 
 class SolverError(ValueError):
@@ -82,9 +78,7 @@ class SolveResult:
     """Outcome of solve_threshold.
 
     iterations counts midpoint evaluations only; evaluations additionally
-    includes the probes at 0 and at the far bracket end.  exact=False flags
-    step curves whose jump carried D past the target (the constraint still
-    holds at the returned t).
+    includes the probes at 0 and at the far bracket end.
     """
 
     t_star: float
@@ -92,7 +86,6 @@ class SolveResult:
     iterations: int
     evaluations: int
     converged: bool
-    exact: bool
 
 
 class FrontierRow(NamedTuple):
@@ -143,9 +136,9 @@ def solve_threshold(
     Shortcut at t=0 when already feasible; otherwise bisect from 0 toward the
     bracket edge on the side where the constraint binds, sign * D(t) > delta
     marking the infeasible points (sign = +1 when D(0) > delta, else -1).  The
-    returned end, the last feasible midpoint or the checked bracket edge,
-    satisfies sign * D <= delta only: with a tol wider than the distance to
-    the crossing, the edge can come back with D past -sign * delta.
+    returned t is the feasible end of the last bracket, never its midpoint, so
+    sign * D(t) <= delta holds; with a tol wider than the distance to the
+    crossing, the edge can come back with D past -sign * delta.
     """
     if not (math.isfinite(delta) and delta >= 0.0):
         raise SolverError(f"disparity budget {delta!r} must be finite and nonnegative")
@@ -158,18 +151,16 @@ def solve_threshold(
     if not math.isfinite(d0):
         raise SolverError(f"curve evaluated non-finite at t=0: {d0!r}")
     if abs(d0) <= delta:
-        return SolveResult(0.0, d0, iterations=0, evaluations=1, converged=True, exact=True)
+        return SolveResult(0.0, d0, iterations=0, evaluations=1, converged=True)
 
     # Mirroring t and D is exact in floats, so both sides share one walk;
     # a NaN midpoint counts as feasible on either side.
-    if d0 > delta:
-        sign, edge, target, relation = 1, curve.t_hi, delta, "> delta"
-    else:
-        sign, edge, target, relation = -1, curve.t_lo, -delta, "< -delta"
+    sign, edge = (1, curve.t_hi) if d0 > delta else (-1, curve.t_lo)
     values = {edge: curve(edge)}
     if sign * values[edge] > delta:
+        relation = "> delta" if sign > 0 else "< -delta"
         raise BracketError(
-            f"D({edge!r}) = {values[edge]!r} {relation} = {target!r}: "
+            f"D({edge!r}) = {values[edge]!r} {relation} = {sign * delta!r}: "
             "target unreachable inside bracket"
         )
 
@@ -185,7 +176,6 @@ def solve_threshold(
         iterations=iterations,
         evaluations=iterations + 2,
         converged=abs(t_star - t_out) <= tol,
-        exact=abs(values[t_star] - target) <= _EXACT_SLACK,
     )
 
 

@@ -1078,7 +1078,33 @@ class TestMainDispatch:
             warnings.simplefilter("error")
             code, lines = self.run_in_process(["fit", "--data", str(tmp_path / "huge.csv")])
         assert code == 1
-        assert lines == ["error: features must be finite and within +-1e+150"]
+        shown = ", ".join(str(i + 2) for i in range(0, 200, 10))
+        assert lines == [
+            f"error: {tmp_path / 'huge.csv'}: feature values that are not numbers within "
+            f"+-1e+150 on lines {shown}"
+        ]
+
+    @pytest.mark.parametrize("value", ["1e200", '"1e200"', "-1e200"])
+    @pytest.mark.parametrize("other", ["0.5", "1_0"], ids=["plain-chunk", "refused-chunk"])
+    def test_feature_beyond_magnitude_bound_names_its_line(self, tmp_path, other, value):
+        # numpy reads a chunk of plain or quoted numbers and refuses one that
+        # holds 1_0, which float reads; either way the bound names the line.
+        rows = good_rows(30)
+        rows[3] = f"{other},0.5,1,0"
+        rows[20] = f"{value},0.5,1,0"
+        path = write_feature_rows(tmp_path / "huge.csv", rows)
+        with plain_chunks_taken() as taken:
+            code, lines = self.run_in_process(["fit", "--data", str(path)])
+        assert code == 1
+        assert lines == [
+            f"error: {path}: feature values that are not numbers within +-1e+150 on lines 22"
+        ]
+        assert taken == [False]
+        rows[20] = "0.5,0.5,1,0"
+        path = write_feature_rows(tmp_path / "huge.csv", rows)
+        with plain_chunks_taken() as taken:
+            assert len(ingest_csv(path, "y", "a")) == 30
+        assert taken == [other == "0.5"]
 
     @pytest.mark.parametrize("action", ["error", "always"])
     @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "empty-lines"])
@@ -1233,7 +1259,7 @@ def _reference_read_rows(reader, path_str, label_col, protected_col):
             except ValueError:
                 v = math.nan
             row_feats.append(v)
-        if not all(math.isfinite(v) for v in row_feats):
+        if not all(abs(v) <= 1e150 for v in row_feats):
             bad_lines.append(lineno)
             continue
         features.append(row_feats)
@@ -1243,7 +1269,8 @@ def _reference_read_rows(reader, path_str, label_col, protected_col):
         shown = ", ".join(str(n) for n in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
         raise IngestError(
-            f"{path_str}: non-numeric or non-finite feature values on lines {shown}{more}"
+            f"{path_str}: feature values that are not numbers within +-1e+150 "
+            f"on lines {shown}{more}"
         )
     if not labels:
         raise IngestError(f"{path_str}: no data rows")
@@ -1458,7 +1485,7 @@ class TestIngestMatchesRowParser:
         [
             ('"0.5",0.5,1,0', None),
             ("0.5,0.5,2,0", "line 252: label column 'y' value '2' is not binary"),
-            ("nan,0.5,1,0", "non-numeric or non-finite feature values on lines 252"),
+            ("nan,0.5,1,0", "feature values that are not numbers within +-1e+150 on lines 252"),
             ("1" * 131_073 + ",0.5,1,0", "line 252: malformed CSV"),
         ],
         ids=["quoted-cell", "bad-label", "nan-feature", "oversized-field"],
@@ -1525,7 +1552,7 @@ class TestIngestMatchesRowParser:
         "late_row, message",
         [
             ("0.5,0.5,1", "line 9: expected 4 fields, got 3"),
-            ("0.5,inf,1,0", "non-numeric or non-finite feature values on lines 9"),
+            ("0.5,inf,1,0", "feature values that are not numbers within +-1e+150 on lines 9"),
         ],
         ids=["field-count", "bad-feature"],
     )

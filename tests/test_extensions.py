@@ -33,7 +33,7 @@ from fairthresh.extensions import (
 )
 from fairthresh.gaussian import default_model, model_from_seed
 from fairthresh.oracles import _eqodds_grid_oracle
-from fairthresh.solver import DEFAULT_TOL, DisparityCurve, SolverError, solve_threshold
+from fairthresh.solver import DisparityCurve, SolverError, solve_threshold
 
 from conftest import random_stats, stats_strategy
 
@@ -311,9 +311,10 @@ class TestEqOddsDisparities:
 
 class TestSolveEqOdds:
     def test_equality_solve_flags_unreachable_targets(self):
-        # slope(t) = c - t on [-1, 1] at budget 0.25: inside the budget only
-        # slope(0) is read; a root past the end returns that end; otherwise
-        # the root of |slope| = 0.25 on the side where slope(0) exceeds it.
+        # slope(t) = c - t on [-1, 1], shrunk to +-(1 - 1e-9), at budget
+        # 0.25: inside the budget only slope(0) is read; a root past the end
+        # returns that end; otherwise the root of |slope| = 0.25 on the side
+        # where slope(0) exceeds it, from its feasible side.
         calls = []
 
         def line(c):
@@ -323,13 +324,18 @@ class TestSolveEqOdds:
 
             return slope
 
-        assert _dual_argmax(line(0.2), -1.0, 1.0, 0.25) == 0.0
+        end = 1.0 - 1e-9
+        assert _dual_argmax(line(0.2), (-1.0, 1.0), 0.25) == 0.0
         assert calls == [0.0]
-        assert _dual_argmax(line(1.5), -1.0, 1.0, 0.25) == 1.0
-        assert _dual_argmax(line(-1.5), -1.0, 1.0, 0.25) == -1.0
-        assert calls[1:] == [0.0, 1.0, 0.0, -1.0]  # the far end only on that side
-        assert _dual_argmax(line(0.75), -1.0, 1.0, 0.25) == pytest.approx(0.5, abs=1e-15)
-        assert _dual_argmax(line(-0.75), -1.0, 1.0, 0.25) == pytest.approx(-0.5, abs=1e-15)
+        assert _dual_argmax(line(1.5), (-1.0, 1.0), 0.25) == end
+        assert _dual_argmax(line(-1.5), (-1.0, 1.0), 0.25) == -end
+        assert calls[1:] == [0.0, end, 0.0, -end]  # the far end only on that side
+        for c, root in ((0.75, 0.5), (-0.75, -0.5)):
+            del calls[:]
+            t = _dual_argmax(line(c), (-1.0, 1.0), 0.25)
+            assert t == pytest.approx(root, abs=1e-15) and abs(c - t) <= 0.25
+            assert calls[:2] == [0.0, math.copysign(end, c)]
+            assert len(set(calls)) == len(calls)  # no point evaluated twice
 
     def test_slack_constraint_returns_origin(self):
         dists = BetaGroupModel(SEP_PARAMS)
@@ -440,10 +446,9 @@ class TestSolveEqOdds:
                     continue
                 solved += 1
                 for t, gap in ((res.t1, res.do_value), (res.t2, res.pd_value)):
+                    assert abs(gap) <= delta
                     if t != 0.0:
                         assert gap == pytest.approx(math.copysign(delta, t), abs=1e-9)
-                    else:
-                        assert abs(gap) <= delta + 1e-9
                 grid_risk = _eqodds_grid_oracle(model, stats, delta)
                 assert grid_risk is not None
                 assert eqodds_risk(model, stats, res.t1, res.t2) <= grid_risk + 1e-9
@@ -466,7 +471,7 @@ class TestSolveEqOdds:
             res = solve_eqodds(dists, stats, delta)
         except SolverError:
             return
-        assert max(abs(res.do_value), abs(res.pd_value)) <= delta + 10.0 * DEFAULT_TOL
+        assert max(abs(res.do_value), abs(res.pd_value)) <= delta
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,13 @@ class TestSolveThreshold:
         res = solve_threshold(linear_curve(0.0, 1.0), delta=0.25)
         assert res.t_star == 0.0
         assert res.iterations == 0
-        assert res.converged and res.exact
+        assert res.converged
 
     def test_linear_positive_branch(self):
         res = solve_threshold(linear_curve(0.8, 1.0), delta=0.3, tol=2.0 ** -15)
         assert res.t_star == pytest.approx(0.5, abs=2.0 ** -15)
         assert abs(res.d_at_t) <= 0.3 + 1e-12
-        assert res.converged and res.exact
+        assert res.converged
 
     def test_linear_negative_branch(self):
         res = solve_threshold(linear_curve(-0.8, 1.0), delta=0.3)
@@ -110,7 +110,7 @@ class TestSolveThreshold:
         r2 = solve_threshold(curve, 0.3)
         assert r1 == r2
 
-    def test_step_curve_smallest_t_and_exact_flag(self):
+    def test_step_curve_smallest_t_past_the_target(self):
         # Step curve: jumps from 0.8 straight past the target band.
         def step(t):
             return 0.8 if t < 0.5 else -0.6
@@ -119,15 +119,11 @@ class TestSolveThreshold:
         res = solve_threshold(curve, delta=0.3)
         assert res.t_star == pytest.approx(0.5, abs=2.0 ** -15)
         assert res.d_at_t == -0.6
-        assert not res.exact
-        # A coarse tolerance stops at the bracket edge without a midpoint;
-        # the jump past the target is still not exact.
+        # A coarse tolerance stops at the bracket edge without a midpoint.
         res = solve_threshold(curve, delta=0.3, tol=10.0)
         assert (res.t_star, res.d_at_t, res.iterations) == (1.0, -0.6, 0)
-        assert not res.exact
         res = solve_threshold(curve, delta=0.3, tol=0.01)
         assert res.d_at_t == -0.6
-        assert not res.exact
 
     def test_delta_zero_root(self):
         res = solve_threshold(linear_curve(0.64, 2.0), delta=0.0)
