@@ -16,7 +16,8 @@ Data sources: a CSV file with a header row, numeric feature columns, and
 binary label/protected columns, or a saved synthetic model (a ``.json``
 path). Every command is deterministic for a fixed argument list and seed;
 re-running an invocation reproduces its output byte for byte. The default
-seed can be set through the FAIRTHRESH_SEED environment variable.
+seed can be set through the FAIRTHRESH_SEED environment variable. An option
+that nothing reads for the command's data source and method is refused.
 """
 from __future__ import annotations
 
@@ -556,9 +557,7 @@ def cmd_oracle_check(spec: ExperimentSpec) -> int:
 
 
 def _env_seed() -> int:
-    value = os.environ.get(SEED_ENV)
-    if value is None:
-        return 0
+    value = os.environ.get(SEED_ENV, "0")
     try:
         return int(value)
     except ValueError:
@@ -644,8 +643,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    seed = args.seed if "seed" in args else _env_seed()
-    return ExperimentSpec(**{**vars(args), "seed": seed})
+    """The spec of parsed arguments, before any file is read: a given option that
+    nothing reads is refused, and FAIRTHRESH_SEED is read only where a seed is."""
+    unread = {}
+    if args.command in ("fit", "frontier"):
+        if args.data.endswith(".json"):
+            unread = dict.fromkeys(("label_col", "protected_col", "split"),
+                                   "a model file is sampled, not read as a CSV and split")
+        if args.command == "frontier" and unread:
+            why = "the closed-form frontier fits nothing and draws nothing"
+            unread.update(method=why, seed=why)
+        elif getattr(args, "method", ExperimentSpec.method) == "fpir":
+            unread["tol"] = "fpir solves exactly"
+    for name, why in unread.items():
+        if name in args:
+            raise IngestError(f"--{name.replace('_', '-')} is not read: {why}")
+    seed = {} if "seed" in args or "seed" in unread else {"seed": _env_seed()}
+    return ExperimentSpec(**{**vars(args), **seed})
 
 
 def main(argv: list[str] | None = None) -> int:

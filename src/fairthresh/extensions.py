@@ -163,12 +163,13 @@ def solve_eqodds(dists: GroupLabelSurvival, stats: GroupStats, delta: float) -> 
     The rule at (t1, t2) minimizes risk + t1 * DO + t2 * PD (for calibrated
     dists, see GroupLabelSurvival), so the multipliers maximize the concave dual
     g(t1, t2) = min_f [R + t1 * DO + t2 * PD] - delta * (|t1| + |t2|). An inner
-    search finds the best t1 for a given t2; an outer one finds t2 on the slope
+    search, run once per t2, finds the best t1; an outer one finds t2 on the slope
     PD(best_t1(t2), t2) - delta * sign(t2) of the partial maximum (Danskin).
     Both run on solve_threshold, so a returned pair meets a budget delta > 0.
     """
     do_domain, pd_domain = _eqodds_domain(stats)
 
+    @functools.cache
     def best_t1(t2: float) -> float:
         return _dual_argmax(
             lambda t1: eqodds_disparities(dists, stats, t1, t2)[0], do_domain, delta

@@ -279,8 +279,6 @@ class TestCmdFit:
                 "do",
                 "--delta",
                 "0.95",
-                "--tol",
-                "0.00024",
                 "--out",
                 str(out),
             ]
@@ -470,8 +468,6 @@ class TestCmdFit:
                 "dd",
                 "--delta",
                 "0.2",
-                "--tol",
-                "0.001",
                 "--seed",
                 "11",
                 "--out",
@@ -497,8 +493,6 @@ class TestCmdFit:
                 "dd",
                 "--delta",
                 "0.9",
-                "--tol",
-                "0.001",
             ]
         )
         assert code == 0
@@ -518,8 +512,6 @@ class TestCmdFit:
             "dd",
             "--delta",
             "0.9",
-            "--tol",
-            "0.001",
             "--out",
             str(out),
         ]
@@ -659,8 +651,6 @@ class TestCmdFrontier:
             "dd",
             "--delta-grid",
             "0,0.1,0.3",
-            "--tol",
-            "0.00024",
             "--seed",
             "0",
             "--out",
@@ -720,8 +710,6 @@ class TestCmdFrontier:
                 "--blind",
                 "--delta-grid",
                 "0.1",
-                "--tol",
-                "0.001",
                 "--out",
                 str(out),
             ]
@@ -1365,6 +1353,84 @@ _SPELLED_FILES = {
 }
 
 
+_MODEL_FILE = "a model file is sampled, not read as a CSV and split"
+_CLOSED_FORM = "the closed-form frontier fits nothing and draws nothing"
+_EXACT = "fpir solves exactly"
+_CSV_ONLY = (("--label-col", "y"), ("--protected-col", "a"), ("--split", "0.5"))
+
+
+def _unread_cases():
+    """(command, source, method or None for the default, option, value, why)
+    for every option that fit and frontier refuse."""
+    for method in ("fuds", "fcsc", "fpir"):
+        for option, value in _CSV_ONLY:
+            yield "fit", "json", method, option, value, _MODEL_FILE
+    for method in (None, "fpir"):
+        yield "fit", "json", method, "--tol", "0.001", _EXACT
+    for option, value in _CSV_ONLY:
+        yield "frontier", "json", None, option, value, _MODEL_FILE
+    for option, value in (("--method", "fuds"), ("--seed", "3")):
+        yield "frontier", "json", None, option, value, _CLOSED_FORM
+    for command in ("fit", "frontier"):
+        for method in (None, "fpir"):
+            yield command, "csv", method, "--tol", "0.001", _EXACT
+
+
+class TestUnreadOptions:
+    """fit and frontier refuse an option that nothing reads for the data
+    source and method, before any file is read."""
+
+    @staticmethod
+    def argv(command, data, method, option, value, out):
+        budget = ["--delta", "0.1"] if command == "fit" else ["--delta-grid", "0,0.1"]
+        chosen = [] if method is None else ["--method", method]
+        return [command, "--data", str(data), *budget, *chosen, option, value, "--out", str(out)]
+
+    @pytest.mark.parametrize(
+        "command, source, method, option, value, why",
+        [pytest.param(*case, id="-".join(map(str, case[:4]))) for case in _unread_cases()],
+    )
+    def test_refused_with_one_error_line(
+        self, tmp_path, capsys, command, source, method, option, value, why
+    ):
+        # The data path does not exist: the refusal comes before any read.
+        out = tmp_path / "out"
+        argv = self.argv(command, tmp_path / f"absent.{source}", method, option, value, out)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} is not read: {why}\n"
+        assert not out.exists()
+
+    def test_refusal_in_a_fresh_interpreter(self, tmp_path):
+        out = tmp_path / "out"
+        argv = self.argv("frontier", tmp_path / "absent.json", None, "--seed", "3", out)
+        proc = TestMainDispatch.run_fresh(argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: --seed is not read: {_CLOSED_FORM}\n"
+        assert not out.exists()
+
+    def test_read_neighbours_still_run(self, data_dir, tmp_path):
+        model = str(data_dir / "model.json")
+        out = tmp_path / "out"
+        assert main(["frontier", "--data", model, "--delta-grid", "0,0.1", "--tol", "0.001",
+                     "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 3
+        assert main(["fit", "--data", model, "--method", "fuds", "--seed", "3",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["source"], doc["method"], doc["seed"]) == ("model", "fuds", 3)
+
+    def test_closed_frontier_reads_no_env_seed(self, data_dir, tmp_path, monkeypatch):
+        argv = ["frontier", "--data", str(data_dir / "model.json"), "--delta-grid", "0,0.1",
+                "--out"]
+        monkeypatch.delenv("FAIRTHRESH_SEED", raising=False)
+        assert main([*argv, str(tmp_path / "unset.csv")]) == 0
+        monkeypatch.setenv("FAIRTHRESH_SEED", "abc")
+        assert main([*argv, str(tmp_path / "abc.csv")]) == 0
+        assert (tmp_path / "abc.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+
+
 class TestIngestMatchesRowParser:
     """ingest_csv against the row-at-a-time reference: same arrays, same error text."""
 
@@ -1721,8 +1787,10 @@ class TestCliBoundaryFuzz:
             argv = [command, "--data", str(path), "--method", method, "--disparity", disparity,
                     "--out", str(Path(tmp) / "out")]
             budget = "--delta" if command == "fit" else "--delta-grid"
+            # fpir refuses --tol, so only fuds and fcsc get one.
+            read = [budget, "--split", "--seed"] + (["--tol"] if method != "fpir" else [])
             # "--flag=value", so that argparse reads "-1,0.1" as a value
-            argv += [f"{flag}={flags[flag]}" for flag in (budget, "--tol", "--split", "--seed")]
+            argv += [f"{flag}={flags[flag]}" for flag in read]
             if blind:
                 argv.append("--blind")
             out, err = io.StringIO(), io.StringIO()

@@ -41,6 +41,7 @@ from fairthresh.core import (
     threshold,
 )
 from fairthresh import fair_algorithms
+from fairthresh.discrete import FiniteDistribution, brute_force_oracle
 from fairthresh.estimators import (
     MODE_AWARE,
     FitError,
@@ -871,6 +872,32 @@ class TestFpirExactSolve:
         assert np.all((label_w == 0.0) | (np.sign(label_w) == np.sign(w)))
 
 
+def test_fpir_dd_risk_is_the_exhaustive_optimum():
+    # For DD the plug-in training problem is a finite distribution, one atom
+    # (a_i, 1/n, eta_i) per row: the group masses are the row shares, so the
+    # oracle's acceptance-rate gap is the training one.  A prefit model whose
+    # feature takes five values puts ties on the boundary.
+    rng = np.random.default_rng(14)
+    for _ in range(230):
+        n = int(rng.integers(4, 13))
+        a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        a[:4], y[:4] = [1, 1, 0, 0], [1, 0, 1, 0]
+        x = rng.integers(-2, 3, size=(n, 1)).astype(float)
+        model = ProbModel(MODE_AWARE, {
+            g: LogisticParams(float(rng.normal()), rng.normal(size=1), np.zeros(1), np.ones(1))
+            for g in (0, 1)
+        })
+        data = LabeledDataset(x=x, a=a, y=y)
+        eta = predict_proba(model, x, a)
+        dist = FiniteDistribution([(g, 1.0 / n, e) for g, e in zip(a, eta)])
+        for delta in (0.0, 0.05, 0.2):
+            classifier, _, _ = run_fpir(data, FairFitConfig(DisparityKind.DD, delta), model=model)
+            f = classifier.decide(x, a)
+            risk = np.mean(eta * (1.0 - f) + (1.0 - eta) * f)
+            oracle_risk, _ = brute_force_oracle(dist, DisparityKind.DD, delta)
+            assert abs(risk - float(oracle_risk)) <= 1e-12
+
+
 def small_random_datasets(count=25, seed=30):
     """Seeded datasets of 8-200 rows, every cell filled, whose two features
     carry random amounts of group and label signal."""
@@ -1286,6 +1313,45 @@ class TestRefitDifferential:
         reference, reference_t = materialized_fuds(train, cfg)
         assert t_hat == reference_t
         assert evaluate(model_out, test_set) == evaluate(reference, test_set)
+
+
+def thetas(model):
+    """The (intercept, coef) vector of each of a model's parameter sets."""
+    if model.mode != MODE_AWARE:
+        return [model.single_params().theta()]
+    return [model.group_params(g).theta() for g in (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def sample11(model):
+    return sample(model, 10_000, seed=11)
+
+
+@pytest.mark.parametrize("t", [-0.1, 0.05, 0.1, 0.15])
+@pytest.mark.parametrize("kind", ALL_KINDS + BLIND_KINDS, ids=lambda k: k.value)
+def test_fuds_is_fcsc_plus_a_draw(sample11, kind, t):
+    # Weighting each row by its cell's expected fuds multiplier, n * p_ay(t)
+    # over the cell's size, in place of its draw multiplicity, gives fcsc's
+    # fit at t: the two differ only in a constant per group (aware) or
+    # overall (blind), which the weight-mean objective cancels.
+    cfg = make_config(kind, 0.1)
+    fuds = fair_algorithms._build_curve(sample11, cfg, "fuds")
+    assert fuds.t_lo < t < fuds.t_hi
+    n = len(sample11)
+    multiplier = np.empty(n)
+    for cell, p in fuds_proportions(cell_stats(sample11), kind, t).items():
+        rows = sample11.rows(*cell)
+        multiplier[rows] = n * p / len(rows)
+    data = sample11.with_weights(sample11.weight * multiplier)
+    blind = isinstance(kind, BlindKind)
+    expected = fit_logistic(data) if blind else fit_group_models(data, MODE_AWARE)
+    fcsc = fair_algorithms._build_curve(sample11, cfg, "fcsc")
+    d = fcsc(t)
+    fitted, _ = fcsc.fn.at(t)
+    for a, b in zip(thetas(expected), thetas(fitted), strict=True):
+        assert np.abs(a - b).max() <= 1e-8
+    base = cfg.base_kind.value
+    assert evaluate(expected, sample11)[base] == evaluate(fitted, sample11)[base] == d
 
 
 def nested_where_decisions(score, w, t, tau_plus, tau_minus):
