@@ -390,17 +390,17 @@ def _write_json(document: dict, out: str | None) -> None:
     _write(out, lambda fh: fh.write(text))
 
 
-def _sweep(method: str, blind: bool, train: LabeledDataset, test: LabeledDataset,
+def _sweep(method: str, train: LabeledDataset, test: LabeledDataset,
            configs: Iterable[FairFitConfig]) -> Iterator[tuple[float, dict, dict]]:
     """(t_hat, report, test metrics) of the method fitted on train, per config.
 
-    fpir's group model does not depend on the budget, so an aware fpir sweep
-    fits it once, not once per config, and the later configs read the
-    plug-in slots of the train and test sets.  Blind runs fit their own
-    regressions.
+    fpir's group-aware model does not depend on the budget, so an fpir sweep
+    fits it once, not once per config, aware or blind.  Aware configs then
+    read the plug-in slots of the train and test sets; blind ones fit their
+    group posterior per config.
     """
     run = _METHOD_RUNNERS[method]
-    if method == "fpir" and not blind:
+    if method == "fpir":
         run = functools.partial(run, model=fit_group_models(train, MODE_AWARE, _CLI_LEARNER))
     for config in configs:
         classifier, t_hat, report = run(train, config)
@@ -415,7 +415,7 @@ def cmd_fit(spec: ExperimentSpec) -> dict:
     """Train the chosen pipeline and report train diagnostics + test metrics."""
     train, test, source = _load_source(spec)
     config = _pipeline_config(spec, spec.delta, spec.seed)
-    [(t_hat, report, metrics)] = _sweep(spec.method, spec.blind, train, test, [config])
+    [(t_hat, report, metrics)] = _sweep(spec.method, train, test, [config])
     document = {
         "command": "fit",
         "data": spec.data,
@@ -471,7 +471,7 @@ def _empirical_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
         _pipeline_config(spec, delta, _frontier_child_seed(spec.seed, index))
         for index, delta in enumerate(spec.delta_grid)
     ]
-    sweep = _sweep(spec.method, spec.blind, train, test, configs)
+    sweep = _sweep(spec.method, train, test, configs)
     return [[c.delta, t, m["accuracy"], m["dd"], m["do"], m["pd"]]
             for c, (t, _, m) in zip(configs, sweep)]
 
@@ -515,7 +515,7 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
                for name, ref in references]
     rows = []
     for method in _METHOD_RUNNERS:
-        sweep = _sweep(method, False, train, test, configs)
+        sweep = _sweep(method, train, test, configs)
         for (name, ref), (t_hat, _, metrics) in zip(references, sweep):
             rows.append({
                 "method": method, "disparity": name, "delta": ref.delta, "t_hat": t_hat,

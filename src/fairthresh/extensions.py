@@ -208,8 +208,8 @@ def solve_multiclass_dp(
         raise SolverError(f"need at least two groups, got {k}")
     if len(p_groups) != k:
         raise SolverError("one marginal probability per group required")
-    if any(p <= 0.0 for p in p_groups):
-        raise SolverError("group marginals must be positive")
+    if not all(math.isfinite(p) and p > 0.0 for p in p_groups):
+        raise SolverError(f"group marginals must be finite and positive, got {list(p_groups)!r}")
     if abs(math.fsum(p_groups) - 1.0) > 1e-9:
         raise SolverError(f"group marginals must sum to 1, got {math.fsum(p_groups)!r}")
 

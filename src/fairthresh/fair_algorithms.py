@@ -20,7 +20,9 @@ The pipelines differ in how the classifier at t is produced:
 
 Aware runs read the group id at decision time.  Blind runs fit rules on
 features alone; the group id is still used during training to measure the
-disparity being controlled.
+disparity being controlled.  A blind plug-in rule reads the same
+group-aware regression as an aware one, mixed over the groups by a fitted
+group posterior P(A=1|x).
 """
 from __future__ import annotations
 
@@ -128,15 +130,14 @@ class FairClassifier:
     (w > 0) or below t (w < 0), with probability tau_plus or tau_minus when
     r == t, and when eta > 1/2 if w == 0.  Aware rules route eta by group
     and weigh by s_a*eta + b_a, so they need the group vector to decide.
-    Blind rules use the label regression and a feature-level weight built
-    from the estimated group posterior, and ignore the group vector.
+    Blind rules ignore the group vector: they mix the group regressions
+    eta_groups by the group posterior eta_a (_blind_inputs).
     """
 
     kind: DisparityKind | BlindKind
     t: float
     stats: GroupStats
-    eta_groups: ProbModel | None = None
-    eta_y: ProbModel | None = None
+    eta_groups: ProbModel
     eta_a: ProbModel | None = None
     tau_plus: float = 0.0
     tau_minus: float = 0.0
@@ -145,8 +146,7 @@ class FairClassifier:
         """Score and disparity weight of each row."""
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         if isinstance(self.kind, BlindKind):
-            score = np.asarray(predict_proba(self.eta_y, x2), dtype=float)
-            return score, _blind_weight_values(self.kind, self.stats, x2, self.eta_a, self.eta_groups)
+            return _blind_inputs(self.kind, self.stats, x2, self.eta_a, self.eta_groups)
         if a is None:
             raise DisparityError("aware rule needs the group id vector to decide")
         a_arr = np.asarray(a)
@@ -189,7 +189,7 @@ class _RuleInputs:
     def holds(self, rule: FairClassifier) -> bool:
         key = self.rule
         return key.kind is rule.kind and key.stats == rule.stats and all(
-            getattr(key, m) is getattr(rule, m) for m in ("eta_groups", "eta_y", "eta_a")
+            getattr(key, m) is getattr(rule, m) for m in ("eta_groups", "eta_a")
         )
 
 
@@ -296,23 +296,20 @@ def fuds_resample(
     return np.bincount(np.concatenate(drawn), minlength=len(dataset))
 
 
-def _blind_weight_values(
-    kind: BlindKind,
-    stats: GroupStats,
-    x: np.ndarray,
-    eta_a: ProbModel,
-    eta_groups: ProbModel | None,
-) -> np.ndarray:
-    """Feature-level disparity weights of blind threshold rules:
-    sum_a P(A=a|x) * w(P(Y=1|x, A=a), a), w the base measure's weight.  A
-    group regression is read only where the weight scales it (s_a != 0)."""
+def _blind_inputs(
+    kind: BlindKind, stats: GroupStats, x: np.ndarray, eta_a: ProbModel, eta_groups: ProbModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and disparity weight of blind threshold rules: the mixtures
+    sum_a P(A=a|x) * eta_a(x), which is P(Y=1|x) by total probability, and
+    sum_a P(A=a|x) * w(eta_a(x), a), w the base measure's weight."""
     s, b = bilinear_coeffs(kind.base, stats)
     ga = np.asarray(predict_proba(eta_a, x), dtype=float)
-    values = 0.0
+    score = weight = 0.0
     for a, pa in ((1, ga), (0, 1.0 - ga)):
-        eta = predict_proba(eta_groups, x, np.full(len(ga), a)) if s[a] else 0.0
-        values = values + pa * (s[a] * eta + b[a])
-    return values
+        eta = predict_proba(eta_groups, x, a)
+        score = score + pa * eta
+        weight = weight + pa * (s[a] * eta + b[a])
+    return score, weight
 
 
 # The label of the rows each measure compares across groups (None: all rows).
@@ -440,23 +437,14 @@ def _build_curve(dataset: LabeledDataset, config: FairFitConfig, method: str) ->
 def _fpir_prepare(
     dataset: LabeledDataset, config: FairFitConfig, stats: GroupStats, model: ProbModel | None
 ) -> FairClassifier:
-    """The t = 0 plug-in rule: its regressions fitted here, or the prefit model."""
-    if isinstance(config.kind, BlindKind):
-        if model is not None:
-            raise DisparityError("blind plug-in rules fit their own regressions; pass model=None")
-        slopes, _ = bilinear_coeffs(config.base_kind, stats)
-        models = {
-            "eta_y": fit_logistic(dataset),
-            "eta_a": fit_group_models(dataset, MODE_BLIND_A),
-            "eta_groups": fit_group_models(dataset, MODE_AWARE) if any(slopes) else None,
-        }
-    elif model is None:
-        models = {"eta_groups": fit_group_models(dataset, MODE_AWARE)}
+    """The t = 0 plug-in rule on the prefit group-aware model, or on one
+    fitted here; a blind rule also fits the group posterior P(A=1|x)."""
+    if model is None:
+        model = fit_group_models(dataset, MODE_AWARE)
     elif model.mode != MODE_AWARE:
-        raise DisparityError(f"aware plug-in rule needs a group-aware model, got mode {model.mode!r}")
-    else:
-        models = {"eta_groups": model}
-    return FairClassifier(kind=config.kind, t=0.0, stats=stats, **models)
+        raise DisparityError(f"plug-in rule needs a group-aware model, got mode {model.mode!r}")
+    eta_a = fit_group_models(dataset, MODE_BLIND_A) if isinstance(config.kind, BlindKind) else None
+    return FairClassifier(kind=config.kind, t=0.0, stats=stats, eta_groups=model, eta_a=eta_a)
 
 
 def _fpir_steps(inputs: _RuleInputs, dataset: LabeledDataset, kind: DisparityKind) -> Breakpoints:
@@ -583,8 +571,9 @@ def run_fpir(
 ) -> tuple[FairClassifier, float, dict]:
     """Plug-in pipeline: fit regressions once, then solve the thresholds exactly.
 
-    Aware runs accept a prefit group-aware model (fitted here when absent);
-    blind runs fit label and group regressions from the same data.  The
+    Every run reads a group-aware model, prefit or fitted here when absent;
+    a blind run also fits the group posterior P(A=1|x) and mixes the
+    group regressions by it, so its rule reads features alone.  The
     solve returns the smallest-|t| rule meeting the budget on the training
     rows, randomizing the rows on its boundary (tau_plus, tau_minus) so the
     train disparity lands on the budget; no tolerance applies.  The report's
@@ -600,9 +589,10 @@ def run_fpir(
     weight signs, inert rows and sorted steps from the dataset's plug-in
     slot (shared with its with_weights copies) or fills it with them; they
     stay, read-only, until a rule with other models, kind or stats is scored
-    on those rows, or the dataset is freed.  A call without a model fits new
-    ones, so it replaces the entry; a later call with the same prefit model
-    and kind only searches the sorted sums and compares flip points with t_hat.
+    on those rows, or the dataset is freed.  A call without a model, or a
+    blind call, fits new ones, so it replaces the entry; a later aware call
+    with the same prefit model and kind only searches the sorted sums and
+    compares flip points with t_hat.
     """
     stats = GroupStats.from_counts(*(len(dataset.rows(*cell)) for cell in _CELLS))
     rule = _fpir_prepare(dataset, config, stats, model)

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 import fairthresh.cli
 import fairthresh.core
+import fairthresh.estimators
 import fairthresh.extensions
 import fairthresh.fair_algorithms
 import fairthresh.oracles
@@ -718,6 +719,26 @@ class TestCmdFrontier:
         rows = read_rows(out)
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("kind", ["dd", "do", "pd"])
+    def test_blind_fpir_frontier_fits_the_group_model_once(
+        self, data_dir, tmp_path, monkeypatch, kind
+    ):
+        # Two per-group fits for the sweep's one group-aware model, then one
+        # group-posterior fit per budget.
+        fits = []
+        estimators = fairthresh.estimators
+
+        def counting_fit(*args, _fit=estimators._fit_params, **kwargs):
+            fits.append(args)
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_fit_params", counting_fit)
+        argv = ["frontier", "--data", str(data_dir / "g2000.csv"), "--method", "fpir",
+                "--disparity", kind, "--blind", "--delta-grid", "0,0.05,0.1,0.15,0.2,0.25,0.3",
+                "--out", str(tmp_path / "blind.csv")]
+        assert main(argv) == 0
+        assert len(fits) == 9
+
     def test_blind_closed_frontier_rejected(self, data_dir, capsys):
         code = main(
             [
@@ -807,7 +828,7 @@ class TestCmdSynthetic:
         rows = cmd_synthetic(spec)["rows"]
         assert len(rows) == 6 and len(fits) == 1
         # Same rows as letting run_fpir fit its own model at every budget.
-        def refitting_sweep(method, blind, train, test, configs):
+        def refitting_sweep(method, train, test, configs):
             for config in configs:
                 classifier, t_hat, report = run_fpir(train, config)
                 yield t_hat, report, evaluate(classifier, test)

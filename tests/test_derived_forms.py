@@ -33,7 +33,7 @@ from fairthresh.core import (
 )
 from fairthresh.estimators import MODE_AWARE, MODE_BLIND_A, LogisticParams, ProbModel, predict_proba
 from fairthresh.extensions import eqodds_group_threshold
-from fairthresh.fair_algorithms import _blind_weight_values, fuds_proportions
+from fairthresh.fair_algorithms import _blind_inputs, fuds_proportions
 from fairthresh.gaussian import disparity_curve_closed, model_from_seed
 
 AWARE_KINDS = tuple(DisparityKind)
@@ -207,10 +207,12 @@ def test_blind_weights_match_per_kind_formulas(draw):
     # The weights are bounded by the largest inverse cell probability.
     scale = max(1.0, *(1.0 / stats.p(a, y) for a, y in CELLS))
     for kind in BLIND_KINDS:
-        got = _blind_weight_values(kind, stats, x, eta_a, eta_groups)
+        score, got = _blind_inputs(kind, stats, x, eta_a, eta_groups)
         want = reference_blind_weights(kind, stats, ga, e1, e0)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= TOL * scale
+        # The score is P(Y=1|x) by total probability over the groups.
+        assert np.max(np.abs(score - (ga * e1 + (1 - ga) * e0))) <= TOL
 
 
 # --- closed-form curves ---------------------------------------------------

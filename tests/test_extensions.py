@@ -566,3 +566,10 @@ class TestSolveMulticlassDP:
             solve_multiclass_dp([power_curve(1.0)] * 2, [0.0, 1.0])
         with pytest.raises(SolverError):
             solve_multiclass_dp([power_curve(1.0)] * 2, [0.6, 0.6])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_marginal_fails_the_marginal_check(self, bad):
+        # Every comparison with NaN is false, so only a finiteness test stops
+        # it before the offset search, which would report nan endpoints.
+        with pytest.raises(SolverError, match="must be finite and positive"):
+            solve_multiclass_dp([power_curve(1.0)] * 3, [0.5, bad, 0.5])

@@ -730,14 +730,18 @@ class TestRunFpir:
         with pytest.raises(FitError, match="x has 1 features, the model was fitted on 2"):
             run_fpir(one_column, FairFitConfig(kind=DisparityKind.DD, delta=0.05), model=prefit)
 
-    def test_rejects_blind_prefit_mix(self, train):
-        cfg = make_config(BlindKind.DD_X, 0.1)
-        with pytest.raises(DisparityError, match="blind"):
-            run_fpir(train, cfg, model=exact_prob_model(default_model()))
-        cfg_aware = make_config(DisparityKind.DD, 0.1)
-        blind_model = fit_logistic(train, LEARNER)
-        with pytest.raises(DisparityError, match="group-aware"):
-            run_fpir(train, cfg_aware, model=blind_model)
+    @pytest.mark.parametrize("kind", [DisparityKind.DD, BlindKind.DD_X], ids=lambda k: k.value)
+    def test_rejects_a_model_that_is_not_group_aware(self, train, kind):
+        with pytest.raises(DisparityError, match="needs a group-aware model, got mode 'blind_y'"):
+            run_fpir(train, make_config(kind, 0.1), model=fit_logistic(train, LEARNER))
+
+    @pytest.mark.parametrize("kind", BLIND_KINDS, ids=lambda k: k.value)
+    def test_blind_run_on_the_prefit_model_is_its_own_fit(self, train, kind):
+        # A blind rule reads the same group-aware fit as an aware one, so
+        # passing that fit changes no byte of the run.
+        cfg = make_config(kind, 0.05)
+        prefit = fit_group_models(train, MODE_AWARE)
+        assert pickle.dumps(run_fpir(train, cfg, model=prefit)) == pickle.dumps(run_fpir(train, cfg))
 
     def test_bracket_edge_flagged_when_budget_sits_at_bracket_end(self):
         def params(intercept, slope):
