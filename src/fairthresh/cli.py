@@ -48,7 +48,7 @@ from .gaussian import (
     threshold_disparity,
 )
 from .oracles import check_discrete_suite, check_eqodds_suite, check_grid_suite
-from .solver import DEFAULT_TOL, SolverError, trace_pareto
+from .solver import SolverError, trace_pareto
 
 __all__ = [
     "ExperimentSpec",
@@ -98,7 +98,6 @@ class ExperimentSpec:
     delta_grid: tuple[float, ...] | None = None
     seed: int = 0
     split: float = 0.7
-    tol: float = DEFAULT_TOL
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -116,8 +115,6 @@ class ExperimentSpec:
             raise IngestError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if not 0.0 < self.split < 1.0:
             raise IngestError(f"split fraction must lie in (0, 1), got {self.split!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise IngestError(f"tol must be positive, got {self.tol!r}")
         if self.seed < 0:
             raise IngestError(f"seed must be nonnegative, got {self.seed}")
         if self.delta_grid is not None:
@@ -373,7 +370,7 @@ def _load_source(spec: ExperimentSpec) -> tuple[LabeledDataset, LabeledDataset, 
 
 
 def _pipeline_config(spec: ExperimentSpec, delta: float, seed: int) -> FairFitConfig:
-    return FairFitConfig(kind=spec.kind, delta=delta, tol=spec.tol, seed=seed)
+    return FairFitConfig(kind=spec.kind, delta=delta, seed=seed)
 
 
 def _write(out: str | None, emit: Callable[[TextIO], object]) -> None:
@@ -395,9 +392,9 @@ def _sweep(method: str, train: LabeledDataset, test: LabeledDataset,
     """(t_hat, report, test metrics) of the method fitted on train, per config.
 
     fpir's group-aware model does not depend on the budget, so an fpir sweep
-    fits it once, not once per config, aware or blind.  Aware configs then
-    read the plug-in slots of the train and test sets; blind ones fit their
-    group posterior per config.
+    fits it once, not once per config, aware or blind.  Every config then
+    reads the plug-in slots of the train and test sets, so a blind sweep
+    also fits its group posterior once.
     """
     run = _METHOD_RUNNERS[method]
     if method == "fpir":
@@ -425,8 +422,7 @@ def cmd_fit(spec: ExperimentSpec) -> dict:
         "blind": spec.blind,
         "delta": spec.delta,
         "seed": spec.seed,
-        "split": spec.split,
-        "tol": spec.tol,
+        **({"split": spec.split} if source == "csv" else {}),
         "n_train": len(train),
         "n_test": len(test),
         "dim": train.dim,
@@ -443,10 +439,10 @@ def _frontier_child_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, 2, index]).generate_state(1)[0])
 
 
-def _closed_frontier(model, kind: DisparityKind, deltas, tol: float):
-    """The closed-form optimum at each budget, from one memoized sweep of D."""
+def _closed_frontier(model, kind: DisparityKind, deltas):
+    """The closed-form optimum per budget, one memoized sweep of D bisected to DEFAULT_TOL."""
     curve = disparity_curve_closed(model, kind)
-    return trace_pareto(curve, lambda t: risk_closed(model, kind, t), deltas, tol=tol)
+    return trace_pareto(curve, lambda t: risk_closed(model, kind, t), deltas)
 
 
 def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
@@ -457,7 +453,7 @@ def _closed_frontier_rows(spec: ExperimentSpec) -> list[list[object]]:
     kind = _KIND_NAMES[spec.kind_name]
     gaps = [threshold_disparity(model, k) for k in _KIND_NAMES.values()]
     out_rows = []
-    for row in _closed_frontier(model, kind, spec.delta_grid, spec.tol):
+    for row in _closed_frontier(model, kind, spec.delta_grid):
         thr = [core.threshold(kind, model.stats, a, row.t) for a in (0, 1)]
         out_rows.append([row.delta, row.t, 1.0 - row.risk, *(gap(thr) for gap in gaps)])
     return out_rows
@@ -508,10 +504,9 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
     model = default_model() if spec.data is None else load_model(spec.data)
     deltas = spec.delta_grid if spec.delta_grid is not None else _SYNTHETIC_DELTAS
     train, test = _model_samples(model, spec.seed)
-    # The references solve at the default tolerance, whatever --tol is.
     references = [(name, ref) for name, kind in _KIND_NAMES.items()
-                  for ref in _closed_frontier(model, kind, deltas, DEFAULT_TOL)]
-    configs = [FairFitConfig(_KIND_NAMES[name], ref.delta, spec.tol, spec.seed)
+                  for ref in _closed_frontier(model, kind, deltas)]
+    configs = [FairFitConfig(_KIND_NAMES[name], ref.delta, spec.seed)
                for name, ref in references]
     rows = []
     for method in _METHOD_RUNNERS:
@@ -525,7 +520,6 @@ def cmd_synthetic(spec: ExperimentSpec) -> dict:
     document = {
         "command": "synthetic",
         "seed": spec.seed,
-        "tol": spec.tol,
         "n_train": _MODEL_TRAIN_N,
         "n_test": _MODEL_TEST_N,
         "deltas": list(deltas),
@@ -580,15 +574,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_out: bool = True, with_tol: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
         p.add_argument("--seed", type=int, help=f"base seed (default: ${SEED_ENV} or 0)")
-        if with_tol:
-            p.add_argument(
-                "--tol",
-                type=float,
-                help="bisection tolerance of fuds, fcsc and closed-form frontiers "
-                "(fpir solves exactly)",
-            )
         if with_out:
             p.add_argument("--out", help="output path (default: stdout)")
 
@@ -637,7 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(synthetic)
 
     oracle = add_parser("oracle-check", help="run solver-versus-oracle suites")
-    add_common(oracle, with_out=False, with_tol=False)
+    add_common(oracle, with_out=False)
 
     return parser
 
@@ -653,8 +640,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if args.command == "frontier" and unread:
             why = "the closed-form frontier fits nothing and draws nothing"
             unread.update(method=why, seed=why)
-        elif getattr(args, "method", ExperimentSpec.method) == "fpir":
-            unread["tol"] = "fpir solves exactly"
     for name, why in unread.items():
         if name in args:
             raise IngestError(f"--{name.replace('_', '-')} is not read: {why}")

@@ -63,11 +63,11 @@ def _check_weights(w: np.ndarray) -> None:
 class LabeledDataset:
     """Rows of (feature vector, group id, binary label, sample weight).  The
     frames (_frame) and row indices (rows) are built on first use, kept, and
-    shared with with_weights copies, which differ only in weight.  So is
-    _plug_in, fair_algorithms' one-entry slot: the flip points, weight signs
-    and inert rows of the last plug-in rule that run_fpir or evaluate scored
-    on these rows, and on training rows its sorted steps.  None of them
-    reads the weights.  Groups and cells are read through rows alone."""
+    shared with with_weights copies, which differ only in weight; neither
+    reads the weights.  _plug_in is fair_algorithms' one-entry slot: the row
+    inputs of the last plug-in rule scored on these rows (see run_fpir).  A
+    blind rule's posterior reads the weights, so a with_weights copy starts
+    with an empty slot.  Groups and cells are read through rows alone."""
 
     x: np.ndarray
     a: np.ndarray
@@ -128,14 +128,15 @@ class LabeledDataset:
         )
 
     def with_weights(self, weight: np.ndarray) -> "LabeledDataset":
-        """A copy with new weights; only they are checked, and the caches
-        are passed on, so shared."""
+        """A copy with new weights; only they are checked.  The frames and
+        row indices are passed on, so shared; the plug-in slot starts empty."""
         w = np.asarray(weight, dtype=float)
         if w.shape != self.weight.shape:
             raise FitError("feature, group, label, and weight lengths differ")
         _check_weights(w)
         reweighted = copy.copy(self)
         object.__setattr__(reweighted, "weight", w)
+        object.__setattr__(reweighted, "_plug_in", [])
         return reweighted
 
     def _frame(self, group: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

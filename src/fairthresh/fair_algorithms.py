@@ -86,18 +86,17 @@ class FairFitConfig:
     """Settings shared by the three pipeline runners.
 
     kind selects the disparity measure; a blind kind makes a blind run, whose
-    fitted rule reads features only.  delta is the disparity budget and tol
-    the fuds/fcsc bisection resolution, which fpir, solved exactly, does not
-    read.  seed fixes the row ordering fuds draws each cell from, the same
-    at every t.  Every fit uses the default learner and runs to convergence.
-    The t = 0 fit starts from zero; every other refit starts one Newton step
-    from it, taken for the cell weights at t (estimators._WarmStart).  So a
-    refit at t depends only on t and the data.
+    fitted rule reads features only.  delta is the disparity budget; fuds
+    and fcsc bisect t to solver.DEFAULT_TOL, and fpir solves exactly.  seed
+    fixes the row ordering fuds draws each cell from, the same at every t.
+    Every fit uses the default learner and runs to convergence.  The t = 0
+    fit starts from zero; every other refit starts one Newton step from it,
+    taken for the cell weights at t (estimators._WarmStart).  So a refit at
+    t depends only on t and the data.
     """
 
     kind: DisparityKind | BlindKind
     delta: float
-    tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,8 +104,6 @@ class FairFitConfig:
             raise DisparityError(f"kind must be a disparity kind, got {self.kind!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise DisparityError(f"delta must be finite and nonnegative, got {self.delta!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DisparityError(f"tol must be positive, got {self.tol!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DisparityError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -437,12 +434,16 @@ def _build_curve(dataset: LabeledDataset, config: FairFitConfig, method: str) ->
 def _fpir_prepare(
     dataset: LabeledDataset, config: FairFitConfig, stats: GroupStats, model: ProbModel | None
 ) -> FairClassifier:
-    """The t = 0 plug-in rule on the prefit group-aware model, or on one
-    fitted here; a blind rule also fits the group posterior P(A=1|x)."""
+    """The plug-in rule on the prefit group-aware model, or on one fitted
+    here; a blind rule also fits the group posterior P(A=1|x).  A slot rule on
+    the same model, kind and stats is reused, posterior included, t ignored."""
     if model is None:
         model = fit_group_models(dataset, MODE_AWARE)
     elif model.mode != MODE_AWARE:
         raise DisparityError(f"plug-in rule needs a group-aware model, got mode {model.mode!r}")
+    for key in (entry.rule for entry in dataset._plug_in):
+        if key.eta_groups is model and key.kind is config.kind and key.stats == stats:
+            return key
     eta_a = fit_group_models(dataset, MODE_BLIND_A) if isinstance(config.kind, BlindKind) else None
     return FairClassifier(kind=config.kind, t=0.0, stats=stats, eta_groups=model, eta_a=eta_a)
 
@@ -487,7 +488,6 @@ def _report(
         "kind": config.kind.value,
         "mode": config.mode,
         "delta": float(config.delta),
-        "tol": float(config.tol),
         "seed": config.seed,
         "n_train": len(dataset),
         "stats": _cells_json({cell: stats.p(*cell) for cell in _CELLS}),
@@ -506,7 +506,7 @@ def _report(
 def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
     curve = _build_curve(dataset, config, method)
     try:
-        result = solve_threshold(curve, config.delta, config.tol)
+        result = solve_threshold(curve, config.delta)
     except BracketError as exc:
         blind = "a blind refit thresholds one logistic score at 1/2"
         if method == "fuds":
@@ -523,7 +523,7 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
         ) from exc
     t_hat = result.t_star
     model, report_extra = curve.fn.at(t_hat)
-    margin = max(4.0 * config.tol, 1e-6)
+    margin = 4.0 * DEFAULT_TOL
     solve = {
         "bracket": {"lo": curve.t_lo, "hi": curve.t_hi, "clamped": method == "fuds"},
         "t_hat": t_hat,
@@ -540,8 +540,8 @@ def _run_refit(method: str, dataset: LabeledDataset, config: FairFitConfig):
 
 
 def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel, float, dict]:
-    """Resampling pipeline: bisect t, refitting on tilted resamples (the
-    training rows weighted by their draw multiplicities, fuds_resample).
+    """Resampling pipeline: bisect t to solver.DEFAULT_TOL, refitting on tilted
+    resamples (the training rows weighted by their draw multiplicities).
 
     Returns the model fitted at the solved t (decisions threshold its
     predictions at 1/2), the solved t, and a report.  When delta already
@@ -554,7 +554,7 @@ def run_fuds(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel,
 
 
 def run_fcsc(dataset: LabeledDataset, config: FairFitConfig) -> tuple[ProbModel, float, dict]:
-    """Cost-reweighting pipeline: bisect t, refitting with per-cell costs.
+    """Cost-reweighting pipeline: bisect t to DEFAULT_TOL, refitting with per-cell costs.
 
     Returns the model fitted at the solved t, the solved t, and a report
     that includes the final cost table.  At t = 0 every cost is 1/2 and
@@ -587,11 +587,11 @@ def run_fpir(
 
     Every call, blind ones included, reads the training rows' flip points,
     weight signs, inert rows and sorted steps from the dataset's plug-in
-    slot (shared with its with_weights copies) or fills it with them; they
-    stay, read-only, until a rule with other models, kind or stats is scored
-    on those rows, or the dataset is freed.  A call without a model, or a
-    blind call, fits new ones, so it replaces the entry; a later aware call
-    with the same prefit model and kind only searches the sorted sums and
+    slot or fills it with them; they stay, read-only, until a rule with
+    other models, kind or stats is scored on those rows, or the dataset is
+    freed.  A call without a model fits a new one, so it replaces the entry;
+    a later call with the same prefit model and kind reuses the entry's rule,
+    a blind one's posterior included, and only searches the sorted sums and
     compares flip points with t_hat.
     """
     stats = GroupStats.from_counts(*(len(dataset.rows(*cell)) for cell in _CELLS))

@@ -95,7 +95,6 @@ def study(model):
                 config = FairFitConfig(
                     kind=kind,
                     delta=delta,
-                    tol=2**-10,
                     seed=seed,
                 )
                 runs = {
@@ -375,7 +374,7 @@ def test_criterion_11_monotone_curves(model):
     prefit = fit_group_models(train, config=LEARNER)
     empirical_ok = True
     for kind in KINDS:
-        config = FairFitConfig(kind=kind, delta=0.1, tol=2**-10)
+        config = FairFitConfig(kind=kind, delta=0.1)
         curve = empirical_curve(train, config, "fpir", model=prefit)
         empirical_ok = empirical_ok and is_monotone_nonincreasing(curve, 25, slack=1e-12)
 

@@ -253,7 +253,6 @@ class TestExperimentSpec:
             (dict(command="fit", delta=-0.1), "delta"),
             (dict(command="fit", split=0.0), "split"),
             (dict(command="fit", split=1.0), "split"),
-            (dict(command="fit", tol=0.0), "tol"),
             (dict(command="fit", seed=-1), "seed"),
             (dict(command="fit", delta=float("nan")), "delta"),
             (dict(command="frontier", delta_grid=(0.2, 0.1)), "sorted"),
@@ -264,6 +263,10 @@ class TestExperimentSpec:
     def test_rejections(self, kwargs, message):
         with pytest.raises(IngestError, match=message):
             ExperimentSpec(**kwargs)
+
+    def test_takes_no_tol(self):
+        with pytest.raises(TypeError, match="tol"):
+            ExperimentSpec(command="fit", tol=1e-3)
 
 
 class TestCmdFit:
@@ -291,6 +294,17 @@ class TestCmdFit:
         assert doc["n_train"] == 1400
         assert doc["n_test"] == 600
 
+    @pytest.mark.parametrize("source", ["csv", "model"])
+    def test_split_is_written_for_a_csv_source_only(self, data_dir, tmp_path, source):
+        # A model file is sampled, never split; no run takes a tolerance.
+        data = data_dir / ("g2000.csv" if source == "csv" else "model.json")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["source"] == source
+        assert doc.get("split") == (0.7 if source == "csv" else None)
+        assert "tol" not in doc and "tol" not in doc["run"]
+
     def test_identical_invocations_identical_bytes(self, data_dir, tmp_path):
         args = [
             "fit",
@@ -302,8 +316,6 @@ class TestCmdFit:
             "dd",
             "--delta",
             "0.1",
-            "--tol",
-            "0.001",
             "--seed",
             "4",
         ]
@@ -325,8 +337,6 @@ class TestCmdFit:
                 "dd",
                 "--delta",
                 "0.1",
-                "--tol",
-                "0.00024",
                 "--seed",
                 "0",
                 "--out",
@@ -356,8 +366,6 @@ class TestCmdFit:
                 "--blind",
                 "--delta",
                 "0.0",
-                "--tol",
-                "0.00024",
                 "--seed",
                 "0",
                 "--out",
@@ -723,8 +731,8 @@ class TestCmdFrontier:
     def test_blind_fpir_frontier_fits_the_group_model_once(
         self, data_dir, tmp_path, monkeypatch, kind
     ):
-        # Two per-group fits for the sweep's one group-aware model, then one
-        # group-posterior fit per budget.
+        # Two per-group fits for the sweep's one group-aware model and one
+        # group-posterior fit, which every later budget reads from the slot.
         fits = []
         estimators = fairthresh.estimators
 
@@ -737,7 +745,7 @@ class TestCmdFrontier:
                 "--disparity", kind, "--blind", "--delta-grid", "0,0.05,0.1,0.15,0.2,0.25,0.3",
                 "--out", str(tmp_path / "blind.csv")]
         assert main(argv) == 0
-        assert len(fits) == 9
+        assert len(fits) == 3
 
     def test_blind_closed_frontier_rejected(self, data_dir, capsys):
         code = main(
@@ -787,10 +795,11 @@ class TestCmdSynthetic:
     def test_desk_scale_study(self, tmp_path, model):
         out = tmp_path / "study.json"
         code = main(
-            ["synthetic", "--tol", "0.001", "--seed", "3", "--out", str(out)]
+            ["synthetic", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
         doc = json.loads(out.read_text())
+        assert "tol" not in doc
         rows = doc["rows"]
         assert len(rows) == 36  # 3 methods x 3 measures x 4 budgets
         combos = {(r["method"], r["disparity"], r["delta"]) for r in rows}
@@ -802,7 +811,7 @@ class TestCmdSynthetic:
         assert sum(deviations) / len(deviations) <= 0.03
         for r in rows:
             assert r["accuracy"] >= r["theory_accuracy"] - 0.015
-        # The references are the default-tolerance rules, whatever --tol is.
+        # The references are the default-tolerance rules.
         for r in rows:
             rule = theoretical_fair_classifier(
                 model, DisparityKind(r["disparity"]), r["delta"]
@@ -974,6 +983,19 @@ class TestMainDispatch:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--data", "d.csv"], ["frontier", "--data", "d.csv", "--delta-grid", "0"],
+         ["synthetic"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_pipeline_command_takes_tol(self, capsys, argv):
+        # fuds, fcsc and closed-form frontiers bisect to the default tolerance.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "0.001"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_fit_spec_roundtrip(self, data_dir, tmp_path):
         # cmd_fit is callable directly with a validated ExperimentSpec
         doc = cmd_fit(
@@ -983,7 +1005,6 @@ class TestMainDispatch:
                 method="fpir",
                 kind_name="dd",
                 delta=0.9,
-                tol=1e-3,
                 out=str(tmp_path / "direct.json"),
             )
         )
@@ -1376,7 +1397,6 @@ _SPELLED_FILES = {
 
 _MODEL_FILE = "a model file is sampled, not read as a CSV and split"
 _CLOSED_FORM = "the closed-form frontier fits nothing and draws nothing"
-_EXACT = "fpir solves exactly"
 _CSV_ONLY = (("--label-col", "y"), ("--protected-col", "a"), ("--split", "0.5"))
 
 
@@ -1386,15 +1406,10 @@ def _unread_cases():
     for method in ("fuds", "fcsc", "fpir"):
         for option, value in _CSV_ONLY:
             yield "fit", "json", method, option, value, _MODEL_FILE
-    for method in (None, "fpir"):
-        yield "fit", "json", method, "--tol", "0.001", _EXACT
     for option, value in _CSV_ONLY:
         yield "frontier", "json", None, option, value, _MODEL_FILE
     for option, value in (("--method", "fuds"), ("--seed", "3")):
         yield "frontier", "json", None, option, value, _CLOSED_FORM
-    for command in ("fit", "frontier"):
-        for method in (None, "fpir"):
-            yield command, "csv", method, "--tol", "0.001", _EXACT
 
 
 class TestUnreadOptions:
@@ -1434,8 +1449,7 @@ class TestUnreadOptions:
     def test_read_neighbours_still_run(self, data_dir, tmp_path):
         model = str(data_dir / "model.json")
         out = tmp_path / "out"
-        assert main(["frontier", "--data", model, "--delta-grid", "0,0.1", "--tol", "0.001",
-                     "--out", str(out)]) == 0
+        assert main(["frontier", "--data", model, "--delta-grid", "0,0.1", "--out", str(out)]) == 0
         assert len(read_rows(out)) == 3
         assert main(["fit", "--data", model, "--method", "fuds", "--seed", "3",
                      "--out", str(out)]) == 0
@@ -1768,14 +1782,12 @@ def fuzzed_model_json(draw):
 _GOOD_FLAGS = {
     "--delta": ("0", "0.1", "0.3"),
     "--delta-grid": ("0,0.1", "0.2"),
-    "--tol": ("0.001", "0.01"),
     "--split": ("0.7", "0.5"),
     "--seed": ("0", "3"),
 }
 _BAD_FLAGS = (
     ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
     ("--delta-grid", "nan"), ("--delta-grid", "-1,0.1"), ("--delta-grid", "0.2,0.1"),
-    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
     ("--split", "nan"), ("--split", "-0.5"), ("--split", "1.5"),
     ("--seed", "-1"),
 )
@@ -1808,8 +1820,7 @@ class TestCliBoundaryFuzz:
             argv = [command, "--data", str(path), "--method", method, "--disparity", disparity,
                     "--out", str(Path(tmp) / "out")]
             budget = "--delta" if command == "fit" else "--delta-grid"
-            # fpir refuses --tol, so only fuds and fcsc get one.
-            read = [budget, "--split", "--seed"] + (["--tol"] if method != "fpir" else [])
+            read = [budget, "--split", "--seed"]
             # "--flag=value", so that argparse reads "-1,0.1" as a value
             argv += [f"{flag}={flags[flag]}" for flag in read]
             if blind:

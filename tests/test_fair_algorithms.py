@@ -20,7 +20,7 @@ import math
 import pickle
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -84,7 +84,7 @@ LEARNER = LogisticConfig()
 
 
 def make_config(kind, delta, **kwargs):
-    defaults = dict(seed=7, tol=2.0**-12)
+    defaults = dict(seed=7)
     defaults.update(kwargs)
     return FairFitConfig(kind=kind, delta=delta, **defaults)
 
@@ -538,7 +538,6 @@ class TestFairFitConfig:
     def test_defaults(self):
         cfg = FairFitConfig(kind=DisparityKind.DD, delta=0.1)
         assert cfg.mode == "aware"
-        assert cfg.tol == 2.0**-15
         assert cfg.base_kind is DisparityKind.DD
 
     def test_base_kind_of_blind(self):
@@ -549,10 +548,14 @@ class TestFairFitConfig:
     def test_rejections(self):
         with pytest.raises(DisparityError, match="delta"):
             FairFitConfig(kind=DisparityKind.DD, delta=-0.1)
-        with pytest.raises(DisparityError, match="tol"):
-            FairFitConfig(kind=DisparityKind.DD, delta=0.1, tol=0.0)
         with pytest.raises(DisparityError, match="kind"):
             FairFitConfig(kind="dd", delta=0.1)
+
+    def test_takes_no_tol(self):
+        # fuds and fcsc bisect to solver.DEFAULT_TOL; no config sets another.
+        assert [f.name for f in fields(FairFitConfig)] == ["kind", "delta", "seed"]
+        with pytest.raises(TypeError, match="tol"):
+            FairFitConfig(kind=DisparityKind.DD, delta=0.1, tol=1e-3)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
     def test_rejects_seed_other_than_nonnegative_integer(self, seed):
@@ -658,7 +661,7 @@ class TestRunFpir:
         big = sample(model, 10**6, seed=77)
         prefit = exact_prob_model(model)
         for delta in (0.0, 0.15):
-            cfg = FairFitConfig(kind=DisparityKind.DD, delta=delta, seed=7, tol=1e-6)
+            cfg = FairFitConfig(kind=DisparityKind.DD, delta=delta, seed=7)
             _, t_hat, _ = run_fpir(big, cfg, model=prefit)
             oracle = theoretical_fair_classifier(model, DisparityKind.DD, delta, tol=1e-9)
             assert abs(t_hat - oracle.t_star) <= 1e-3
@@ -767,19 +770,6 @@ class TestRunFpir:
         assert t_hat == report["bracket"]["hi"] and report["at_bracket_edge"] is True
         curve = empirical_curve(dataset, cfg, "fpir", model=prefit)
         assert curve(0.3) == 1.0 and curve(np.nextafter(t_hat, 0.0)) == 0.75
-
-    def test_bracket_edge_ignores_tol(self, model):
-        # tol does not enter fpir's flag: a 4 * tol margin would flag this
-        # interior t_hat at tol 0.05.
-        small = sample(model, 2_000, 1)
-        reports = []
-        for tol in (2.0**-15, 0.05, 10.0):
-            _, t_hat, report = run_fpir(small, FairFitConfig(DisparityKind.DD, 0.05, tol=tol))
-            assert report["at_bracket_edge"] is False
-            assert report["bracket"]["lo"] < t_hat < report["bracket"]["hi"]
-            reports.append({**report, "tol": None})
-        assert t_hat == pytest.approx(0.14539, abs=1e-5)
-        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize(
         "kind, prefit",
@@ -918,16 +908,13 @@ def small_random_datasets(count=25, seed=30):
 
 
 def test_fpir_report_follows_its_own_solve():
-    # t_hat lies in the range the exact solve searched, the budget holds,
-    # and tol, which the solve does not read, changes nothing but itself.
+    # t_hat lies in the range the exact solve searched, and the budget holds.
     for dataset in small_random_datasets():
         for kind in ALL_KINDS + BLIND_KINDS:
             for delta in (0.0, 0.01, 0.1):
-                _, t_hat, report = run_fpir(dataset, FairFitConfig(kind, delta, tol=2.0**-15))
-                _, _, wide = run_fpir(dataset, FairFitConfig(kind, delta, tol=0.5))
+                _, t_hat, report = run_fpir(dataset, FairFitConfig(kind, delta))
                 assert report["bracket"]["lo"] <= t_hat <= report["bracket"]["hi"]
                 assert abs(report["disparity_at_t_hat"]) <= delta
-                assert {**report, "tol": 0.5} == wide
 
 
 def test_refit_report_follows_its_own_solve():
@@ -1014,7 +1001,7 @@ class TestFpirSlot:
             curve = empirical_curve(self.fresh_copy(small), cfg, "fpir", model=prefit)
             assert values == [curve(t) for t in points]
 
-    def test_slot_follows_its_key_and_dies_with_its_dataset(self, model, monkeypatch):
+    def test_slot_follows_its_key_and_dies_with_its_dataset(self, model):
         small = sample(model, 1_000, seed=9)
         prefit = fit_group_models(small, MODE_AWARE)
         cfg = make_config(DisparityKind.DO, 0.05)
@@ -1035,20 +1022,30 @@ class TestFpirSlot:
         assert got == pickle.dumps(run_fpir(self.fresh_copy(small), cfg, model=prefit)) == want
         [entry] = small._plug_in
         assert entry.rule.eta_groups is prefit
-        # A reweighted copy has the same rows, and nothing in the slot reads
-        # the weights, so it shares the slot: its call predicts nothing.
+        # A blind rule's group posterior reads the weights, so a reweighted
+        # copy starts with a slot of its own and leaves the original's alone.
         copy = small.with_weights(np.ones(len(small)))
-        assert copy._plug_in is small._plug_in
-        with monkeypatch.context() as patch:
-            patch.setattr(fair_algorithms, "predict_proba", None)
-            assert pickle.dumps(run_fpir(copy, cfg, model=prefit)) == want
-        assert small._plug_in[0] is entry
+        assert copy._plug_in == [] and copy._plug_in is not small._plug_in
+        assert pickle.dumps(run_fpir(copy, cfg, model=prefit)) == want
+        assert small._plug_in[0] is entry and copy._plug_in[0] is not entry
         # A subset is another row set: its slot starts empty.
         assert small.subset(np.arange(500))._plug_in == []
         ref = weakref.ref(entry)
         del entry, small, copy
         gc.collect()
         assert ref() is None
+
+    def test_a_blind_run_on_a_reweighted_copy_fits_its_own_posterior(self, model):
+        # The sweep's reuse of a blind rule must not carry a posterior fitted
+        # on other weights into a reweighted copy of the same rows.
+        small = sample(model, 1_000, seed=10)
+        prefit = fit_group_models(small, MODE_AWARE)
+        cfg = make_config(BlindKind.DD_X, 0.05)
+        run_fpir(small, cfg, model=prefit)
+        weight = np.random.default_rng(3).uniform(0.2, 2.0, len(small))
+        got = run_fpir(small.with_weights(weight), cfg, model=prefit)
+        fresh = LabeledDataset(small.x, small.a, small.y, weight)
+        assert pickle.dumps(got) == pickle.dumps(run_fpir(fresh, cfg, model=prefit))
 
 
 class TestPlugInSlot:
@@ -1267,7 +1264,7 @@ def materialized_fuds(train, cfg):
 
     bracket = empirical_curve(train, cfg, "fuds")
     curve = DisparityCurve(fn=disparity, t_lo=bracket.t_lo, t_hi=bracket.t_hi)
-    result = solve_threshold(curve, cfg.delta, cfg.tol)
+    result = solve_threshold(curve, cfg.delta)
     return fits[result.t_star], result.t_star
 
 
